@@ -27,6 +27,7 @@ from .partition import (
     CategoryCounts,
     KeyKind,
     Lifetime,
+    LifetimeTable,
     PartitionReport,
     TemporalCategory,
     categorize,
@@ -62,7 +63,7 @@ __all__ = [
     "Event", "GraphKind", "History", "canonical_edge", "ingest_csv",
     "DlpEvalError", "IngestError", "DegenerateSplitError",
     "EmptyCandidateSetError", "ScoreLogError",
-    "TemporalCategory", "KeyKind", "Lifetime", "CategoryCounts",
+    "TemporalCategory", "KeyKind", "Lifetime", "LifetimeTable", "CategoryCounts",
     "PartitionReport", "compute_cutoff", "split", "categorize", "lifetimes",
     "partition_report", "surprise_sweep",
     "NegativeStrategy", "CandidateIndex", "NegativeBatch",

@@ -280,19 +280,19 @@ def cmd_sample(args) -> int:
     skipped = 0
     for i in range(len(h)):
         pos = h.event(i)
+        event_seed = derive_event_seed(args.seed, i)
         try:
-            batches = [
-                sample_negatives(pos, s, args.k, idx, derive_event_seed(args.seed, i))
-                for s in strategies
-            ]
+            batches = [sample_negatives(pos, s, args.k, idx, event_seed) for s in strategies]
         except EmptyCandidateSetError as exc:
             if args.on_empty == "abort":
                 raise
             skipped += 1
-            logger.warning("skipping event %d: %s", i, exc)
+            logger.debug("skipping event %d: %s", i, exc)
             continue
         rows += [(emitted, b) for b in batches]
         emitted += 1
+    if skipped:
+        logger.warning("skipped %d of %d events with no legal negatives", skipped, len(h))
     out = _out_dir(args)
     write_negatives_csv(rows, out / "negatives.csv")
     print(f"sampled {emitted} events ({skipped} skipped) -> {out / 'negatives.csv'}")

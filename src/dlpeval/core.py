@@ -61,9 +61,6 @@ class History:
     """Chronologically ordered, immutable stream of interaction events.
 
     Events are sorted non-decreasing by timestamp; ties keep input order.
-    Per-node and per-edge event indexes are built lazily on first use and
-    cached, after which a fully built History is safe to share across
-    threads for reading.
     """
 
     __slots__ = (
@@ -74,8 +71,6 @@ class History:
         "num_nodes",
         "num_sources",
         "labels",
-        "_node_index",
-        "_edge_index",
         "_event_edge_keys",
     )
 
@@ -97,8 +92,6 @@ class History:
         self.num_nodes = num_nodes
         self.num_sources = num_sources
         self.labels = labels
-        self._node_index: dict[int, np.ndarray] | None = None
-        self._edge_index: dict[int, np.ndarray] | None = None
         self._event_edge_keys: np.ndarray | None = None
 
     @classmethod
@@ -115,7 +108,8 @@ class History:
         """Build a History from parallel event columns.
 
         Events are stable-sorted by timestamp. Ids must be dense
-        non-negative ints; ``num_nodes`` defaults to max id + 1.
+        non-negative ints; ``num_nodes`` defaults to max id + 1. Bipartite
+        kinds need ``num_sources``: source ids below it, destinations not.
         """
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
@@ -134,6 +128,10 @@ class History:
             raise ValueError("node id out of range")
         if not kind.allow_self_loops and len(src) and np.any(src == dst):
             raise ValueError("self-loop present but self-loops are disabled")
+        if kind.bipartite and (num_sources is None or len(src) and (
+                src.max() >= num_sources or dst.min() < num_sources)):
+            raise ValueError("bipartite streams need num_sources with "
+                             "source < num_sources <= destination")
         order = np.argsort(t, kind="stable")
         return cls(src[order], dst[order], t[order], kind, num_nodes, num_sources, labels)
 
@@ -178,9 +176,6 @@ class History:
         a, b = canonical_edge(u, v, self.kind)
         return a * self.num_nodes + b
 
-    def unpack_edge_key(self, key: int) -> tuple[int, int]:
-        return (key // self.num_nodes, key % self.num_nodes)
-
     def event_edge_keys(self) -> np.ndarray:
         """Per-event canonical edge key, cached."""
         if self._event_edge_keys is None:
@@ -190,25 +185,6 @@ class History:
                 b = np.maximum(self.src, self.dst)
             self._event_edge_keys = a * np.int64(self.num_nodes) + b
         return self._event_edge_keys
-
-    # -- lazy per-key event indexes -------------------------------------
-
-    def events_of_node(self, u: int) -> np.ndarray:
-        """Indexes of the events involving node ``u``, in time order."""
-        if self._node_index is None:
-            self._node_index = _group_indexes(
-                np.concatenate([self.src, self.dst]),
-                np.concatenate([np.arange(len(self)), np.arange(len(self))]),
-            )
-        return self._node_index.get(u, np.empty(0, dtype=np.int64))
-
-    def events_of_edge(self, u: int, v: int) -> np.ndarray:
-        """Indexes of the events involving the edge (u, v), in time order."""
-        if self._edge_index is None:
-            self._edge_index = _group_indexes(
-                self.event_edge_keys(), np.arange(len(self))
-            )
-        return self._edge_index.get(self.edge_key(u, v), np.empty(0, dtype=np.int64))
 
     def observed_nodes(self) -> np.ndarray:
         """Sorted ids of nodes that appear in at least one event."""
@@ -236,21 +212,6 @@ class History:
             fh.write("id,label\n")
             for i in range(self.num_nodes):
                 fh.write(f"{i},{self.label_of(i)}\n")
-
-
-def _group_indexes(keys: np.ndarray, values: np.ndarray) -> dict[int, np.ndarray]:
-    """Group ``values`` by ``keys`` with values sorted within each group."""
-    if len(keys) == 0:
-        return {}
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    out: dict[int, np.ndarray] = {}
-    bounds = np.append(starts, len(keys))
-    for j, key in enumerate(uniq):
-        grp = np.unique(values[bounds[j]:bounds[j + 1]])  # dedupe self-loops
-        out[int(key)] = grp
-    return out
 
 
 def _open_for_write(dest: str | Path | TextIO):

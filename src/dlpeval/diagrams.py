@@ -17,7 +17,7 @@ import numpy as np
 from ._svg import SvgDocument
 from .errors import DlpEvalError
 from .metrics import MARSeries
-from .partition import Lifetime, SweepPoint, TemporalCategory, categorize
+from .partition import LifetimeTable, SweepPoint, TemporalCategory, category_codes
 from .scorelog import POSITIVE_ROLE
 
 PALETTE = {
@@ -27,6 +27,7 @@ PALETTE = {
 }
 _LINE_CYCLE = ("#007AA6", "#FF9933", "#008000", "#C02942", "#7851A9", "#555555")
 _GUIDE = "#444444"
+_CATEGORY_NAMES = np.array([c.value for c in TemporalCategory])
 
 _PANEL_W = 460.0
 _PANEL_H = 420.0
@@ -98,12 +99,6 @@ def _role_color(role: str, i: int) -> str:
     return by_category.get(role[:1], _LINE_CYCLE[i % len(_LINE_CYCLE)])
 
 
-def _key_text(key) -> str:
-    if isinstance(key, tuple):
-        return f"{key[0]}|{key[1]}"
-    return str(key)
-
-
 def _stratified_sample(categories: np.ndarray, max_points: int, seed: int) -> np.ndarray:
     """Indexes to render, proportional per category, deterministic for a seed."""
     n = len(categories)
@@ -122,7 +117,7 @@ def _stratified_sample(categories: np.ndarray, max_points: int, seed: int) -> np
 
 
 def bd_diagram(
-    lifetimes: Mapping | Sequence[tuple[str, Mapping]],
+    lifetimes: LifetimeTable | Sequence[tuple[str, LifetimeTable]],
     t_split: float,
     svg_path: str | Path,
     csv_path: str | Path,
@@ -133,13 +128,13 @@ def bd_diagram(
 ) -> tuple[Path, Path]:
     """Scatter of death time (x) against birth time (y) per key.
 
-    ``lifetimes`` is a key -> Lifetime mapping, or a list of named
-    (panel, mapping) pairs for side-by-side facets (e.g. source-role and
-    destination-role nodes of a bipartite stream). Split guides are drawn
-    at ``t_split`` on both axes; the CSV lists every key as
-    ``key,birth,death,category``.
+    ``lifetimes`` is one LifetimeTable, or a list of named (panel, table)
+    pairs for side-by-side facets (e.g. source-role and destination-role
+    nodes of a bipartite stream). Split guides are drawn at ``t_split`` on
+    both axes; the CSV lists every key as ``key,birth,death,category``,
+    with edge keys written ``a|b``.
     """
-    if isinstance(lifetimes, Mapping):
+    if isinstance(lifetimes, LifetimeTable):
         panels = [(title, lifetimes)]
     else:
         panels = list(lifetimes)
@@ -148,18 +143,20 @@ def bd_diagram(
 
     doc = SvgDocument(_PANEL_W * len(panels), _PANEL_H)
     csv_rows: list[str] = []
-    for p, (panel_title, lifemap) in enumerate(panels):
-        if len(lifemap) == 0:
+    for p, (panel_title, table) in enumerate(panels):
+        if len(table) == 0:
             raise DlpEvalError(f"panel {panel_title!r} has no lifetimes")
-        keys = list(lifemap.keys())
-        births = np.asarray([lifemap[k].birth for k in keys])
-        deaths = np.asarray([lifemap[k].death for k in keys])
-        cats = np.asarray(
-            [categorize(Lifetime(b, d), t_split).value for b, d in zip(births, deaths)]
-        )
+        births, deaths = table.births, table.deaths
+        # names, not codes: the seeded stratified draw visits categories in
+        # sorted name order, so the rendered sample depends on that order
+        cats = _CATEGORY_NAMES[category_codes(births, deaths, t_split)]
+        if table.num_nodes is None:
+            key_text = table.ids.tolist()
+        else:
+            key_text = [f"{a}|{b}" for a, b in table]
         prefix = f"{panel_title}:" if len(panels) > 1 else ""
-        for k, b, d, c in zip(keys, births, deaths, cats):
-            csv_rows.append(f"{prefix}{_key_text(k)},{float(b)!r},{float(d)!r},{c}")
+        for k, b, d, c in zip(key_text, births.tolist(), deaths.tolist(), cats.tolist()):
+            csv_rows.append(f"{prefix}{k},{b!r},{d!r},{c}")
 
         lo = float(min(births.min(), deaths.min()))
         hi = float(max(births.max(), deaths.max(), t_split))

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -37,6 +38,51 @@ class KeyKind(enum.Enum):
 class Lifetime(NamedTuple):
     birth: float
     death: float
+
+
+class LifetimeTable(Mapping):
+    """Read-only key -> Lifetime mapping over columns sorted by key.
+
+    ``ids`` are node ids, or for edge tables (``num_nodes`` set) canonical
+    edges packed as ``a * num_nodes + b`` and exposed as ``(a, b)`` keys.
+    ``births`` and ``deaths`` align with ``ids``; a lookup is one binary search.
+    """
+
+    __slots__ = ("ids", "births", "deaths", "num_nodes")
+
+    def __init__(self, ids, births, deaths, num_nodes: int | None = None):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.births = np.asarray(births, dtype=np.float64)
+        self.deaths = np.asarray(deaths, dtype=np.float64)
+        self.num_nodes = num_nodes
+        if not (len(self.ids) == len(self.births) == len(self.deaths)):
+            raise ValueError("key, birth and death columns differ in length")
+        if np.any(self.ids[1:] <= self.ids[:-1]):
+            raise ValueError("keys must be strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator:
+        if self.num_nodes is None:
+            return iter(self.ids.tolist())
+        heads, tails = np.divmod(self.ids, self.num_nodes)
+        return zip(heads.tolist(), tails.tolist())
+
+    def __getitem__(self, key) -> Lifetime:
+        if self.num_nodes is None:
+            if not isinstance(key, (int, np.integer)):
+                raise KeyError(key)
+            packed = key
+        else:
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and 0 <= key[1] < self.num_nodes):
+                raise KeyError(key)
+            packed = key[0] * self.num_nodes + key[1]
+        i = int(np.searchsorted(self.ids, packed))
+        if i == len(self.ids) or self.ids[i] != packed:
+            raise KeyError(key)
+        return Lifetime(float(self.births[i]), float(self.deaths[i]))
 
 
 class SweepPoint(NamedTuple):
@@ -74,13 +120,16 @@ def split(h: History, t_split: float) -> tuple[History, History]:
     return h.slice_until(t_split), h.slice_from(t_split)
 
 
+def category_codes(births, deaths, t_split: float) -> np.ndarray:
+    """Per-key index into TemporalCategory: 0 historical (dies before the
+    cutoff), 2 inductive (born at or after it), 1 overlap (straddles it)."""
+    return np.where(deaths < t_split, 0, np.where(births >= t_split, 2, 1))
+
+
 def categorize(lifetime: Lifetime, t_split: float) -> TemporalCategory:
     """Category of a key with the given lifetime relative to a cutoff."""
-    if lifetime.death < t_split:
-        return TemporalCategory.HISTORICAL
-    if lifetime.birth >= t_split:
-        return TemporalCategory.INDUCTIVE
-    return TemporalCategory.OVERLAP
+    code = category_codes(lifetime.birth, lifetime.death, t_split)
+    return list(TemporalCategory)[int(code)]
 
 
 def node_lifetime_arrays(
@@ -117,25 +166,14 @@ def edge_lifetime_arrays(h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return uniq, birth, death
 
 
-def lifetimes(h: History, kind: KeyKind = KeyKind.NODE) -> dict:
-    """Birth/death per key: node ids map for node kinds, canonical (a, b)
-    pairs for KeyKind.EDGE."""
+def lifetimes(h: History, kind: KeyKind = KeyKind.NODE) -> LifetimeTable:
+    """Birth/death per observed key as a LifetimeTable: node ids key node
+    kinds, canonical (a, b) pairs key KeyKind.EDGE."""
     if len(h) == 0:
         raise ValueError("lifetimes of an empty history")
     if kind is KeyKind.EDGE:
-        keys, births, deaths = edge_lifetime_arrays(h)
-        # bulk tolist() keeps this cheap at millions of keys
-        heads = (keys // h.num_nodes).tolist()
-        tails = (keys % h.num_nodes).tolist()
-        return {
-            (a, b): Lifetime(lo, hi)
-            for a, b, lo, hi in zip(heads, tails, births.tolist(), deaths.tolist())
-        }
-    ids, births, deaths = node_lifetime_arrays(h, kind)
-    return {
-        i: Lifetime(lo, hi)
-        for i, lo, hi in zip(ids.tolist(), births.tolist(), deaths.tolist())
-    }
+        return LifetimeTable(*edge_lifetime_arrays(h), num_nodes=h.num_nodes)
+    return LifetimeTable(*node_lifetime_arrays(h, kind))
 
 
 @dataclass(frozen=True)
@@ -161,10 +199,8 @@ class PartitionReport:
 
 
 def _count_categories(births: np.ndarray, deaths: np.ndarray, t_split: float) -> CategoryCounts:
-    historical = int(np.count_nonzero(deaths < t_split))
-    inductive = int(np.count_nonzero(births >= t_split))
-    total = len(births)
-    return CategoryCounts(total, historical, total - historical - inductive, inductive)
+    counts = np.bincount(category_codes(births, deaths, t_split), minlength=3)
+    return CategoryCounts(len(births), *(int(c) for c in counts))
 
 
 def partition_report(
@@ -185,15 +221,16 @@ def partition_report(
 
 def surprise_sweep(h: History, ratios: Iterable[float]) -> list[SweepPoint]:
     """Node and edge surprise at each test ratio, in the given order."""
+    _, node_births, node_deaths = node_lifetime_arrays(h)
+    _, edge_births, edge_deaths = edge_lifetime_arrays(h)
     points = []
     for ratio in ratios:
         t_split = compute_cutoff(h, ratio)
-        report = partition_report(h, t_split)
         points.append(
             SweepPoint(
                 ratio,
-                report.counts[KeyKind.NODE].surprise,
-                report.counts[KeyKind.EDGE].surprise,
+                _count_categories(node_births, node_deaths, t_split).surprise,
+                _count_categories(edge_births, edge_deaths, t_split).surprise,
             )
         )
     return points

@@ -23,6 +23,7 @@ from .errors import EmptyCandidateSetError
 from .partition import (
     KeyKind,
     TemporalCategory,
+    category_codes,
     edge_lifetime_arrays,
     node_lifetime_arrays,
 )
@@ -77,12 +78,6 @@ _STRATEGY_TARGET = {
     NegativeStrategy.OE: "edge",
     NegativeStrategy.IE: "edge",
     NegativeStrategy.RND: "destination",
-}
-
-_CATEGORY_CODE = {
-    TemporalCategory.HISTORICAL: 0,
-    TemporalCategory.OVERLAP: 1,
-    TemporalCategory.INDUCTIVE: 2,
 }
 
 
@@ -143,12 +138,12 @@ class CandidateIndex:
 def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
     """Categorize every observed node and edge against ``t_split``."""
     ids, births, deaths = node_lifetime_arrays(h, KeyKind.NODE)
-    codes = np.where(deaths < t_split, 0, np.where(births >= t_split, 2, 1))
+    codes = category_codes(births, deaths, t_split)
     node_category = np.full(h.num_nodes, -1, dtype=np.int8)
     node_category[ids] = codes
 
     node_pools: dict[tuple[str, TemporalCategory], np.ndarray] = {}
-    for cat, code in _CATEGORY_CODE.items():
+    for code, cat in enumerate(TemporalCategory):
         members = ids[codes == code]
         node_pools[("all", cat)] = members
         if h.kind.bipartite:
@@ -158,9 +153,9 @@ def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
             node_pools[("destination", cat)] = members[members >= h.num_sources]
 
     keys, e_births, e_deaths = edge_lifetime_arrays(h)
-    e_codes = np.where(e_deaths < t_split, 0, np.where(e_births >= t_split, 2, 1))
+    e_codes = category_codes(e_births, e_deaths, t_split)
     edge_pools: dict[TemporalCategory, np.ndarray] = {}
-    for cat, code in _CATEGORY_CODE.items():
+    for code, cat in enumerate(TemporalCategory):
         pool_keys = keys[e_codes == code]
         edge_pools[cat] = np.column_stack(
             [pool_keys // h.num_nodes, pool_keys % h.num_nodes]

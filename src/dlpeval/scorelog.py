@@ -182,7 +182,7 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
         saw_columns = False
         for raw in fh:
             lineno += 1
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line:
                 continue
             if line.startswith("#"):

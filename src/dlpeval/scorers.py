@@ -92,11 +92,12 @@ def run_streaming_eval(
     """Score every event and its sampled negatives over the whole stream.
 
     ``on_empty`` controls what happens when a strategy has no legal
-    candidate for an event: ``skip`` drops the event (all roles) with a
-    warning, ``abort`` raises. Emitted event ordinals are contiguous over
-    the events actually scored; per-event RNG streams are derived from the
-    event's position in the history, so the same seed reproduces the same
-    negatives regardless of which strategies are requested.
+    candidate for an event: ``skip`` drops the event (all roles) and counts
+    it in one summary warning, ``abort`` raises. Emitted event ordinals are
+    contiguous over the events actually scored; per-event RNG streams are
+    derived from the event's position in the history, so the same seed
+    reproduces the same negatives regardless of which strategies are
+    requested.
     """
     if not strategies:
         raise ValueError("at least one negative strategy is required")
@@ -137,16 +138,17 @@ def run_streaming_eval(
         batch_no = start // batch_size
         for i in range(start, stop):
             pos = h.event(i)
+            event_seed = derive_event_seed(seed, i)
             try:
                 batches = [
-                    sample_negatives(pos, s, k_per_strategy, idx, derive_event_seed(seed, i))
+                    sample_negatives(pos, s, k_per_strategy, idx, event_seed)
                     for s in strategies
                 ]
             except EmptyCandidateSetError as exc:
                 if on_empty == "abort":
                     raise
                 skipped += 1
-                logger.warning("skipping event %d: %s", i, exc)
+                logger.debug("skipping event %d: %s", i, exc)
                 continue
             records.append(
                 (emitted, batch_no, POSITIVE_ROLE,

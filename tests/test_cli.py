@@ -94,6 +94,16 @@ class TestSampleAndEval:
         assert lines[0] == "event_ordinal,strategy,source,destination,timestamp"
         assert len(lines) > 1
 
+    def test_sample_skips_are_summarized_once(self, tmp_path, caplog):
+        # events on the only overlap edge (0,1) have no legal OE negative
+        path = tmp_path / "skips.csv"
+        path.write_text("source,destination,timestamp\n0,1,1\n2,3,2\n2,3,30\n0,1,90\n")
+        with caplog.at_level("WARNING"):
+            assert run("sample", path, "--t-split", "40", "--strategies", "OE",
+                       "--out", tmp_path / "out") == 0
+        assert len(caplog.records) == 1
+        assert "skipped 2 of 4" in caplog.text
+
     def test_eval_edgebank_full_artifact_set(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("eval", dataset, "--scorer", "edgebank",

@@ -112,27 +112,6 @@ class TestSliceUntil:
             assert len(h.slice_until(float(cutoff))) == expected
 
 
-class TestIndexes:
-    def test_node_index_consistency(self):
-        # union over v of the edge indexes equals the node index
-        rng = np.random.default_rng(3)
-        for kind in (GraphKind(directed=True), GraphKind(directed=False)):
-            h = random_history(rng, n_events=500, n_nodes=20, kind=kind)
-            for u in range(h.num_nodes):
-                via_edges: set[int] = set()
-                for v in range(h.num_nodes):
-                    via_edges.update(h.events_of_edge(u, v).tolist())
-                    via_edges.update(h.events_of_edge(v, u).tolist())
-                brute = {i for i, e in enumerate(h)
-                         if e.source == u or e.destination == u}
-                assert set(h.events_of_node(u).tolist()) == brute == via_edges
-
-    def test_undirected_edge_index_merges_orientations(self):
-        h = build_history([(0, 1, 1.0), (1, 0, 2.0)], kind=GraphKind(directed=False))
-        assert h.events_of_edge(0, 1).tolist() == [0, 1]
-        assert h.events_of_edge(1, 0).tolist() == [0, 1]
-
-
 class TestRoundTrip:
     def test_export_then_ingest_is_identity(self):
         text = ("source,destination,timestamp\n"
@@ -191,3 +170,14 @@ class TestFromArrays:
             History.from_arrays([2], [2], [1.0])
         with pytest.raises(ValueError, match="range"):
             History.from_arrays([0], [5], [1.0], num_nodes=3)
+
+    def test_bipartite_bounds_checked(self):
+        kind = GraphKind(bipartite=True)
+        with pytest.raises(ValueError, match="num_sources"):
+            History.from_arrays([0], [3], [1.0], kind)
+        with pytest.raises(ValueError, match="num_sources"):
+            History.from_arrays([0, 3], [2, 4], [1.0, 2.0], kind, num_sources=2)
+        with pytest.raises(ValueError, match="num_sources"):
+            History.from_arrays([0, 1], [1, 3], [1.0, 2.0], kind, num_sources=2)
+        h = History.from_arrays([0, 1], [2, 3], [1.0, 2.0], kind, num_sources=2)
+        assert h.num_sources == 2

@@ -1,10 +1,11 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from conftest import SCENARIO_T_SPLIT, make_log, random_history, scenario_history, worked_example_log
-from dlpeval import GraphKind, KeyKind, Lifetime, lifetimes, mar_time_series, surprise_sweep
+from dlpeval import GraphKind, KeyKind, LifetimeTable, lifetimes, mar_time_series, surprise_sweep
 from dlpeval.diagrams import PALETTE, bd_diagram, mar_plot, surprise_curve
 from dlpeval.errors import DlpEvalError
 from dlpeval.partition import SweepPoint, TemporalCategory
@@ -51,7 +52,7 @@ class TestBdDiagram:
         assert float(green[0].get("cy")) < guide_y
 
     def test_single_event_point_on_diagonal(self, tmp_path):
-        life = {0: Lifetime(5.0, 5.0)}
+        life = LifetimeTable([0], [5.0], [5.0])
         svg, csv_ = bd_diagram(life, 6.0, tmp_path / "bd.svg", tmp_path / "bd.csv")
         root = _parse(svg).getroot()
         ns = "{http://www.w3.org/2000/svg}"
@@ -100,6 +101,34 @@ class TestBdDiagram:
             )
             outputs.append(svg.read_bytes() + csv_.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_pinned_digests(self, tmp_path):
+        # Golden sha256 of downsampled renders; the stratified draw visits
+        # categories in string order, so any reordering changes these bytes.
+        def digests(svg, csv_):
+            return (hashlib.sha256(svg.read_bytes()).hexdigest(),
+                    hashlib.sha256(csv_.read_bytes()).hexdigest())
+
+        h = random_history(np.random.default_rng(3), n_events=2000, n_nodes=300)
+        single = bd_diagram(lifetimes(h, KeyKind.EDGE), 50.0,
+                            tmp_path / "e.svg", tmp_path / "e.csv",
+                            max_points=100, seed=7)
+        assert digests(*single) == (
+            "774d9b47d0bf6d40f121ab6adaffbc48a6324c042bdbe28dde91796adb43908c",
+            "b9a570c978d42b429b058a29d0c370443b9c2e7d5eb9f3b21010cb6633d5165e",
+        )
+        hb = random_history(np.random.default_rng(12), n_events=600, n_nodes=60,
+                            kind=GraphKind(bipartite=True))
+        panels = [
+            ("source", lifetimes(hb, KeyKind.SOURCE_NODE)),
+            ("destination", lifetimes(hb, KeyKind.DESTINATION_NODE)),
+        ]
+        faceted = bd_diagram(panels, 50.0, tmp_path / "r.svg", tmp_path / "r.csv",
+                             max_points=10, seed=7)
+        assert digests(*faceted) == (
+            "d9bcaaa4693168da3ed757b8974b97d7165e20019a6e36d6a59a1c8f63f8eb79",
+            "aaab88ec04d0c1748e64903c68e9f229e58e4a06970e962a86ab450af692f2a1",
+        )
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(DlpEvalError):

@@ -14,6 +14,7 @@ from dlpeval import (
     History,
     KeyKind,
     Lifetime,
+    LifetimeTable,
     TemporalCategory,
     categorize,
     compute_cutoff,
@@ -115,6 +116,23 @@ class TestLifetimes:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             lifetimes(build_history([]), KeyKind.NODE)
+
+    def test_table_lookups_behave_like_a_dict(self):
+        h = build_history([(0, 1, 1.0), (2, 1, 3.0)])
+        edges = lifetimes(h, KeyKind.EDGE)
+        assert list(edges) == [(0, 1), (2, 1)]
+        # (1, 4) packs to the same int as (2, 1) but is not a key
+        assert (1, 0) not in edges and (1, 4) not in edges and 1 not in edges
+        nodes = lifetimes(h, KeyKind.NODE)
+        assert len(nodes) == 3 and 3 not in nodes and (0, 1) not in nodes
+        with pytest.raises(KeyError):
+            nodes[5]
+
+    def test_table_rejects_unsorted_or_misaligned_columns(self):
+        with pytest.raises(ValueError):
+            LifetimeTable([1, 0], [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            LifetimeTable([0], [0.0, 1.0], [1.0])
 
 
 class TestCategorize:

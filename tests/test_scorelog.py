@@ -44,6 +44,16 @@ class TestRoundTrip:
         assert log2 == log
         assert meta2 == meta
 
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        log, meta = _eval_log(), _meta()
+        crlf = dumps_score_log(log, meta).replace("\n", "\r\n").encode("utf-8")
+        path = tmp_path / "scores.csv"
+        path.write_bytes(crlf)
+        for source in (path, crlf):
+            log2, meta2 = read_score_log(source)
+            assert log2 == log
+            assert meta2 == meta
+
     def test_empty_log_is_header_only_and_valid(self):
         log = ScoredEventLog.from_records([], ("OE", "OD"))
         text = dumps_score_log(log, _meta())

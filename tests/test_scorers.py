@@ -160,6 +160,7 @@ class TestHarness:
         assert [(int(s), int(d)) for s, d in zip(kept.source, kept.destination)] == \
                [(2, 3), (2, 3)]
         assert kept.event_ordinal.tolist() == [0, 1]
+        assert len(caplog.records) == 1
         assert "skipped 2 of 4" in caplog.text
 
     def test_abort_policy_raises(self):
