@@ -44,6 +44,7 @@ from .sampling import (
     build_candidate_index,
     derive_event_seed,
     sample_negatives,
+    sample_stream,
 )
 from .scorelog import (
     ScoredEventLog,
@@ -53,9 +54,7 @@ from .scorelog import (
 )
 from .scorers import (
     ScorerKind,
-    ScorerMemory,
-    edgebank_score,
-    pa_score,
+    heuristic_scores,
     run_streaming_eval,
 )
 
@@ -68,8 +67,8 @@ __all__ = [
     "partition_report", "surprise_sweep",
     "NegativeStrategy", "CandidateIndex", "NegativeBatch",
     "build_candidate_index", "sample_negatives", "derive_event_seed",
-    "ScorerKind", "ScorerMemory", "pa_score", "edgebank_score",
-    "run_streaming_eval",
+    "sample_stream",
+    "ScorerKind", "heuristic_scores", "run_streaming_eval",
     "ConfusionMatrix", "MARSeries", "batch_auc", "confusion_at_threshold",
     "fractional_ranks", "rank_within_group", "mar_time_series",
     "mean_auc_over_batches",

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import GraphKind, History, ingest_csv
 from .diagrams import bd_diagram, mar_plot, surprise_curve
-from .errors import DlpEvalError, EmptyCandidateSetError
+from .errors import DlpEvalError, EmptyCandidateSetError, ScoreLogError
 from .metrics import (
     mar_time_series,
     mean_auc_over_batches,
@@ -43,11 +43,16 @@ from .partition import (
 from .sampling import (
     NegativeStrategy,
     build_candidate_index,
-    derive_event_seed,
-    sample_negatives,
+    sample_stream,
     write_negatives_csv,
 )
-from .scorelog import ScoreLogMeta, read_score_log, write_score_log
+from .scorelog import (
+    POSITIVE_ROLE,
+    ScoreLogMeta,
+    check_positives,
+    read_score_log,
+    write_score_log,
+)
 from .scorers import ScorerKind, run_streaming_eval
 
 logger = logging.getLogger("dlpeval")
@@ -144,7 +149,8 @@ def _parse_strategies(text: str, kind: GraphKind) -> list[NegativeStrategy]:
     return out
 
 
-def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> None:
+def _write_manifest(out: Path, command: str, config: dict, outputs: list[str],
+                    run: dict | None = None) -> None:
     manifest = {
         "tool": "dlpeval",
         "version": __version__,
@@ -152,6 +158,8 @@ def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -
         "config": config,
         "outputs": sorted(outputs),
     }
+    if run is not None:
+        manifest["run"] = run
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -165,6 +173,12 @@ def _dataset_config(args) -> dict:
         "bipartite": args.bipartite,
         "allow_self_loops": args.allow_self_loops,
     }
+
+
+def _event_counts(events: int, scored: int) -> dict:
+    """The ``run`` section of a sampling command: every event of the stream
+    is either scored or skipped for lack of a legal negative."""
+    return {"events": events, "events_scored": scored, "events_skipped": events - scored}
 
 
 def _surprise_text(s: float | None) -> str:
@@ -275,33 +289,18 @@ def cmd_sample(args) -> int:
     t_split = _resolve_cutoff(args, h)
     strategies = _parse_strategies(args.strategies, h.kind)
     idx = build_candidate_index(h, t_split)
-    rows = []
-    emitted = 0
-    skipped = 0
-    for i in range(len(h)):
-        pos = h.event(i)
-        event_seed = derive_event_seed(args.seed, i)
-        try:
-            batches = [sample_negatives(pos, s, args.k, idx, event_seed) for s in strategies]
-        except EmptyCandidateSetError as exc:
-            if args.on_empty == "abort":
-                raise
-            skipped += 1
-            logger.debug("skipping event %d: %s", i, exc)
-            continue
-        rows += [(emitted, b) for b in batches]
-        emitted += 1
-    if skipped:
-        logger.warning("skipped %d of %d events with no legal negatives", skipped, len(h))
+    sampled = sample_stream(h, idx, strategies, args.k, args.seed, args.on_empty)
     out = _out_dir(args)
-    write_negatives_csv(rows, out / "negatives.csv")
-    print(f"sampled {emitted} events ({skipped} skipped) -> {out / 'negatives.csv'}")
+    write_negatives_csv(sampled, out / "negatives.csv")
+    print(f"sampled {len(sampled.events)} events ({sampled.skipped} skipped) "
+          f"-> {out / 'negatives.csv'}")
     config = _dataset_config(args) | {
         "test_ratio": args.test_ratio, "t_split": t_split, "seed": args.seed,
         "strategies": [s.value for s in strategies], "k": args.k,
         "on_empty": args.on_empty,
     }
-    _write_manifest(out, "sample", config, ["negatives.csv"])
+    _write_manifest(out, "sample", config, ["negatives.csv"],
+                    run=_event_counts(len(h), len(sampled.events)))
     return EXIT_OK
 
 
@@ -312,12 +311,35 @@ def _auc_summary(log, strategies, period, t_split):
     return reports
 
 
+def _read_external_logs(paths: list[str], h: History):
+    """Read every score log, checking that each agrees with the first on
+    ``t_split`` and ``strategies`` and that its positives are events of
+    ``h``. Errors name the offending file."""
+    logs, first = [], None
+    for path in paths:
+        try:
+            log, meta = read_score_log(path)
+            for key in ("t_split", "strategies"):
+                if first is not None and getattr(meta, key) != getattr(first, key):
+                    raise ScoreLogError(
+                        f"{key}={getattr(meta, key)!r} differs from "
+                        f"{key}={getattr(first, key)!r} in {paths[0]}"
+                    )
+            check_positives(log, h)
+        except ScoreLogError as exc:
+            raise ScoreLogError(f"{path}: {exc}") from None
+        logs.append(log)
+        first = first or meta
+    return logs, first
+
+
 def cmd_eval(args) -> int:
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
     out = _out_dir(args)
     name = Path(args.dataset).stem
     outputs = []
+    run = None
 
     if args.scorer in ("pa", "edgebank"):
         strategies = _parse_strategies(args.strategies, h.kind)
@@ -340,15 +362,11 @@ def cmd_eval(args) -> int:
         write_score_log(log, meta, out / "scores.csv")
         outputs.append("scores.csv")
         logs = [log]
+        run = _event_counts(len(h), int(np.count_nonzero(log.role == POSITIVE_ROLE)))
     else:
         if not args.logs:
             raise ValueError("--scorer external requires --logs")
-        logs = []
-        meta = None
-        for path in args.logs:
-            ext_log, ext_meta = read_score_log(path)
-            logs.append(ext_log)
-            meta = meta or ext_meta
+        logs, meta = _read_external_logs(args.logs, h)
         t_split = meta.t_split
 
     strategy_names = list(logs[0].strategies)
@@ -385,7 +403,7 @@ def cmd_eval(args) -> int:
         "batch_size": args.batch_size, "bins": args.bins, "period": args.period,
         "on_empty": args.on_empty, "logs": [str(p) for p in (args.logs or [])],
     }
-    _write_manifest(out, "eval", config, outputs)
+    _write_manifest(out, "eval", config, outputs, run=run)
     return EXIT_OK
 
 

@@ -171,19 +171,17 @@ class History:
 
     # -- edge keys -----------------------------------------------------
 
-    def edge_key(self, u: int, v: int) -> int:
-        """Canonical edge packed into a single int for set membership."""
-        a, b = canonical_edge(u, v, self.kind)
-        return a * self.num_nodes + b
+    def edge_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Canonical edges of endpoint columns, each packed into one int."""
+        a, b = u, v
+        if not self.kind.directed:
+            a, b = np.minimum(u, v), np.maximum(u, v)
+        return a * np.int64(self.num_nodes) + b
 
     def event_edge_keys(self) -> np.ndarray:
         """Per-event canonical edge key, cached."""
         if self._event_edge_keys is None:
-            a, b = self.src, self.dst
-            if not self.kind.directed:
-                a = np.minimum(self.src, self.dst)
-                b = np.maximum(self.src, self.dst)
-            self._event_edge_keys = a * np.int64(self.num_nodes) + b
+            self._event_edge_keys = self.edge_keys(self.src, self.dst)
         return self._event_edge_keys
 
     def observed_nodes(self) -> np.ndarray:

@@ -7,14 +7,17 @@ observed edge of a chosen category, or uniformly at random over all observed
 nodes (RND). Candidates are drawn uniformly with replacement across the k
 draws; within a draw, candidates that would collide with a true event at
 time t (or form a disallowed self-loop) are rejected and redrawn.
+``sample_stream`` runs the strategies over every event of a stream; the
+``sample`` command and the evaluation harness both draw through it.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +32,8 @@ from .partition import (
 )
 
 DEFAULT_MAX_ATTEMPTS = 1000
+
+logger = logging.getLogger(__name__)
 
 
 class NegativeStrategy(enum.Enum):
@@ -86,6 +91,21 @@ class NegativeBatch:
     positive: Event
     strategy: NegativeStrategy
     negatives: list[Event]
+
+
+@dataclass(frozen=True)
+class SampledStream:
+    """Negatives drawn for the events of one stream, in columns: the history
+    positions of the events kept (their ordinals are 0..n_kept-1), their
+    timestamps, (n_kept, len(strategies), k) endpoint arrays, and the count
+    of events skipped for lack of a legal negative."""
+
+    events: np.ndarray
+    timestamp: np.ndarray
+    source: np.ndarray
+    destination: np.ndarray
+    strategies: tuple[NegativeStrategy, ...]
+    skipped: int
 
 
 @dataclass
@@ -231,17 +251,71 @@ def sample_negatives(
     return NegativeBatch(pos, strategy, negatives)
 
 
-def write_negatives_csv(
-    batches: Iterable[tuple[int, NegativeBatch]],
-    dest: str | Path | TextIO,
-) -> None:
+def sample_stream(
+    h: History,
+    idx: CandidateIndex,
+    strategies: Sequence[NegativeStrategy],
+    k: int,
+    seed: int,
+    on_empty: str = "skip",
+) -> SampledStream:
+    """Draw k negatives per strategy for every event of the stream.
+
+    Each event's draws are seeded by its position in the history, so the
+    same seed reproduces the same negatives whichever strategies are
+    requested. ``on_empty`` decides what happens when a strategy has no
+    legal candidate for an event: ``skip`` drops the event and counts it in
+    one summary warning, ``abort`` raises.
+    """
+    strategies = tuple(strategies)
+    if not strategies:
+        raise ValueError("at least one negative strategy is required")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if on_empty not in ("skip", "abort"):
+        raise ValueError(f"unknown empty-candidate policy {on_empty!r}")
+    barren = ", ".join(s.value for s in strategies if len(idx.pool_for(s)) == 0)
+    if barren:
+        # no event can succeed, so fail (or empty out) once instead of
+        # trying every event
+        if on_empty == "abort":
+            raise EmptyCandidateSetError(
+                f"no candidate of the required category exists for: {barren}"
+            )
+        logger.warning("strategies with no candidates anywhere (%s): every event "
+                       "will be skipped", barren)
+    kept, drawn = [], []
+    for i in range(0 if barren else len(h)):
+        event_seed = derive_event_seed(seed, i)
+        try:
+            batches = [sample_negatives(h.event(i), s, k, idx, event_seed)
+                       for s in strategies]
+        except EmptyCandidateSetError as exc:
+            if on_empty == "abort":
+                raise
+            logger.debug("skipping event %d: %s", i, exc)
+            continue
+        kept.append(i)
+        drawn += [(e.source, e.destination) for b in batches for e in b.negatives]
+    skipped = len(h) - len(kept)
+    if skipped and not barren:
+        logger.warning("skipped %d of %d events with no legal negatives", skipped, len(h))
+    events = np.asarray(kept, dtype=np.int64)
+    pairs = np.asarray(drawn, dtype=np.int64).reshape(len(kept), len(strategies), k, 2)
+    return SampledStream(events, h.t[events], pairs[..., 0], pairs[..., 1],
+                         strategies, skipped)
+
+
+def write_negatives_csv(sampled: SampledStream, dest: str | Path | TextIO) -> None:
     """CSV export for replay into external models:
     ``event_ordinal,strategy,source,destination,timestamp``."""
+    n_kept, _, k = sampled.source.shape
+    names = [s.value for s in sampled.strategies for _ in range(k)]
+    rows = zip(sampled.timestamp.tolist(),
+               sampled.source.reshape(n_kept, len(names)).tolist(),
+               sampled.destination.reshape(n_kept, len(names)).tolist())
     with _open_for_write(dest) as fh:
         fh.write("event_ordinal,strategy,source,destination,timestamp\n")
-        for ordinal, batch in batches:
-            for neg in batch.negatives:
-                fh.write(
-                    f"{ordinal},{batch.strategy.value},"
-                    f"{neg.source},{neg.destination},{neg.t!r}\n"
-                )
+        for ordinal, (t, us, vs) in enumerate(rows):
+            fh.writelines(f"{ordinal},{name},{u},{v},{t!r}\n"
+                          for name, u, v in zip(names, us, vs))

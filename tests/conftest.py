@@ -120,3 +120,34 @@ def brute_force_lifetimes(h: History, edges: bool = False) -> dict:
             else:
                 out[key] = (e.t, e.t)
     return out
+
+
+def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.ndarray:
+    """Score of every log record by replaying the raw event list up to the
+    first event of the record's batch: ``edgebank`` scores 1 iff the
+    record's (canonical) edge occurs in that prefix, ``pa`` iff both of its
+    endpoints do."""
+    events = [h.event(i) for i in range(len(h))]
+
+    def canon(u, v):
+        return (u, v) if h.kind.directed else (min(u, v), max(u, v))
+
+    # kept events appear in stream order: find each ordinal's position
+    position, i = {}, 0
+    for r in np.flatnonzero(log.role == "positive"):
+        positive = (int(log.source[r]), int(log.destination[r]), float(log.timestamp[r]))
+        while tuple(events[i]) != positive:
+            i += 1
+        position[int(log.event_ordinal[r])] = i
+        i += 1
+    scores = []
+    for r in range(len(log)):
+        prefix = events[:position[int(log.event_ordinal[r])] // batch_size * batch_size]
+        u, v = int(log.source[r]), int(log.destination[r])
+        if scorer == "edgebank":
+            seen = canon(u, v) in {canon(e.source, e.destination) for e in prefix}
+        else:
+            nodes = {e.source for e in prefix} | {e.destination for e in prefix}
+            seen = u in nodes and v in nodes
+        scores.append(float(seen))
+    return np.asarray(scores)

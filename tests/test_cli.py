@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -104,6 +105,30 @@ class TestSampleAndEval:
         assert len(caplog.records) == 1
         assert "skipped 2 of 4" in caplog.text
 
+    def test_run_counts_in_manifest(self, tmp_path):
+        path = tmp_path / "skips.csv"
+        path.write_text("source,destination,timestamp\n0,1,1\n2,3,2\n2,3,30\n0,1,90\n")
+        expected = {"events": 4, "events_scored": 2, "events_skipped": 2}
+        for command, *flags in (("sample",), ("eval", "--period", "all")):
+            out = tmp_path / command
+            assert run(command, path, "--t-split", "40", "--strategies", "OE",
+                       *flags, "--out", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["run"] == expected, command
+
+    def test_sample_globally_empty_pool_writes_header_only(self, scenario_csv, tmp_path,
+                                                          caplog):
+        # the scenario stream has no historical node: HS can never sample
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run("sample", scenario_csv, "--t-split", "10", "--strategies", "HS",
+                       "--out", out) == 0
+        assert len(caplog.records) == 1 and "no candidates anywhere" in caplog.text
+        assert (out / "negatives.csv").read_text() == \
+            "event_ordinal,strategy,source,destination,timestamp\n"
+        run_counts = json.loads((out / "manifest.json").read_text())["run"]
+        assert run_counts == {"events": 13, "events_scored": 0, "events_skipped": 13}
+
     def test_eval_edgebank_full_artifact_set(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("eval", dataset, "--scorer", "edgebank",
@@ -145,6 +170,79 @@ class TestSampleAndEval:
         assert (out / "auc_seed0.csv").exists()
         assert (out / "auc_seed1.csv").exists()
 
+    @pytest.fixture
+    def edgebank_log(self, dataset, tmp_path):
+        base = tmp_path / "base"
+        assert run("eval", dataset, "--scorer", "edgebank", "--strategies", "OE",
+                   "--seed", "1", "--out", base) == 0
+        return base / "scores.csv"
+
+    @staticmethod
+    def _edited(log, tmp_path, name, edit):
+        lines = log.read_text().splitlines(keepends=True)
+        path = tmp_path / name
+        path.write_text("".join(edit(lines)))
+        return path
+
+    @staticmethod
+    def _first_positive(lines):
+        return next(i for i, line in enumerate(lines) if ",positive," in line)
+
+    def test_external_logs_may_differ_in_scorer_and_seed(self, dataset, edgebank_log,
+                                                         tmp_path):
+        other = self._edited(edgebank_log, tmp_path, "other.csv", lambda lines: [
+            "# scorer=model1\n" if l.startswith("# scorer=") else
+            "# seed=99\n" if l.startswith("# seed=") else l for l in lines])
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", edgebank_log, other, "--out", tmp_path / "ext") == 0
+
+    @pytest.mark.parametrize("key,value", [("t_split", "1.5"), ("strategies", "OE,HE")])
+    def test_external_logs_disagreeing_header_exit_2(self, dataset, edgebank_log,
+                                                     tmp_path, capsys, key, value):
+        other = self._edited(edgebank_log, tmp_path, "other.csv", lambda lines: [
+            f"# {key}={value}\n" if l.startswith(f"# {key}=") else l for l in lines])
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", edgebank_log, other, "--out", tmp_path / "ext") == 2
+        err = capsys.readouterr().err
+        assert "other.csv" in err and key in err
+
+    @pytest.mark.parametrize("field,value", [(4, "999"), (5, "500.0")])
+    def test_external_positive_not_in_dataset_exits_2(self, dataset, edgebank_log,
+                                                      tmp_path, capsys, field, value):
+        # the last event's positive on an unknown edge, or on its real edge
+        # at a later time (its negatives move with it to stay valid)
+        def edit(lines):
+            i = max(j for j, line in enumerate(lines) if ",positive," in line)
+            for j in range(i, len(lines) if field == 5 else i + 1):
+                parts = lines[j].rstrip("\n").split(",")
+                parts[field] = value
+                lines[j] = ",".join(parts) + "\n"
+            return lines
+
+        bad = self._edited(edgebank_log, tmp_path, "bad.csv", edit)
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", bad, "--out", tmp_path / "ext") == 2
+        err = capsys.readouterr().err
+        assert "bad.csv" in err and "positive" in err
+
+    def test_external_undirected_positive_either_orientation(self, dataset, tmp_path):
+        base = tmp_path / "base"
+        assert run("eval", dataset, "--undirected", "--scorer", "edgebank",
+                   "--strategies", "OE", "--out", base) == 0
+
+        def flip(lines):
+            i = self._first_positive(lines)
+            parts = lines[i].split(",")
+            parts[3], parts[4] = parts[4], parts[3]
+            lines[i] = ",".join(parts)
+            return lines
+
+        flipped = self._edited(base / "scores.csv", tmp_path, "flipped.csv", flip)
+        assert run("eval", dataset, "--scorer", "external", "--logs", flipped,
+                   "--out", tmp_path / "ext") == 2  # directed: not a true event
+        assert run("eval", dataset, "--undirected", "--scorer", "external",
+                   "--logs", flipped, "--out", tmp_path / "ext") == 0
+
     def test_eval_abort_policy_exits_1(self, scenario_csv, tmp_path):
         # the scenario stream has no historical node: HS can never sample
         out = tmp_path / "out"
@@ -166,6 +264,55 @@ class TestSampleAndEval:
     def test_unknown_strategy_exits_2(self, dataset, tmp_path):
         assert run("eval", dataset, "--strategies", "XX",
                    "--out", tmp_path / "out") == 2
+
+
+class TestPinnedOutputs:
+    ARGS = ("--strategies", "OS,HE,IE,RND", "--k", "2", "--seed", "5")
+
+    def test_pinned_digests(self, dataset, tmp_path):
+        # Golden sha256 of every sampled or scored output on the fixture
+        # stream; any change to the negatives drawn or to a score shows here.
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        got = {}
+        for scorer in ("pa", "edgebank"):
+            for flags in ((), ("--undirected",)):
+                out = tmp_path / f"{scorer}{''.join(flags)}"
+                assert run("eval", dataset, "--scorer", scorer, *flags, *self.ARGS,
+                           "--batch-size", "37", "--out", out) == 0
+                got[(scorer, *flags)] = digest(out / "scores.csv")
+        assert run("sample", dataset, *self.ARGS, "--out", tmp_path / "sample") == 0
+        got["sample"] = digest(tmp_path / "sample" / "negatives.csv")
+        assert got == {
+            ("pa",):
+                "483cc29c1f6b1f9a31e6719adcb85f9cb6825c664404bb466fb8a88dd24642f6",
+            ("pa", "--undirected"):
+                "00bf15c3f4e8b4e5b20c662edb4edbd05ca26138f5a9db7c2dbab082cc49b04c",
+            ("edgebank",):
+                "273342038a47beb4d14bbae99ec8d85e47a7c82591b8cb4ed1500f78c609464a",
+            ("edgebank", "--undirected"):
+                "a8f311ed486cb732a8294ce332952bf09ba5c7be85549f48838bc5318f0e1546",
+            "sample":
+                "6c49c054daf3dc986254d3ee8867d00ea4c8d2aa9df6107b879c21a51f2213fc",
+        }
+
+    def test_sample_rows_are_eval_negatives(self, dataset, tmp_path):
+        # external-replay contract: `sample` exports exactly the negative
+        # records `eval` scores for the same seed, strategies and k
+        assert run("sample", dataset, *self.ARGS, "--out", tmp_path / "s") == 0
+        assert run("eval", dataset, "--scorer", "pa", *self.ARGS,
+                   "--out", tmp_path / "e") == 0
+        sampled = (tmp_path / "s" / "negatives.csv").read_text().splitlines()[1:]
+        scored = []
+        for line in (tmp_path / "e" / "scores.csv").read_text().splitlines():
+            if line.startswith("#") or line.startswith("event_ordinal"):
+                continue
+            ordinal, _batch, role, u, v, t, _score = line.split(",")
+            if role != "positive":
+                scored.append(f"{ordinal},{role},{u},{v},{t}")
+        assert len(sampled) > 0
+        assert sampled == scored
 
 
 class TestMetricsAndPlot:

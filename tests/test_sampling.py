@@ -23,6 +23,7 @@ from dlpeval import (
     derive_event_seed,
     lifetimes,
     sample_negatives,
+    sample_stream,
 )
 from dlpeval.sampling import write_negatives_csv
 
@@ -242,20 +243,59 @@ class TestSampleNegatives:
             assert batch.negatives[0].destination != pos.source
 
 
+class TestSampleStream:
+    def test_columns_hold_each_kept_events_draws(self):
+        # one historical node: events that touch it cannot draw HD and skip
+        h = random_history(np.random.default_rng(8), n_events=120, n_nodes=40)
+        idx = build_candidate_index(h, 50.0)
+        strategies = (NegativeStrategy.OE, NegativeStrategy.HD)
+        sampled = sample_stream(h, idx, strategies, 2, 4)
+        assert sampled.source.shape == (len(sampled.events), 2, 2)
+        assert sampled.skipped > 0 and len(sampled.events) > 0
+        assert len(sampled.events) + sampled.skipped == len(h)
+        assert np.array_equal(sampled.timestamp, h.t[sampled.events])
+        for row, i in enumerate(sampled.events.tolist()):
+            for j, strategy in enumerate(strategies):
+                batch = sample_negatives(h.event(i), strategy, 2, idx,
+                                         derive_event_seed(4, i))
+                assert [(n.source, n.destination) for n in batch.negatives] == list(
+                    zip(sampled.source[row, j].tolist(),
+                        sampled.destination[row, j].tolist()))
+
+    def test_globally_empty_pool_skips_every_event(self, caplog):
+        h = build_history([(0, 1, float(t)) for t in range(1, 11)])
+        idx = build_candidate_index(h, 5.0)
+        with caplog.at_level("WARNING"):
+            sampled = sample_stream(h, idx, [NegativeStrategy.IS], 3, 0)
+        assert sampled.source.shape == (0, 1, 3)
+        assert sampled.skipped == len(h)
+        assert len(caplog.records) == 1 and "no candidates anywhere" in caplog.text
+        with pytest.raises(EmptyCandidateSetError):
+            sample_stream(h, idx, [NegativeStrategy.IS], 3, 0, on_empty="abort")
+        buf = io.StringIO()
+        write_negatives_csv(sampled, buf)
+        assert buf.getvalue() == "event_ordinal,strategy,source,destination,timestamp\n"
+
+    @pytest.mark.parametrize("strategies,k,on_empty", [
+        ((), 1, "skip"), ((NegativeStrategy.HS,), 0, "skip"),
+        ((NegativeStrategy.OE,), 1, "retry")])
+    def test_rejects_bad_arguments(self, strategies, k, on_empty):
+        # HS has no candidate in the scenario: k is checked before the pools
+        h = scenario_history(1)
+        idx = build_candidate_index(h, SCENARIO_T_SPLIT)
+        with pytest.raises(ValueError):
+            sample_stream(h, idx, strategies, k, 0, on_empty)
+
+
 class TestDeterminism:
     def _draw_log(self, seed):
         rng = np.random.default_rng(99)
         h = random_history(rng, n_events=300, n_nodes=20)
         idx = build_candidate_index(h, 50.0)
-        rows = []
-        for i in range(0, len(h), 7):
-            pos = h.event(i)
-            for strategy in (NegativeStrategy.OE, NegativeStrategy.OD):
-                batch = sample_negatives(pos, strategy, 3, idx,
-                                         derive_event_seed(seed, i))
-                rows.append((i, batch))
+        sampled = sample_stream(h, idx, (NegativeStrategy.OE, NegativeStrategy.OD),
+                                3, seed)
         buf = io.StringIO()
-        write_negatives_csv(rows, buf)
+        write_negatives_csv(sampled, buf)
         return buf.getvalue()
 
     def test_equal_seeds_byte_identical(self):

@@ -1,57 +1,67 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import build_history, random_history, scenario_history, SCENARIO_T_SPLIT
+from conftest import (
+    build_history,
+    prefix_replay_scores,
+    random_history,
+    scenario_history,
+    SCENARIO_T_SPLIT,
+)
 from dlpeval import (
     EmptyCandidateSetError,
-    Event,
     GraphKind,
     NegativeStrategy,
     ScorerKind,
-    ScorerMemory,
-    edgebank_score,
-    pa_score,
+    heuristic_scores,
     run_streaming_eval,
 )
 from dlpeval.scorelog import POSITIVE_ROLE, ScoreLogMeta, dumps_score_log
+
+PA, EDGEBANK = ScorerKind.PREFERENTIAL_ATTACHMENT, ScorerKind.EDGEBANK
+GRAPH_KINDS = {
+    "directed": GraphKind(),
+    "undirected": GraphKind(directed=False),
+    "bipartite": GraphKind(bipartite=True),
+}
+
+
+def scores(h, scorer, pairs, before):
+    u, v = zip(*pairs)
+    return heuristic_scores(h, scorer, u, v, np.full(len(pairs), before)).tolist()
 
 
 class TestScores:
     def test_pa_truth_table(self):
         h = build_history([(0, 1, 1.0), (2, 3, 2.0)])
-        m = ScorerMemory(h)
-        assert pa_score(Event(0, 1, 1.0), m) == 0  # nothing seen yet
-        m.ingest_range(0, 1)
-        assert pa_score(Event(0, 1, 2.0), m) == 1  # both endpoints seen
-        assert pa_score(Event(0, 2, 2.0), m) == 0  # 2 never seen
+        assert scores(h, PA, [(0, 1)], 0) == [0]  # nothing seen yet
+        # after the first event: both endpoints seen, 2 never seen
+        assert scores(h, PA, [(0, 1), (0, 2)], 1) == [1, 0]
 
     def test_edgebank_contrasts_with_pa(self):
         h = build_history([(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)])
-        m = ScorerMemory(h)
-        m.ingest_range(0, 2)  # edges (0,1), (0,2) observed
-        repeat = Event(0, 1, 3.0)
-        new_edge_between_seen = Event(1, 2, 3.0)
-        assert edgebank_score(repeat, m) == 1
-        assert edgebank_score(new_edge_between_seen, m) == 0
-        assert pa_score(new_edge_between_seen, m) == 1
+        # edges (0,1), (0,2) observed: a repeat, and a new edge between seen nodes
+        assert scores(h, EDGEBANK, [(0, 1), (1, 2)], 2) == [1, 0]
+        assert scores(h, PA, [(1, 2)], 2) == [1]
 
     def test_edgebank_undirected_canonicalization(self):
         h = build_history([(0, 1, 1.0), (1, 0, 2.0)], kind=GraphKind(directed=False))
-        m = ScorerMemory(h)
-        m.ingest_range(0, 1)
-        assert edgebank_score(Event(1, 0, 2.0), m) == 1
+        assert scores(h, EDGEBANK, [(1, 0)], 1) == [1]
 
-    def test_memory_monotone_for_fixed_query(self):
+    def test_monotone_in_prefix_for_fixed_query(self):
         rng = np.random.default_rng(6)
         h = random_history(rng, n_events=200, n_nodes=12)
-        query = h.event(150)
-        m = ScorerMemory(h)
-        prev_pa, prev_eb = 0, 0
-        for i in range(len(h)):
-            m.ingest_range(i, i + 1)
-            cur_pa, cur_eb = pa_score(query, m), edgebank_score(query, m)
-            assert cur_pa >= prev_pa and cur_eb >= prev_eb
-            prev_pa, prev_eb = cur_pa, cur_eb
+        query = [(int(h.src[150]), int(h.dst[150]))]
+        for scorer in (PA, EDGEBANK):
+            series = [scores(h, scorer, query, before)[0] for before in range(len(h) + 1)]
+            assert series == sorted(series)
+            assert series[-1] == 1
+
+    def test_external_is_not_a_heuristic(self):
+        h = scenario_history(1)
+        with pytest.raises(ValueError, match="external"):
+            scores(h, ScorerKind.EXTERNAL, [(0, 1)], 1)
 
 
 class TestHarness:
@@ -80,27 +90,26 @@ class TestHarness:
         assert np.all(pos_scores[:8] == 0)  # first batch: unseen edge
         assert np.all(pos_scores[8:] == 0)  # (2,3) also first seen in its own batch
 
-    def test_batch_size_one_matches_prefix_oracle(self):
-        rng = np.random.default_rng(17)
-        h = random_history(rng, n_events=150, n_nodes=12)
-        t_split = 60.0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scorer=st.sampled_from(["pa", "edgebank"]),
+        kind=st.sampled_from(sorted(GRAPH_KINDS)),
+        batch_size=st.integers(1, 64),
+        strategies=st.lists(st.sampled_from(list(NegativeStrategy)),
+                            min_size=1, max_size=3, unique=True),
+        stream_seed=st.integers(0, 2**16),
+    )
+    def test_matches_prefix_replay_oracle(self, scorer, kind, batch_size, strategies,
+                                          stream_seed):
+        # every record scores against the exact prefix of events before its
+        # batch, found by replaying the raw list
+        h = random_history(np.random.default_rng(stream_seed), n_events=120,
+                           n_nodes=14, kind=GRAPH_KINDS[kind])
         log = run_streaming_eval(
-            h, t_split, ScorerKind.EDGEBANK, [NegativeStrategy.OE, NegativeStrategy.OD],
-            batch_size=1, seed=3, on_empty="abort",
+            h, 60.0, ScorerKind(scorer), strategies,
+            k_per_strategy=2, batch_size=batch_size, seed=3,
         )
-        # oracle: score every record against the exact strict prefix H_t of
-        # its event, scanning the raw list
-        keys_seen: list[set] = []
-        seen: set = set()
-        for i in range(len(h)):
-            keys_seen.append(set(seen))
-            seen.add(h.edge_key(int(h.src[i]), int(h.dst[i])))
-        for r in range(len(log)):
-            i = int(log.event_ordinal[r])
-            expected = int(
-                h.edge_key(int(log.source[r]), int(log.destination[r])) in keys_seen[i]
-            )
-            assert log.score[r] == expected
+        assert log.score.tolist() == prefix_replay_scores(h, log, scorer, batch_size).tolist()
 
     def test_all_tie_batches_when_test_repeats_train(self):
         # test positives repeat train edges and HE negatives are train-only
