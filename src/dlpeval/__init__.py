@@ -5,7 +5,7 @@ batched tie-aware AUC, rank-over-time series and diagram emission."""
 
 __version__ = "0.1.0"
 
-from .core import Event, GraphKind, History, canonical_edge, ingest_csv
+from .core import Event, GraphKind, History, ingest_csv
 from .errors import (
     DegenerateSplitError,
     DlpEvalError,
@@ -39,10 +39,8 @@ from .partition import (
 )
 from .sampling import (
     CandidateIndex,
-    NegativeBatch,
     NegativeStrategy,
     build_candidate_index,
-    derive_event_seed,
     sample_negatives,
     sample_stream,
 )
@@ -59,15 +57,14 @@ from .scorers import (
 )
 
 __all__ = [
-    "Event", "GraphKind", "History", "canonical_edge", "ingest_csv",
+    "Event", "GraphKind", "History", "ingest_csv",
     "DlpEvalError", "IngestError", "DegenerateSplitError",
     "EmptyCandidateSetError", "ScoreLogError",
     "TemporalCategory", "KeyKind", "Lifetime", "LifetimeTable", "CategoryCounts",
     "PartitionReport", "compute_cutoff", "split", "categorize", "lifetimes",
     "partition_report", "surprise_sweep",
-    "NegativeStrategy", "CandidateIndex", "NegativeBatch",
-    "build_candidate_index", "sample_negatives", "derive_event_seed",
-    "sample_stream",
+    "NegativeStrategy", "CandidateIndex",
+    "build_candidate_index", "sample_negatives", "sample_stream",
     "ScorerKind", "heuristic_scores", "run_streaming_eval",
     "ConfusionMatrix", "MARSeries", "batch_auc", "confusion_at_threshold",
     "fractional_ranks", "rank_within_group", "mar_time_series",

@@ -42,12 +42,12 @@ from .partition import (
 )
 from .sampling import (
     NegativeStrategy,
+    SampledStream,
     build_candidate_index,
     sample_stream,
     write_negatives_csv,
 )
 from .scorelog import (
-    POSITIVE_ROLE,
     ScoreLogMeta,
     check_positives,
     read_score_log,
@@ -175,10 +175,22 @@ def _dataset_config(args) -> dict:
     }
 
 
-def _event_counts(events: int, scored: int) -> dict:
-    """The ``run`` section of a sampling command: every event of the stream
-    is either scored or skipped for lack of a legal negative."""
-    return {"events": events, "events_scored": scored, "events_skipped": events - scored}
+def _sample(args, h: History, t_split: float, strategies) -> tuple[SampledStream, dict]:
+    """Negatives for every event, and the ``run`` section that explains
+    them: every event of the stream is either scored or skipped for lack of
+    a legal negative, and per strategy its candidate pool size and the
+    events for which it had no legal negative."""
+    idx = build_candidate_index(h, t_split)
+    sampled = sample_stream(h, idx, strategies, args.k, args.seed, args.on_empty)
+    run = {
+        "events": len(h), "events_scored": len(sampled.events),
+        "events_skipped": sampled.skipped,
+        "strategies": {
+            s.value: {"pool_size": len(idx.pool_for(s)), "events_no_legal_negative": n}
+            for s, n in zip(sampled.strategies, sampled.no_legal)
+        },
+    }
+    return sampled, run
 
 
 def _surprise_text(s: float | None) -> str:
@@ -288,8 +300,7 @@ def cmd_sample(args) -> int:
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
     strategies = _parse_strategies(args.strategies, h.kind)
-    idx = build_candidate_index(h, t_split)
-    sampled = sample_stream(h, idx, strategies, args.k, args.seed, args.on_empty)
+    sampled, run = _sample(args, h, t_split, strategies)
     out = _out_dir(args)
     write_negatives_csv(sampled, out / "negatives.csv")
     print(f"sampled {len(sampled.events)} events ({sampled.skipped} skipped) "
@@ -299,8 +310,7 @@ def cmd_sample(args) -> int:
         "strategies": [s.value for s in strategies], "k": args.k,
         "on_empty": args.on_empty,
     }
-    _write_manifest(out, "sample", config, ["negatives.csv"],
-                    run=_event_counts(len(h), len(sampled.events)))
+    _write_manifest(out, "sample", config, ["negatives.csv"], run=run)
     return EXIT_OK
 
 
@@ -314,23 +324,24 @@ def _auc_summary(log, strategies, period, t_split):
 def _read_external_logs(paths: list[str], h: History):
     """Read every score log, checking that each agrees with the first on
     ``t_split`` and ``strategies`` and that its positives are events of
-    ``h``. Errors name the offending file."""
-    logs, first = [], None
+    ``h``. Errors name the offending file. Returns the logs and their
+    headers."""
+    logs, metas = [], []
     for path in paths:
         try:
             log, meta = read_score_log(path)
             for key in ("t_split", "strategies"):
-                if first is not None and getattr(meta, key) != getattr(first, key):
+                if metas and getattr(meta, key) != getattr(metas[0], key):
                     raise ScoreLogError(
                         f"{key}={getattr(meta, key)!r} differs from "
-                        f"{key}={getattr(first, key)!r} in {paths[0]}"
+                        f"{key}={getattr(metas[0], key)!r} in {paths[0]}"
                     )
             check_positives(log, h)
         except ScoreLogError as exc:
             raise ScoreLogError(f"{path}: {exc}") from None
         logs.append(log)
-        first = first or meta
-    return logs, first
+        metas.append(meta)
+    return logs, metas
 
 
 def cmd_eval(args) -> int:
@@ -345,11 +356,10 @@ def cmd_eval(args) -> int:
         strategies = _parse_strategies(args.strategies, h.kind)
         kind = (ScorerKind.PREFERENTIAL_ATTACHMENT if args.scorer == "pa"
                 else ScorerKind.EDGEBANK)
-        log = run_streaming_eval(
-            h, t_split, kind, strategies,
-            k_per_strategy=args.k, batch_size=args.batch_size,
-            seed=args.seed, on_empty=args.on_empty,
-        )
+        if args.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")  # before drawing the stream
+        sampled, run = _sample(args, h, t_split, strategies)
+        log = run_streaming_eval(h, kind, sampled, args.batch_size)
         meta = ScoreLogMeta(
             dataset=name, t_split=t_split, batch_size=args.batch_size,
             strategies=tuple(s.value for s in strategies),
@@ -362,12 +372,18 @@ def cmd_eval(args) -> int:
         write_score_log(log, meta, out / "scores.csv")
         outputs.append("scores.csv")
         logs = [log]
-        run = _event_counts(len(h), int(np.count_nonzero(log.role == POSITIVE_ROLE)))
+        drawn = {"k": args.k, "seed": args.seed, "batch_size": args.batch_size,
+                 "on_empty": args.on_empty}
     else:
         if not args.logs:
             raise ValueError("--scorer external requires --logs")
-        logs, meta = _read_external_logs(args.logs, h)
-        t_split = meta.t_split
+        logs, metas = _read_external_logs(args.logs, h)
+        t_split = metas[0].t_split
+        # the logs, not the command line, say how they were sampled and scored
+        drawn = {"log_headers": [
+            {"scorer": m.scorer, "k": m.k, "seed": m.seed, "batch_size": m.batch_size}
+            for m in metas
+        ]}
 
     strategy_names = list(logs[0].strategies)
     per_log_reports = []
@@ -397,11 +413,10 @@ def cmd_eval(args) -> int:
     outputs += ["mar.csv", "mar.svg"]
     print(f"wrote {out / 'mar.csv'} and {svg}")
 
-    config = _dataset_config(args) | {
+    config = _dataset_config(args) | drawn | {
         "test_ratio": args.test_ratio, "t_split": t_split, "scorer": args.scorer,
-        "strategies": strategy_names, "k": args.k, "seed": args.seed,
-        "batch_size": args.batch_size, "bins": args.bins, "period": args.period,
-        "on_empty": args.on_empty, "logs": [str(p) for p in (args.logs or [])],
+        "strategies": strategy_names, "bins": args.bins, "period": args.period,
+        "logs": [str(p) for p in (args.logs or [])],
     }
     _write_manifest(out, "eval", config, outputs, run=run)
     return EXIT_OK

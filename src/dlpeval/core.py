@@ -22,6 +22,9 @@ from .errors import IngestError
 
 MINIMAL_HEADER = ("source", "destination", "timestamp")
 
+# one event as a sortable record: its timestamp, then its packed edge key
+_TIMED_EDGE = np.dtype([("t", np.float64), ("key", np.int64)])
+
 
 class Event(NamedTuple):
     source: int
@@ -46,17 +49,6 @@ class GraphKind:
             raise ValueError("bipartite streams require directed semantics")
 
 
-def canonical_edge(u: int, v: int, kind: GraphKind) -> tuple[int, int]:
-    """Canonical node pair identifying the edge between u and v.
-
-    Directed edges keep their order; undirected edges are normalized to
-    (min, max) so both orientations map to one key.
-    """
-    if kind.directed or u <= v:
-        return (u, v)
-    return (v, u)
-
-
 class History:
     """Chronologically ordered, immutable stream of interaction events.
 
@@ -72,6 +64,7 @@ class History:
         "num_sources",
         "labels",
         "_event_edge_keys",
+        "_timed_edges",
     )
 
     def __init__(
@@ -93,6 +86,7 @@ class History:
         self.num_sources = num_sources
         self.labels = labels
         self._event_edge_keys: np.ndarray | None = None
+        self._timed_edges: np.ndarray | None = None
 
     @classmethod
     def from_arrays(
@@ -183,6 +177,24 @@ class History:
         if self._event_edge_keys is None:
             self._event_edge_keys = self.edge_keys(self.src, self.dst)
         return self._event_edge_keys
+
+    def occurs(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Whether each (u[r], v[r]) is a true event at exactly time t[r]: the
+        same canonical edge at that timestamp. Ids outside the stream never
+        are."""
+        if self._timed_edges is None:
+            order = np.lexsort((self.event_edge_keys(), self.t))
+            self._timed_edges = np.rec.fromarrays(
+                [self.t[order], self.event_edge_keys()[order]], dtype=_TIMED_EDGE)
+        events = self._timed_edges
+        in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.num_nodes)
+        if len(events) == 0:
+            return np.zeros(len(in_range), dtype=bool)
+        query = np.rec.fromarrays(
+            [t, self.edge_keys(np.where(in_range, u, 0), np.where(in_range, v, 0))],
+            dtype=_TIMED_EDGE)
+        at = np.minimum(np.searchsorted(events, query), len(events) - 1)
+        return in_range & (events[at] == query)
 
     def observed_nodes(self) -> np.ndarray:
         """Sorted ids of nodes that appear in at least one event."""

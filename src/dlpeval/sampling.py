@@ -3,25 +3,30 @@
 Each strategy corrupts a positive event (u, v, t) into negatives at the same
 timestamp t, either by swapping one endpoint for a node of a chosen temporal
 category (relative to the split cutoff), by swapping the whole edge for an
-observed edge of a chosen category, or uniformly at random over all observed
-nodes (RND). Candidates are drawn uniformly with replacement across the k
-draws; within a draw, candidates that would collide with a true event at
-time t (or form a disallowed self-loop) are rejected and redrawn.
-``sample_stream`` runs the strategies over every event of a stream; the
-``sample`` command and the evaluation harness both draw through it.
+observed edge of a chosen category, or by swapping the destination uniformly
+over the observed destination-side nodes (RND). Draws are uniform with
+replacement; a candidate that collides with a true event at time t (or forms
+a disallowed self-loop) is rejected and redrawn.
+
+Each negative is a pure function of (seed, event position, strategy, draw):
+a counter-based hash (Salmon et al., SC 2011) of those and the attempt
+number, mapped into the pool by multiply-shift (Lemire, TOMACS 2019). So
+``sample_negatives`` draws a whole stream at once; ``sample_stream``, through
+which the ``sample`` command and the evaluation harness both draw, runs it
+once per strategy.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import Event, History, canonical_edge, _open_for_write
+from .core import History, _open_for_write
 from .errors import EmptyCandidateSetError
 from .partition import (
     KeyKind,
@@ -31,7 +36,7 @@ from .partition import (
     node_lifetime_arrays,
 )
 
-DEFAULT_MAX_ATTEMPTS = 1000
+MAX_ATTEMPTS = 1000  # rejected candidates after which a draw gives up
 
 logger = logging.getLogger(__name__)
 
@@ -86,19 +91,13 @@ _STRATEGY_TARGET = {
 }
 
 
-@dataclass
-class NegativeBatch:
-    positive: Event
-    strategy: NegativeStrategy
-    negatives: list[Event]
-
-
 @dataclass(frozen=True)
 class SampledStream:
     """Negatives drawn for the events of one stream, in columns: the history
     positions of the events kept (their ordinals are 0..n_kept-1), their
-    timestamps, (n_kept, len(strategies), k) endpoint arrays, and the count
-    of events skipped for lack of a legal negative."""
+    timestamps, (n_kept, len(strategies), k) endpoint arrays, the count of
+    events skipped for lack of a legal negative, and per strategy the count
+    of events for which it had none."""
 
     events: np.ndarray
     timestamp: np.ndarray
@@ -106,6 +105,7 @@ class SampledStream:
     destination: np.ndarray
     strategies: tuple[NegativeStrategy, ...]
     skipped: int
+    no_legal: tuple[int, ...]
 
 
 @dataclass
@@ -114,20 +114,18 @@ class CandidateIndex:
 
     Node pools are keyed by (role, category) where role is ``all`` for
     unipartite streams and additionally ``source`` / ``destination`` for
-    bipartite ones (whose universes are disjoint). Edge pools hold the
-    observed canonical edges of each category. The index is immutable after
-    build and safe to share across concurrent sampling calls.
+    bipartite ones (whose universes are disjoint); category None holds every
+    observed node of the role. Edge pools hold the observed canonical edges
+    of each category. The index is immutable after build and safe to share
+    across concurrent sampling calls.
     """
 
     history: History
     t_split: float
-    node_pools: dict[tuple[str, TemporalCategory], np.ndarray]
+    node_pools: dict[tuple[str, TemporalCategory | None], np.ndarray]
     edge_pools: dict[TemporalCategory, np.ndarray]
-    all_nodes: np.ndarray
-    node_category: np.ndarray  # per node id: -1 unseen, else category code
-    _edges_at_cache: tuple[float, frozenset] | None = field(default=None, repr=False)
 
-    def nodes_in(self, category: TemporalCategory, role: str = "all") -> np.ndarray:
+    def nodes_in(self, category: TemporalCategory | None, role: str = "all") -> np.ndarray:
         if not self.history.kind.bipartite:
             role = "all"
         return self.node_pools[(role, category)]
@@ -137,34 +135,19 @@ class CandidateIndex:
 
     def pool_for(self, strategy: NegativeStrategy) -> np.ndarray:
         """The candidate pool a strategy draws from (nodes or edge pairs)."""
-        if strategy is NegativeStrategy.RND:
-            return self.all_nodes
         if strategy.replaces == "edge":
             return self.edges_in(strategy.category)
         return self.nodes_in(strategy.category, role=strategy.replaces)
-
-    def edges_at(self, t: float) -> frozenset:
-        """Canonical keys of the true events at exactly time t (cached)."""
-        if self._edges_at_cache is not None and self._edges_at_cache[0] == t:
-            return self._edges_at_cache[1]
-        h = self.history
-        lo = int(np.searchsorted(h.t, t, side="left"))
-        hi = int(np.searchsorted(h.t, t, side="right"))
-        keys = frozenset(int(k) for k in h.event_edge_keys()[lo:hi])
-        self._edges_at_cache = (t, keys)
-        return keys
 
 
 def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
     """Categorize every observed node and edge against ``t_split``."""
     ids, births, deaths = node_lifetime_arrays(h, KeyKind.NODE)
     codes = category_codes(births, deaths, t_split)
-    node_category = np.full(h.num_nodes, -1, dtype=np.int8)
-    node_category[ids] = codes
-
-    node_pools: dict[tuple[str, TemporalCategory], np.ndarray] = {}
-    for code, cat in enumerate(TemporalCategory):
-        members = ids[codes == code]
+    groups = [(None, ids)] + [(cat, ids[codes == code])
+                              for code, cat in enumerate(TemporalCategory)]
+    node_pools: dict[tuple[str, TemporalCategory | None], np.ndarray] = {}
+    for cat, members in groups:
         node_pools[("all", cat)] = members
         if h.kind.bipartite:
             if h.num_sources is None:
@@ -181,74 +164,76 @@ def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
             [pool_keys // h.num_nodes, pool_keys % h.num_nodes]
         ).astype(np.int64)
 
-    return CandidateIndex(h, t_split, node_pools, edge_pools, ids, node_category)
+    return CandidateIndex(h, t_split, node_pools, edge_pools)
 
 
-def derive_event_seed(seed: int, ordinal: int) -> int:
-    """Stable 64-bit stream seed for one positive event.
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer on a uint64 array, a bijection that spreads every
+    input bit. Products wrap silently for arrays (0-d arrays would warn)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
-    Derived from the run seed and the event's position in the history, so
-    per-event sampling can run in parallel yet reproduce sequential output.
-    """
-    ss = np.random.SeedSequence([seed & 0x7FFFFFFFFFFFFFFF, ordinal])
-    return int(ss.generate_state(1, np.uint64)[0])
+
+def _extend(key: np.ndarray, word) -> np.ndarray:
+    """Hash of a key array extended by one more word per element."""
+    return _mix((key ^ np.asarray(word, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15))
 
 
 def sample_negatives(
-    pos: Event,
-    strategy: NegativeStrategy,
-    k: int,
     idx: CandidateIndex,
-    rng_seed: int,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> NegativeBatch:
-    """Draw k negatives for one positive event under one strategy.
+    strategy: NegativeStrategy,
+    events: np.ndarray,
+    k: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw k negatives under one strategy for each event at the history
+    positions ``events``.
 
-    Draws are uniform over the strategy's candidate pool, with replacement
-    across the k draws. A draw is rejected and retried when it reproduces
-    any true event at the positive's timestamp or forms a disallowed
-    self-loop; after ``max_attempts`` rejections the strategy is declared
-    empty for this event.
+    Returns (n, k) source and destination arrays and an (n,) mask of the
+    events whose every draw found a legal negative. A candidate is rejected
+    when it reproduces a true event at the positive's timestamp or forms a
+    disallowed self-loop, and only rejected draws are redrawn; a draw still
+    rejected after ``MAX_ATTEMPTS`` candidates clears its event's mask (the
+    event's row then holds rejected candidates).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    h = idx.history
-    kind = h.kind
-
     pool = idx.pool_for(strategy)
     if len(pool) == 0:
         raise EmptyCandidateSetError(
             f"{strategy.value}: no candidate of the required category exists"
         )
-
-    forbidden = idx.edges_at(pos.t)
-    rng = np.random.default_rng(rng_seed)
-    negatives: list[Event] = []
-    for _ in range(k):
-        drawn = None
-        for _attempt in range(max_attempts):
-            j = int(rng.integers(0, len(pool)))
-            if strategy.replaces == "edge":
-                u, v = int(pool[j, 0]), int(pool[j, 1])
-            elif strategy.replaces == "source":
-                u, v = int(pool[j]), pos.destination
-            else:
-                u, v = pos.source, int(pool[j])
-            if u == v and not kind.allow_self_loops:
-                continue
-            a, b = canonical_edge(u, v, kind)
-            if a * h.num_nodes + b in forbidden:
-                continue
-            drawn = Event(u, v, pos.t)
-            break
-        if drawn is None:
-            raise EmptyCandidateSetError(
-                f"{strategy.value}: no legal candidate for positive "
-                f"({pos.source}, {pos.destination}, {pos.t}) "
-                f"after {max_attempts} attempts"
-            )
-        negatives.append(drawn)
-    return NegativeBatch(pos, strategy, negatives)
+    h = idx.history
+    events = np.asarray(events, dtype=np.int64)
+    if len(events) and (events.min() < 0 or events.max() >= len(h)):
+        raise ValueError("event positions must lie in the history")
+    row = np.repeat(np.arange(len(events)), k)  # one cell per (event, draw)
+    at = events[row]
+    strategy_word = int.from_bytes(strategy.value.encode("ascii"), "little")
+    key = _mix(np.full(len(row), seed % 2**64, dtype=np.uint64))
+    key = _extend(_extend(_extend(key, at), strategy_word), np.tile(np.arange(k), len(events)))
+    source, destination, t = h.src[at], h.dst[at], h.t[at]
+    todo, attempt = np.arange(len(row)), 0
+    while len(todo) and attempt < MAX_ATTEMPTS:
+        hashed = _extend(key[todo], attempt)
+        # multiply-shift: the hash's top 32 bits scaled to the (< 2**32) pool
+        j = (((hashed >> np.uint64(32)) * np.uint64(len(pool))) >> np.uint64(32)).astype(np.int64)
+        u, v = source[todo], destination[todo]
+        if strategy.replaces == "edge":
+            u, v = pool[j, 0], pool[j, 1]
+        elif strategy.replaces == "source":
+            u = pool[j]
+        else:
+            v = pool[j]
+        rejected = h.occurs(u, v, t[todo])
+        if not h.kind.allow_self_loops:
+            rejected |= u == v
+        source[todo], destination[todo] = u, v
+        todo, attempt = todo[rejected], attempt + 1
+    ok = np.ones(len(events), dtype=bool)
+    ok[row[todo]] = False
+    return source.reshape(-1, k), destination.reshape(-1, k), ok
 
 
 def sample_stream(
@@ -261,11 +246,9 @@ def sample_stream(
 ) -> SampledStream:
     """Draw k negatives per strategy for every event of the stream.
 
-    Each event's draws are seeded by its position in the history, so the
-    same seed reproduces the same negatives whichever strategies are
-    requested. ``on_empty`` decides what happens when a strategy has no
-    legal candidate for an event: ``skip`` drops the event and counts it in
-    one summary warning, ``abort`` raises.
+    ``on_empty`` decides what happens to an event for which some strategy
+    has no legal negative: ``skip`` drops the event and counts it in one
+    summary warning, ``abort`` raises.
     """
     strategies = tuple(strategies)
     if not strategies:
@@ -276,34 +259,39 @@ def sample_stream(
         raise ValueError(f"unknown empty-candidate policy {on_empty!r}")
     barren = ", ".join(s.value for s in strategies if len(idx.pool_for(s)) == 0)
     if barren:
-        # no event can succeed, so fail (or empty out) once instead of
-        # trying every event
+        # no event can succeed, so fail (or empty out) once
         if on_empty == "abort":
             raise EmptyCandidateSetError(
                 f"no candidate of the required category exists for: {barren}"
             )
         logger.warning("strategies with no candidates anywhere (%s): every event "
                        "will be skipped", barren)
-    kept, drawn = [], []
-    for i in range(0 if barren else len(h)):
-        event_seed = derive_event_seed(seed, i)
-        try:
-            batches = [sample_negatives(h.event(i), s, k, idx, event_seed)
-                       for s in strategies]
-        except EmptyCandidateSetError as exc:
-            if on_empty == "abort":
-                raise
-            logger.debug("skipping event %d: %s", i, exc)
-            continue
-        kept.append(i)
-        drawn += [(e.source, e.destination) for b in batches for e in b.negatives]
-    skipped = len(h) - len(kept)
+    n = len(h)
+    source = np.zeros((n, len(strategies), k), dtype=np.int64)
+    destination = np.zeros_like(source)
+    ok = np.zeros((n, len(strategies)), dtype=bool)
+    for j, s in enumerate(strategies):
+        if len(idx.pool_for(s)):
+            source[:, j], destination[:, j], ok[:, j] = sample_negatives(
+                idx, s, np.arange(n), k, seed)
+    kept = np.flatnonzero(ok.all(axis=1))
+    no_legal = n - ok.sum(axis=0)
+    if len(kept) < n and on_empty == "abort":
+        i = int(np.argmin(ok.all(axis=1)))
+        pos = h.event(i)
+        raise EmptyCandidateSetError(
+            f"{strategies[int(np.argmin(ok[i]))].value}: no legal candidate for "
+            f"positive ({pos.source}, {pos.destination}, {pos.t}) "
+            f"after {MAX_ATTEMPTS} attempts"
+        )
+    for s, count in zip(strategies, no_legal.tolist()):
+        if count:
+            logger.debug("%s: no legal negative for %d of %d events", s.value, count, n)
+    skipped = n - len(kept)
     if skipped and not barren:
-        logger.warning("skipped %d of %d events with no legal negatives", skipped, len(h))
-    events = np.asarray(kept, dtype=np.int64)
-    pairs = np.asarray(drawn, dtype=np.int64).reshape(len(kept), len(strategies), k, 2)
-    return SampledStream(events, h.t[events], pairs[..., 0], pairs[..., 1],
-                         strategies, skipped)
+        logger.warning("skipped %d of %d events with no legal negatives", skipped, n)
+    return SampledStream(kept, h.t[kept], source[kept], destination[kept],
+                         strategies, skipped, tuple(no_legal.tolist()))
 
 
 def write_negatives_csv(sampled: SampledStream, dest: str | Path | TextIO) -> None:

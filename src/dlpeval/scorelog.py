@@ -23,7 +23,6 @@ from .errors import ScoreLogError
 
 POSITIVE_ROLE = "positive"
 _COLUMNS = "event_ordinal,batch,role,source,destination,timestamp,score"
-_TIMED_EDGE = np.dtype([("t", np.float64), ("key", np.int64)])
 
 
 @dataclass
@@ -145,18 +144,9 @@ def check_positives(log: ScoredEventLog, h: History) -> None:
     """Raise ScoreLogError unless every positive record is a true event of
     ``h``: the same canonical edge at exactly that timestamp."""
     pos = np.flatnonzero(log.role == POSITIVE_ROLE)
-    u, v = log.source[pos], log.destination[pos]
-    in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < h.num_nodes)
-    events = np.empty(len(h), dtype=_TIMED_EDGE)
-    events["t"], events["key"] = h.t, h.event_edge_keys()
-    events.sort()
-    query = np.empty(len(pos), dtype=_TIMED_EDGE)
-    query["t"] = log.timestamp[pos]
-    query["key"] = h.edge_keys(np.where(in_range, u, 0), np.where(in_range, v, 0))
-    at = np.minimum(np.searchsorted(events, query), len(events) - 1)
-    bad = np.flatnonzero(~in_range | (events[at] != query))
+    bad = pos[~h.occurs(log.source[pos], log.destination[pos], log.timestamp[pos])]
     if len(bad):
-        r = pos[bad[0]]
+        r = bad[0]
         raise ScoreLogError(
             f"{len(bad)} positive record(s) are not events of the dataset, "
             f"first of event {log.event_ordinal[r]}: ({log.source[r]}, "

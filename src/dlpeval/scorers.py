@@ -13,17 +13,10 @@ timeline.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
-
 import numpy as np
 
 from .core import History
-from .sampling import (
-    CandidateIndex,
-    NegativeStrategy,
-    build_candidate_index,
-    sample_stream,
-)
+from .sampling import SampledStream
 from .scorelog import POSITIVE_ROLE, ScoredEventLog
 
 
@@ -72,21 +65,15 @@ def heuristic_scores(
 
 def run_streaming_eval(
     h: History,
-    t_split: float,
     scorer: ScorerKind,
-    strategies: Sequence[NegativeStrategy],
-    k_per_strategy: int = 1,
+    sampled: SampledStream,
     batch_size: int = 200,
-    seed: int = 0,
-    on_empty: str = "skip",
-    candidate_index: CandidateIndex | None = None,
 ) -> ScoredEventLog:
-    """Score every event and its sampled negatives over the whole stream.
+    """Score every event kept by ``sampled`` (drawn by ``sample_stream`` for
+    ``h``) and its negatives.
 
-    Negatives come from ``sample_stream``, whose ``on_empty`` policy skips
-    (or aborts on) events without a legal negative. Emitted event ordinals
-    are contiguous over the events actually scored; batches are fixed
-    windows of ``batch_size`` history positions.
+    Emitted event ordinals are contiguous over the events actually scored;
+    batches are fixed windows of ``batch_size`` history positions.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -95,8 +82,6 @@ def run_streaming_eval(
             "scorer 'external' does not run in this harness; "
             "external scores arrive via score-log files"
         )
-    idx = candidate_index or build_candidate_index(h, t_split)
-    sampled = sample_stream(h, idx, strategies, k_per_strategy, seed, on_empty)
     n_kept, n_strategies, k = sampled.source.shape
     # (u, v) pairs per event: the positive, then k negatives per strategy
     positives = np.column_stack([h.src, h.dst])[sampled.events, None]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dlpeval import GraphKind, History
+from dlpeval import GraphKind, History, build_candidate_index, run_streaming_eval, sample_stream
 
 
 def build_history(events, kind=GraphKind(), num_nodes=None, num_sources=None) -> History:
@@ -122,6 +122,15 @@ def brute_force_lifetimes(h: History, edges: bool = False) -> dict:
     return out
 
 
+def sample_and_score(h: History, t_split: float, scorer, strategies, k_per_strategy=1,
+                     batch_size=200, seed=0, on_empty="skip"):
+    """Draw the stream's negatives against ``t_split`` and score them, as the
+    ``eval`` command does."""
+    sampled = sample_stream(h, build_candidate_index(h, t_split), strategies,
+                            k_per_strategy, seed, on_empty)
+    return run_streaming_eval(h, scorer, sampled, batch_size)
+
+
 def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.ndarray:
     """Score of every log record by replaying the raw event list up to the
     first event of the record's batch: ``edgebank`` scores 1 iff the
@@ -151,3 +160,37 @@ def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.nd
             seen = u in nodes and v in nodes
         scores.append(float(seen))
     return np.asarray(scores)
+
+
+def legal_negatives(h: History, t_split: float, strategy, i: int) -> set:
+    """Every legal negative of event ``i`` under ``strategy``, by brute force
+    over the raw event list: the positive with its ``strategy.replaces``
+    part swapped for an observed node (or canonical edge) of the strategy's
+    category (any category for RND) on the matching side of a bipartite
+    stream, which is neither a disallowed self-loop nor the canonical edge
+    of a true event at the positive's timestamp."""
+    e = h.event(i)
+
+    def canon(u, v):
+        return (u, v) if h.kind.directed else (min(u, v), max(u, v))
+
+    def category(life):
+        birth, death = life
+        if death < t_split:
+            return "historical"
+        return "inductive" if birth >= t_split else "overlap"
+
+    want = None if strategy.category is None else strategy.category.value
+    if strategy.replaces == "edge":
+        life = brute_force_lifetimes(h, edges=True)
+        candidates = [pair for pair in life if category(life[pair]) == want]
+    else:
+        life = brute_force_lifetimes(h)
+        nodes = [n for n in life if want is None or category(life[n]) == want]
+        if h.kind.bipartite:
+            nodes = [n for n in nodes if (n < h.num_sources) == (strategy.replaces == "source")]
+        candidates = [(n, e.destination) if strategy.replaces == "source" else (e.source, n)
+                      for n in nodes]
+    at_t = {canon(x.source, x.destination) for x in h if x.t == e.t}
+    return {(u, v) for u, v in candidates
+            if (u != v or h.kind.allow_self_loops) and canon(u, v) not in at_t}

@@ -26,6 +26,7 @@ from conftest import (
     build_history,
     pair_counting_auc,
     random_history,
+    sample_and_score,
     scenario_history,
     worked_example_log,
 )
@@ -42,13 +43,11 @@ from dlpeval import (
     build_candidate_index,
     categorize,
     compute_cutoff,
-    derive_event_seed,
     lifetimes,
     mar_time_series,
     mean_auc_over_batches,
     partition_report,
     read_score_log,
-    run_streaming_eval,
     sample_negatives,
     write_score_log,
 )
@@ -209,7 +208,7 @@ def test_criterion_4_edgebank_below_half():
             strategies = [NegativeStrategy.HE]
             if p > 0:  # overlap edges exist only when something repeats
                 strategies.append(NegativeStrategy.OE)
-            log = run_streaming_eval(
+            log = sample_and_score(
                 h, t_split, ScorerKind.EDGEBANK, strategies,
                 k_per_strategy=1, batch_size=train_count, seed=3,
             )
@@ -265,7 +264,6 @@ def test_criterion_6_sampler_category_correctness():
         per_strategy_target = 10_000
         k = 20
         checked = {s: 0 for s in NegativeStrategy if s is not NegativeStrategy.RND}
-        from dlpeval.errors import EmptyCandidateSetError
 
         for round_no in range(40):
             if min(checked.values()) >= per_strategy_target:
@@ -274,31 +272,34 @@ def test_criterion_6_sampler_category_correctness():
             idx = build_candidate_index(h, t_split)
             node_life = lifetimes(h, KeyKind.NODE)
             edge_life = lifetimes(h, KeyKind.EDGE)
-            for i in rng.integers(0, len(h), 30):
-                pos = h.event(int(i))
-                for strategy in checked:
-                    try:
-                        batch = sample_negatives(
-                            pos, strategy, k, idx, derive_event_seed(round_no, int(i)))
-                    except EmptyCandidateSetError:
-                        continue
-                    for neg in batch.negatives:
-                        assert neg.t == pos.t
-                        if strategy.replaces == "edge":
-                            life = edge_life[(neg.source, neg.destination)]
-                        elif strategy.replaces == "source":
-                            life = node_life[neg.source]
-                        else:
-                            life = node_life[neg.destination]
-                        assert categorize(life, t_split) is strategy.category
-                    checked[strategy] += len(batch.negatives)
+            events = rng.integers(0, len(h), 30)
+            for strategy in checked:
+                if len(idx.pool_for(strategy)) == 0:
+                    continue
+                u, v, ok = sample_negatives(idx, strategy, events, k, round_no)
+                u, v = u[ok], v[ok]
+                # negatives keep the endpoint they do not replace (and are
+                # drawn at their positive's timestamp by construction)
+                if strategy.replaces == "source":
+                    assert (v == h.dst[events[ok], None]).all()
+                elif strategy.replaces == "destination":
+                    assert (u == h.src[events[ok], None]).all()
+                for a, b in zip(u.ravel().tolist(), v.ravel().tolist()):
+                    if strategy.replaces == "edge":
+                        life = edge_life[(a, b)]
+                    elif strategy.replaces == "source":
+                        life = node_life[a]
+                    else:
+                        life = node_life[b]
+                    assert categorize(life, t_split) is strategy.category
+                checked[strategy] += u.size
         assert min(checked.values()) >= per_strategy_target, checked
         # determinism: byte-identical serialized logs for equal seeds
         h = random_history(np.random.default_rng(5), n_events=400, n_nodes=25)
         meta = ScoreLogMeta("synthetic", 50.0, 64, ("HE", "OE", "IE"), 2, 11, "edgebank")
 
         def one_run():
-            log = run_streaming_eval(
+            log = sample_and_score(
                 h, 50.0, ScorerKind.EDGEBANK,
                 [NegativeStrategy.HE, NegativeStrategy.OE, NegativeStrategy.IE],
                 k_per_strategy=2, batch_size=64, seed=11,
@@ -319,8 +320,8 @@ def test_criterion_7_heuristic_ordering(name, tmp_path):
         strategies = [NegativeStrategy[s] for s in ("HE", "OE", "IE", "HD", "OD", "ID")]
         means = {}
         for scorer in (ScorerKind.EDGEBANK, ScorerKind.PREFERENTIAL_ATTACHMENT):
-            log = run_streaming_eval(h, t_split, scorer, strategies,
-                                     k_per_strategy=1, batch_size=200, seed=0)
+            log = sample_and_score(h, t_split, scorer, strategies,
+                                   k_per_strategy=1, batch_size=200, seed=0)
             for s in strategies:
                 report = mean_auc_over_batches(log, s.value, "test", t_split)
                 means[(scorer, s.value)] = report.mean_auc
@@ -336,7 +337,7 @@ def test_criterion_7_heuristic_ordering(name, tmp_path):
 def test_criterion_8_score_exchange_round_trip(tmp_path):
     with criterion(8, "score-log round trip and violation rejection"):
         h = random_history(np.random.default_rng(13), n_events=300, n_nodes=20)
-        log = run_streaming_eval(
+        log = sample_and_score(
             h, 50.0, ScorerKind.EDGEBANK,
             [NegativeStrategy.OE, NegativeStrategy.OD],
             k_per_strategy=2, batch_size=50, seed=4,

@@ -108,7 +108,10 @@ class TestSampleAndEval:
     def test_run_counts_in_manifest(self, tmp_path):
         path = tmp_path / "skips.csv"
         path.write_text("source,destination,timestamp\n0,1,1\n2,3,2\n2,3,30\n0,1,90\n")
-        expected = {"events": 4, "events_scored": 2, "events_skipped": 2}
+        # the OE pool is the one overlap edge (0,1), which its own events
+        # cannot draw
+        expected = {"events": 4, "events_scored": 2, "events_skipped": 2, "strategies": {
+            "OE": {"pool_size": 1, "events_no_legal_negative": 2}}}
         for command, *flags in (("sample",), ("eval", "--period", "all")):
             out = tmp_path / command
             assert run(command, path, "--t-split", "40", "--strategies", "OE",
@@ -118,16 +121,20 @@ class TestSampleAndEval:
 
     def test_sample_globally_empty_pool_writes_header_only(self, scenario_csv, tmp_path,
                                                           caplog):
-        # the scenario stream has no historical node: HS can never sample
+        # the scenario stream has no historical node: HS can never sample,
+        # while OE has a legal negative for every event
         out = tmp_path / "out"
         with caplog.at_level("WARNING"):
-            assert run("sample", scenario_csv, "--t-split", "10", "--strategies", "HS",
+            assert run("sample", scenario_csv, "--t-split", "10", "--strategies", "HS,OE",
                        "--out", out) == 0
         assert len(caplog.records) == 1 and "no candidates anywhere" in caplog.text
         assert (out / "negatives.csv").read_text() == \
             "event_ordinal,strategy,source,destination,timestamp\n"
         run_counts = json.loads((out / "manifest.json").read_text())["run"]
-        assert run_counts == {"events": 13, "events_scored": 0, "events_skipped": 13}
+        assert run_counts == {"events": 13, "events_scored": 0, "events_skipped": 13,
+                              "strategies": {
+                                  "HS": {"pool_size": 0, "events_no_legal_negative": 13},
+                                  "OE": {"pool_size": 6, "events_no_legal_negative": 0}}}
 
     def test_eval_edgebank_full_artifact_set(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -195,6 +202,13 @@ class TestSampleAndEval:
             "# seed=99\n" if l.startswith("# seed=") else l for l in lines])
         assert run("eval", dataset, "--scorer", "external",
                    "--logs", edgebank_log, other, "--out", tmp_path / "ext") == 0
+        # the manifest records what each log's header says, not the unused
+        # sampling options of the command line
+        config = json.loads((tmp_path / "ext" / "manifest.json").read_text())["config"]
+        assert config["log_headers"] == [
+            {"scorer": "edgebank", "k": 1, "seed": 1, "batch_size": 200},
+            {"scorer": "model1", "k": 1, "seed": 99, "batch_size": 200}]
+        assert not {"k", "seed", "batch_size", "on_empty"} & set(config)
 
     @pytest.mark.parametrize("key,value", [("t_split", "1.5"), ("strategies", "OE,HE")])
     def test_external_logs_disagreeing_header_exit_2(self, dataset, edgebank_log,
@@ -250,6 +264,12 @@ class TestSampleAndEval:
                    "--scorer", "edgebank", "--strategies", "HS",
                    "--on-empty", "abort", "--out", out) == 1
 
+    def test_eval_bad_batch_size_exits_2_before_sampling(self, scenario_csv, tmp_path):
+        # a configuration error, not the abort that sampling HS would raise
+        assert run("eval", scenario_csv, "--t-split", "10", "--batch-size", "0",
+                   "--scorer", "edgebank", "--strategies", "HS",
+                   "--on-empty", "abort", "--out", tmp_path / "out") == 2
+
     def test_eval_all_skipped_exits_1(self, scenario_csv, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("eval", scenario_csv, "--t-split", "10",
@@ -286,15 +306,15 @@ class TestPinnedOutputs:
         got["sample"] = digest(tmp_path / "sample" / "negatives.csv")
         assert got == {
             ("pa",):
-                "483cc29c1f6b1f9a31e6719adcb85f9cb6825c664404bb466fb8a88dd24642f6",
+                "bbb85aa91335fcc78f2f8124fd2bcc048febd2f23f89dfaf6f370f9dfdb5a38a",
             ("pa", "--undirected"):
-                "00bf15c3f4e8b4e5b20c662edb4edbd05ca26138f5a9db7c2dbab082cc49b04c",
+                "5a9886303a5215ee45520f9622dffb21443717cf75caaaf670d9c518e3345633",
             ("edgebank",):
-                "273342038a47beb4d14bbae99ec8d85e47a7c82591b8cb4ed1500f78c609464a",
+                "4634fcd90056409f5afd0a7f9c25ad6c96029f05b3a09f9bc3be210b461dca87",
             ("edgebank", "--undirected"):
-                "a8f311ed486cb732a8294ce332952bf09ba5c7be85549f48838bc5318f0e1546",
+                "af266b2e43ac5d4a23f8c230d6931d6191c3f1553951098d1bb31e1126f86bf3",
             "sample":
-                "6c49c054daf3dc986254d3ee8867d00ea4c8d2aa9df6107b879c21a51f2213fc",
+                "0c4ba97dcf2f8f63be03eb7b6c73be023dfc7cf6867d83dd4e1d7b1b20f5667d",
         }
 
     def test_sample_rows_are_eval_negatives(self, dataset, tmp_path):

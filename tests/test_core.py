@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_history, random_history
-from dlpeval import GraphKind, History, IngestError, canonical_edge, ingest_csv
+from dlpeval import GraphKind, History, IngestError, ingest_csv
 
 
 def _ingest(text, **kw):
@@ -87,10 +87,14 @@ class TestGraphKind:
             GraphKind(directed=False, bipartite=True)
 
     def test_canonical_edge(self):
-        und = GraphKind(directed=False)
-        assert canonical_edge(5, 2, und) == (2, 5)
-        assert canonical_edge(5, 2, GraphKind(directed=True)) == (5, 2)
-        assert canonical_edge(2, 2, GraphKind(directed=False, allow_self_loops=True)) == (2, 2)
+        # an edge key packs the canonical pair (a, b) as a * num_nodes + b
+        def key(kind, u, v):
+            h = History.from_arrays([0], [1], [0.0], kind, num_nodes=6)
+            return h.edge_keys(np.array([u]), np.array([v])).tolist()
+
+        assert key(GraphKind(directed=False), 5, 2) == [2 * 6 + 5]
+        assert key(GraphKind(directed=True), 5, 2) == [5 * 6 + 2]
+        assert key(GraphKind(directed=False, allow_self_loops=True), 2, 2) == [2 * 6 + 2]
 
 
 class TestSliceUntil:

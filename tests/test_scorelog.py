@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_history
+from conftest import random_history, sample_and_score
 from dlpeval import (
     NegativeStrategy,
     ScoredEventLog,
@@ -11,7 +11,6 @@ from dlpeval import (
     ScoreLogMeta,
     ScorerKind,
     read_score_log,
-    run_streaming_eval,
     write_score_log,
 )
 from dlpeval.scorelog import POSITIVE_ROLE, dumps_score_log
@@ -27,7 +26,7 @@ def _meta(**overrides):
 def _eval_log(seed=9):
     rng = np.random.default_rng(23)
     h = random_history(rng, n_events=250, n_nodes=18)
-    return run_streaming_eval(
+    return sample_and_score(
         h, 50.0, ScorerKind.EDGEBANK,
         [NegativeStrategy.OE, NegativeStrategy.OD],
         k_per_strategy=2, batch_size=32, seed=seed,

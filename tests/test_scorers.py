@@ -6,6 +6,7 @@ from conftest import (
     build_history,
     prefix_replay_scores,
     random_history,
+    sample_and_score,
     scenario_history,
     SCENARIO_T_SPLIT,
 )
@@ -14,8 +15,11 @@ from dlpeval import (
     GraphKind,
     NegativeStrategy,
     ScorerKind,
+    build_candidate_index,
     heuristic_scores,
     run_streaming_eval,
+    sample_negatives,
+    sample_stream,
 )
 from dlpeval.scorelog import POSITIVE_ROLE, ScoreLogMeta, dumps_score_log
 
@@ -67,7 +71,7 @@ class TestScores:
 class TestHarness:
     def test_first_batch_scores_zero_for_pa(self):
         h = scenario_history(1)
-        log = run_streaming_eval(
+        log = sample_and_score(
             h, SCENARIO_T_SPLIT, ScorerKind.PREFERENTIAL_ATTACHMENT,
             [NegativeStrategy.OE], batch_size=200, seed=1,
         )
@@ -82,7 +86,7 @@ class TestHarness:
         # not see it while that batch is scored
         events = [(0, 1, float(t)) for t in range(1, 9)] + [(2, 3, 9.0), (2, 3, 10.0)]
         h = build_history(events)
-        log = run_streaming_eval(
+        log = sample_and_score(
             h, 9.0, ScorerKind.EDGEBANK, [NegativeStrategy.OE],
             batch_size=8, seed=0,
         )
@@ -105,7 +109,7 @@ class TestHarness:
         # batch, found by replaying the raw list
         h = random_history(np.random.default_rng(stream_seed), n_events=120,
                            n_nodes=14, kind=GRAPH_KINDS[kind])
-        log = run_streaming_eval(
+        log = sample_and_score(
             h, 60.0, ScorerKind(scorer), strategies,
             k_per_strategy=2, batch_size=batch_size, seed=3,
         )
@@ -117,7 +121,7 @@ class TestHarness:
         events = [(0, 1, 1.0), (2, 3, 2.0), (4, 5, 3.0), (4, 5, 4.0)]
         events += [(0, 1, 50.0), (0, 1, 60.0)]
         h = build_history(events)
-        log = run_streaming_eval(
+        log = sample_and_score(
             h, 50.0, ScorerKind.EDGEBANK, [NegativeStrategy.HE],
             batch_size=1, seed=0,
         )
@@ -130,7 +134,7 @@ class TestHarness:
         meta = ScoreLogMeta("synthetic", 50.0, 32, ("OE", "OD"), 2, 9, "edgebank")
 
         def run():
-            log = run_streaming_eval(
+            log = sample_and_score(
                 h, 50.0, ScorerKind.EDGEBANK,
                 [NegativeStrategy.OE, NegativeStrategy.OD],
                 k_per_strategy=2, batch_size=32, seed=9,
@@ -145,7 +149,7 @@ class TestHarness:
         events = [(0, 1, float(t)) for t in range(1, 11)]
         h = build_history(events)
         with caplog.at_level("WARNING"):
-            log = run_streaming_eval(
+            log = sample_and_score(
                 h, 5.0, ScorerKind.EDGEBANK,
                 [NegativeStrategy.IS], batch_size=4, seed=0, on_empty="skip",
             )
@@ -160,7 +164,7 @@ class TestHarness:
         events = [(0, 1, 1.0), (2, 3, 2.0), (2, 3, 30.0), (0, 1, 90.0)]
         h = build_history(events)
         with caplog.at_level("WARNING"):
-            log = run_streaming_eval(
+            log = sample_and_score(
                 h, 40.0, ScorerKind.EDGEBANK,
                 [NegativeStrategy.OE], batch_size=2, seed=0, on_empty="skip",
             )
@@ -176,48 +180,48 @@ class TestHarness:
         events = [(0, 1, float(t)) for t in range(1, 11)]
         h = build_history(events)
         with pytest.raises(EmptyCandidateSetError):
-            run_streaming_eval(
+            sample_and_score(
                 h, 5.0, ScorerKind.EDGEBANK,
                 [NegativeStrategy.IS], batch_size=4, seed=0, on_empty="abort",
             )
 
     def test_external_scorer_rejected(self):
         h = scenario_history(1)
+        sampled = sample_stream(h, build_candidate_index(h, SCENARIO_T_SPLIT),
+                                [NegativeStrategy.OE], 1, 0)
         with pytest.raises(ValueError, match="external"):
-            run_streaming_eval(h, SCENARIO_T_SPLIT, ScorerKind.EXTERNAL,
-                               [NegativeStrategy.OE])
+            run_streaming_eval(h, ScorerKind.EXTERNAL, sampled)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_streaming_eval(h, ScorerKind.EDGEBANK, sampled, batch_size=0)
 
     def test_strategies_required(self):
         h = scenario_history(1)
         with pytest.raises(ValueError):
-            run_streaming_eval(h, SCENARIO_T_SPLIT, ScorerKind.EDGEBANK, [])
+            sample_and_score(h, SCENARIO_T_SPLIT, ScorerKind.EDGEBANK, [])
 
     def test_negatives_match_standalone_sampling(self):
         # external-replay contract: the harness draws exactly the negatives
-        # a direct sampling pass with the same seed derivation produces
-        from dlpeval import build_candidate_index, derive_event_seed, sample_negatives
-
+        # a direct sampling pass with the same seed produces
         rng = np.random.default_rng(51)
         h = random_history(rng, n_events=120, n_nodes=15)
         t_split = 50.0
         strategies = [NegativeStrategy.OE, NegativeStrategy.OD]
         seed = 13
-        log = run_streaming_eval(h, t_split, ScorerKind.EDGEBANK, strategies,
-                                 k_per_strategy=2, batch_size=16, seed=seed)
+        log = sample_and_score(h, t_split, ScorerKind.EDGEBANK, strategies,
+                               k_per_strategy=2, batch_size=16, seed=seed)
         idx = build_candidate_index(h, t_split)
-        for i in range(len(h)):
-            pos = h.event(i)
-            for strategy in strategies:
-                batch = sample_negatives(pos, strategy, 2, idx,
-                                         derive_event_seed(seed, i))
-                sel = (log.event_ordinal == i) & (log.role == strategy.value)
-                got = list(zip(log.source[sel], log.destination[sel]))
-                assert got == [(n.source, n.destination) for n in batch.negatives]
+        assert len(np.unique(log.event_ordinal)) == len(h)
+        for strategy in strategies:
+            u, v, ok = sample_negatives(idx, strategy, np.arange(len(h)), 2, seed)
+            assert ok.all()
+            sel = log.role == strategy.value
+            assert np.array_equal(log.source[sel], u.ravel())
+            assert np.array_equal(log.destination[sel], v.ravel())
 
     def test_log_layout(self):
         h = scenario_history(2)
         strategies = [NegativeStrategy.OE, NegativeStrategy.OD]
-        log = run_streaming_eval(
+        log = sample_and_score(
             h, SCENARIO_T_SPLIT, ScorerKind.EDGEBANK, strategies,
             k_per_strategy=3, batch_size=5, seed=0,
         )
