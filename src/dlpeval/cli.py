@@ -432,7 +432,7 @@ def cmd_metrics(args) -> int:
     write_mar_csv(series, out / "mar.csv")
     print(f"{'strategy':10s} {'mean_auc':>9s} {'batches':>8s} {'skipped':>8s}")
     for r in reports:
-        print(f"{r.strategy:10s} {r.mean_auc:>9.4f} {len(r.entries):>8d} "
+        print(f"{r.strategy:10s} {r.mean_auc:>9.4f} {len(r.auc):>8d} "
               f"{r.skipped_batches:>8d}")
     config = {"log": str(args.log), "period": args.period,
               "t_split": t_split, "bins": args.bins}

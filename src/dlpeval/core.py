@@ -22,9 +22,6 @@ from .errors import IngestError
 
 MINIMAL_HEADER = ("source", "destination", "timestamp")
 
-# one event as a sortable record: its timestamp, then its packed edge key
-_TIMED_EDGE = np.dtype([("t", np.float64), ("key", np.int64)])
-
 
 class Event(NamedTuple):
     source: int
@@ -64,7 +61,7 @@ class History:
         "num_sources",
         "labels",
         "_event_edge_keys",
-        "_timed_edges",
+        "_occurrences",
     )
 
     def __init__(
@@ -86,7 +83,7 @@ class History:
         self.num_sources = num_sources
         self.labels = labels
         self._event_edge_keys: np.ndarray | None = None
-        self._timed_edges: np.ndarray | None = None
+        self._occurrences: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_arrays(
@@ -182,19 +179,23 @@ class History:
         """Whether each (u[r], v[r]) is a true event at exactly time t[r]: the
         same canonical edge at that timestamp. Ids outside the stream never
         are."""
-        if self._timed_edges is None:
-            order = np.lexsort((self.event_edge_keys(), self.t))
-            self._timed_edges = np.rec.fromarrays(
-                [self.t[order], self.event_edge_keys()[order]], dtype=_TIMED_EDGE)
-        events = self._timed_edges
+        if self._occurrences is None:
+            times, edges = np.unique(self.t), np.unique(self.event_edge_keys())
+            codes = (np.searchsorted(edges, self.event_edge_keys()) * len(times)
+                     + np.searchsorted(times, self.t))
+            self._occurrences = (times, edges, np.unique(codes))
+        times, edges, codes = self._occurrences
         in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.num_nodes)
-        if len(events) == 0:
+        if len(codes) == 0:
             return np.zeros(len(in_range), dtype=bool)
-        query = np.rec.fromarrays(
-            [t, self.edge_keys(np.where(in_range, u, 0), np.where(in_range, v, 0))],
-            dtype=_TIMED_EDGE)
-        at = np.minimum(np.searchsorted(events, query), len(events) - 1)
-        return in_range & (events[at] == query)
+        key = self.edge_keys(np.where(in_range, u, 0), np.where(in_range, v, 0))
+        t_at = np.minimum(np.searchsorted(times, t), len(times) - 1)
+        e_at = np.minimum(np.searchsorted(edges, key), len(edges) - 1)
+        # edge index * distinct timestamps + timestamp index is below
+        # len(self) ** 2, so it cannot overflow
+        code = e_at * len(times) + t_at
+        at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        return in_range & (times[t_at] == t) & (edges[e_at] == key) & (codes[at] == code)
 
     def observed_nodes(self) -> np.ndarray:
         """Sorted ids of nodes that appear in at least one event."""
@@ -272,7 +273,6 @@ def ingest_csv(
     u_labels: list[str] = []
     v_labels: list[str] = []
     times: list[float] = []
-    lines: list[int] = []
     with _open_for_read(source) as fh:
         reader = csv.reader(fh)
         try:
@@ -304,7 +304,6 @@ def ingest_csv(
             u_labels.append(u)
             v_labels.append(v)
             times.append(t)
-            lines.append(lineno)
 
     if not times:
         raise IngestError("empty stream: no event rows")

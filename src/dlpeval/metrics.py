@@ -6,11 +6,17 @@ matches exhaustive pair counting exactly and stays meaningful for binary
 scorers where ties are pervasive. Ranks within one event's comparison group
 (its positive plus all sampled negatives) are fractional: rank 1 is the
 highest score and ties receive the average of the positions they occupy.
+
+One kernel ranks all groups at once. A batch's AUC is the rank-sum
+(Mann-Whitney) statistic of its positives' ranks (Hanley and McNeil, 1982);
+MAR sums ranks per (role, time bin). Ranks are half-integers, so every such
+sum is exact in float64 whatever its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -28,29 +34,31 @@ class ConfusionMatrix:
     tn: int
 
 
-def _ascending_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, lowest value first, ties averaged."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    is_new = np.empty(len(values), dtype=bool)
-    is_new[0] = True
-    is_new[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    group = np.cumsum(is_new) - 1
-    starts = np.flatnonzero(is_new)
-    ends = np.append(starts[1:], len(values))
-    avg = (starts + ends + 1) / 2.0  # mean of the 1-based positions in the tie
-    ranks = np.empty(len(values))
-    ranks[order] = avg[group]
+def _descending_ranks(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """1-based fractional ranks within each group: rank 1 for the group's
+    highest score, ties averaged over the positions they occupy."""
+    order = np.lexsort((scores, group))
+    s, g = scores[order], group[order]
+    new_group = np.ones(len(s), dtype=bool)
+    new_group[1:] = g[1:] != g[:-1]
+    new_run = new_group.copy()
+    new_run[1:] |= s[1:] != s[:-1]
+    run_start = np.flatnonzero(new_run)
+    run_end = np.append(run_start[1:], len(s))
+    group_end = np.append(np.flatnonzero(new_group)[1:], len(s))
+    run_group_end = group_end[np.cumsum(new_group)[run_start] - 1]
+    # a run at 0-based sorted positions [start, end) of a group ending at
+    # group_end holds descending ranks group_end - end + 1 .. group_end - start
+    run_rank = run_group_end - (run_start + run_end - 1) / 2.0
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(run_rank, run_end - run_start)
     return ranks
 
 
 def fractional_ranks(scores: Sequence[float]) -> np.ndarray:
     """Descending fractional ranks: rank 1 for the highest score, ties averaged."""
     scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) == 0:
-        return np.empty(0)
-    return len(scores) + 1 - _ascending_ranks(scores)
+    return _descending_ranks(scores, np.zeros(len(scores), dtype=np.int64))
 
 
 def rank_within_group(scores: Sequence[float]) -> np.ndarray:
@@ -59,6 +67,14 @@ def rank_within_group(scores: Sequence[float]) -> np.ndarray:
     if len(scores) < 2:
         raise ValueError("a comparison group needs at least 2 members")
     return fractional_ranks(scores)
+
+
+def _rank_sum_auc(n_pos, n_neg, pos_rank_sum):
+    """AUC from the positives' descending ranks among all ``n_pos + n_neg``
+    scores: their ascending ranks sum to ``n_pos * (n + 1) - pos_rank_sum``.
+    Ranks are half-integers, so every term is exact in float64."""
+    u = n_pos * (n_pos + n_neg + 1.0) - pos_rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def batch_auc(positive_scores: Sequence[float], negative_scores: Sequence[float]) -> float:
@@ -70,9 +86,8 @@ def batch_auc(positive_scores: Sequence[float], negative_scores: Sequence[float]
     neg = np.asarray(negative_scores, dtype=np.float64)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("AUC is undefined when either class is empty")
-    ranks = _ascending_ranks(np.concatenate([pos, neg]))
-    u = ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0
-    return float(u / (len(pos) * len(neg)))
+    ranks = fractional_ranks(np.concatenate([pos, neg]))
+    return float(_rank_sum_auc(len(pos), len(neg), ranks[: len(pos)].sum()))
 
 
 def confusion_at_threshold(
@@ -89,24 +104,24 @@ def confusion_at_threshold(
 
 
 @dataclass(frozen=True)
-class BatchAUCEntry:
-    batch: int
-    t_start: float
-    t_end: float
-    auc: float
-
-
-@dataclass(frozen=True)
 class BatchAUCReport:
+    """Per-batch AUCs of one strategy in one period, as aligned columns:
+    ``batch`` ordinals ascending, their first and last timestamps and AUC."""
+
     strategy: str
     period: str
-    entries: tuple[BatchAUCEntry, ...]
+    batch: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    auc: np.ndarray
     mean_auc: float
     skipped_batches: int
 
     @property
-    def batch_aucs(self) -> np.ndarray:
-        return np.asarray([e.auc for e in self.entries])
+    def entries(self) -> np.ndarray:
+        """The batch ordinals with an AUC (``benchmark/trace_child.py``
+        counts them as ``len(report.entries)``)."""
+        return self.batch
 
 
 def mean_auc_over_batches(
@@ -121,11 +136,12 @@ def mean_auc_over_batches(
     train keeps t < t_split, all keeps everything. Batches lacking either
     class inside the period are excluded and counted as skipped.
     """
-    if strategy not in set(np.unique(log.role)):
+    is_neg = log.role == strategy
+    if not is_neg.any():
         raise ValueError(f"strategy {strategy!r} not present in log")
     if period not in ("train", "test", "all"):
         raise ValueError(f"unknown period {period!r}")
-    keep = (log.role == POSITIVE_ROLE) | (log.role == strategy)
+    keep = (log.role == POSITIVE_ROLE) | is_neg
     if period != "all":
         if t_split is None:
             raise ValueError(f"period {period!r} requires t_split")
@@ -133,27 +149,26 @@ def mean_auc_over_batches(
         keep &= in_period
     sub = log.mask(keep)
 
-    entries = []
-    skipped = 0
-    for batch in np.unique(sub.batch):
-        sel = sub.batch == batch
-        pos = sub.score[sel & (sub.role == POSITIVE_ROLE)]
-        neg = sub.score[sel & (sub.role == strategy)]
-        if len(pos) == 0 or len(neg) == 0:
-            skipped += 1
-            continue
-        times = sub.timestamp[sel]
-        entries.append(
-            BatchAUCEntry(int(batch), float(times.min()), float(times.max()),
-                          batch_auc(pos, neg))
-        )
-    if not entries:
+    batches, inverse = np.unique(sub.batch, return_inverse=True)
+    n = len(batches)
+    is_pos = sub.role == POSITIVE_ROLE
+    n_pos = np.bincount(inverse, weights=is_pos, minlength=n)
+    n_neg = np.bincount(inverse, minlength=n) - n_pos
+    ranks = _descending_ranks(sub.score, inverse)
+    pos_rank_sum = np.bincount(inverse[is_pos], weights=ranks[is_pos], minlength=n)
+    t_start = np.full(n, np.inf)
+    t_end = np.full(n, -np.inf)
+    np.minimum.at(t_start, inverse, sub.timestamp)
+    np.maximum.at(t_end, inverse, sub.timestamp)
+    usable = (n_pos > 0) & (n_neg > 0)
+    if not usable.any():
         raise ValueError(
             f"no batch in period {period!r} has both positives and "
             f"{strategy} negatives"
         )
-    mean = float(np.mean([e.auc for e in entries]))
-    return BatchAUCReport(strategy, period, tuple(entries), mean, skipped)
+    auc = _rank_sum_auc(n_pos[usable], n_neg[usable], pos_rank_sum[usable])
+    return BatchAUCReport(strategy, period, batches[usable], t_start[usable],
+                          t_end[usable], auc, float(np.mean(auc)), int(n - usable.sum()))
 
 
 @dataclass(frozen=True)
@@ -186,31 +201,21 @@ def mar_time_series(log: ScoredEventLog, bins: int = 50) -> MARSeries:
     if len(log) == 0:
         raise ValueError("cannot bin an empty log")
     roles = (POSITIVE_ROLE,) + tuple(log.strategies)
-    role_index = {role: i for i, role in enumerate(roles)}
 
     t0, t1 = float(log.timestamp.min()), float(log.timestamp.max())
     edges = np.linspace(t0, t1, bins + 1)
-    span = t1 - t0
+    span = (t1 - t0) or 1.0  # a single timestamp puts every record in bin 0
 
-    sums = np.zeros((len(roles), bins))
-    counts = np.zeros((len(roles), bins), dtype=np.int64)
-
-    order = np.argsort(log.event_ordinal, kind="stable")
-    ordinals = log.event_ordinal[order]
-    starts = np.flatnonzero(np.r_[True, ordinals[1:] != ordinals[:-1]])
-    bounds = np.append(starts, len(order))
-    for g in range(len(starts)):
-        sel = order[starts[g]:bounds[g + 1]]
-        scores = log.score[sel]
-        ranks = fractional_ranks(scores)
-        t = float(log.timestamp[sel[0]])
-        b = min(int((t - t0) / span * bins), bins - 1) if span > 0 else 0
-        for rec, rank in zip(sel, ranks):
-            r = role_index.get(str(log.role[rec]))
-            if r is None:
-                continue
-            sums[r, b] += rank
-            counts[r, b] += 1
+    ranks = _descending_ranks(log.score, log.event_ordinal)
+    b = np.minimum(((log.timestamp - t0) / span * bins).astype(np.int64), bins - 1)
+    role_code = np.full(len(log), -1)
+    for r, role in enumerate(roles):
+        role_code[log.role == role] = r
+    known = role_code >= 0
+    cell = (role_code * bins + b)[known]
+    size = len(roles) * bins
+    sums = np.bincount(cell, weights=ranks[known], minlength=size).reshape(len(roles), bins)
+    counts = np.bincount(cell, minlength=size).reshape(len(roles), bins)
 
     with np.errstate(invalid="ignore"):
         mar = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -221,11 +226,10 @@ def write_auc_csv(reports: Iterable[BatchAUCReport], dest: str | Path | TextIO) 
     """CSV export: ``strategy,batch,t_start,t_end,auc``."""
     with _open_for_write(dest) as fh:
         fh.write("strategy,batch,t_start,t_end,auc\n")
-        for report in reports:
-            for e in report.entries:
-                fh.write(
-                    f"{report.strategy},{e.batch},{e.t_start!r},{e.t_end!r},{e.auc!r}\n"
-                )
+        for r in reports:
+            fh.writelines(map("{},{},{!r},{!r},{!r}\n".format, repeat(r.strategy),
+                              r.batch.tolist(), r.t_start.tolist(), r.t_end.tolist(),
+                              r.auc.tolist()))
 
 
 def write_mar_csv(series: MARSeries, dest: str | Path | TextIO) -> None:

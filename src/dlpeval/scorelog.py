@@ -7,12 +7,16 @@ format is plain CSV prefixed by a ``#``-delimited key=value header block, so
 any external model stack can produce it and feed its predictions into the
 metrics and plotting pipeline. Scores are printed with 17 significant
 digits, which round-trips 64-bit floats exactly.
+
+Both directions work on columns: the writer formats column lists with one
+``str.format`` map per chunk, and the reader parses the body once into typed
+columns, walking its lines only to name the line of an error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -22,7 +26,14 @@ from .core import History, _open_for_read, _open_for_write
 from .errors import ScoreLogError
 
 POSITIVE_ROLE = "positive"
-_COLUMNS = "event_ordinal,batch,role,source,destination,timestamp,score"
+# one score-log record; the field names, in order, form the column row
+_RECORD = np.dtype([
+    ("event_ordinal", np.int64), ("batch", np.int64), ("role", object),
+    ("source", np.int64), ("destination", np.int64),
+    ("timestamp", np.float64), ("score", np.float64),
+])
+_COLUMNS = ",".join(_RECORD.names)
+_CHUNK = 8192  # records per formatted chunk, which bounds the lists .tolist() makes
 
 
 @dataclass
@@ -61,47 +72,27 @@ class ScoredEventLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoredEventLog):
             return NotImplemented
-        return (
-            self.strategies == other.strategies
-            and len(self) == len(other)
-            and np.array_equal(self.event_ordinal, other.event_ordinal)
-            and np.array_equal(self.batch, other.batch)
-            and np.array_equal(self.role, other.role)
-            and np.array_equal(self.source, other.source)
-            and np.array_equal(self.destination, other.destination)
-            and np.array_equal(self.timestamp, other.timestamp)
-            and np.array_equal(self.score, other.score)
-        )
+        return self.strategies == other.strategies and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _RECORD.names)
 
     @classmethod
     def from_records(cls, records, strategies: tuple[str, ...]) -> "ScoredEventLog":
         """Build from an iterable of
         (event_ordinal, batch, role, source, destination, timestamp, score)."""
-        rows = list(records)
-        cols = list(zip(*rows)) if rows else [[]] * 7
-        return cls(
-            event_ordinal=np.asarray(cols[0], dtype=np.int64),
-            batch=np.asarray(cols[1], dtype=np.int64),
-            role=np.asarray(cols[2], dtype=np.str_),
-            source=np.asarray(cols[3], dtype=np.int64),
-            destination=np.asarray(cols[4], dtype=np.int64),
-            timestamp=np.asarray(cols[5], dtype=np.float64),
-            score=np.asarray(cols[6], dtype=np.float64),
-            strategies=strategies,
-        )
+        return cls._from_array(np.array([tuple(r) for r in records], dtype=_RECORD),
+                               strategies)
+
+    @classmethod
+    def _from_array(cls, records: np.ndarray, strategies: tuple[str, ...]) -> "ScoredEventLog":
+        """Build from a structured array of ``_RECORD``s, one column per field."""
+        columns = {name: np.ascontiguousarray(records[name]) for name in _RECORD.names}
+        columns["role"] = records["role"].astype(np.str_)
+        return cls(**columns, strategies=strategies)
 
     def mask(self, selector: np.ndarray) -> "ScoredEventLog":
         """Log restricted to the records where ``selector`` is True."""
-        return replace(
-            self,
-            event_ordinal=self.event_ordinal[selector],
-            batch=self.batch[selector],
-            role=self.role[selector],
-            source=self.source[selector],
-            destination=self.destination[selector],
-            timestamp=self.timestamp[selector],
-            score=self.score[selector],
-        )
+        return replace(self, **{name: getattr(self, name)[selector] for name in _RECORD.names})
 
     def validate(self) -> None:
         """Check internal invariants; raise ScoreLogError on violation."""
@@ -157,29 +148,18 @@ def check_positives(log: ScoredEventLog, h: History) -> None:
 def dumps_score_log(log: ScoredEventLog, meta: ScoreLogMeta) -> str:
     """Serialize a log deterministically; reading it back yields an equal log."""
     log.validate()
-    present = set(np.unique(log.role)) - {POSITIVE_ROLE}
-    undeclared = present - set(meta.strategies)
+    undeclared = set(np.unique(log.role)) - {POSITIVE_ROLE, *meta.strategies}
     if undeclared:
         raise ScoreLogError(
             f"log contains strategies absent from header: {sorted(undeclared)}"
         )
-    lines = [
-        f"# dataset={meta.dataset}",
-        f"# t_split={meta.t_split!r}",
-        f"# batch_size={meta.batch_size}",
-        f"# strategies={','.join(meta.strategies)}",
-        f"# k={meta.k}",
-        f"# seed={meta.seed}",
-        f"# scorer={meta.scorer}",
-        _COLUMNS,
-    ]
-    for i in range(len(log)):
-        lines.append(
-            f"{log.event_ordinal[i]},{log.batch[i]},{log.role[i]},"
-            f"{log.source[i]},{log.destination[i]},"
-            f"{float(log.timestamp[i])!r},{float(log.score[i]):.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    header = asdict(meta) | {"strategies": ",".join(meta.strategies)}
+    parts = [f"# {key}={value}\n" for key, value in header.items()] + [_COLUMNS + "\n"]
+    row = "{},{},{},{},{},{!r},{:.17g}\n".format
+    columns = [getattr(log, name) for name in _RECORD.names]
+    for start in range(0, len(log), _CHUNK):
+        parts.append("".join(map(row, *(c[start:start + _CHUNK].tolist() for c in columns))))
+    return "".join(parts)
 
 
 def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | TextIO) -> None:
@@ -190,58 +170,72 @@ def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | 
 def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog, ScoreLogMeta]:
     """Parse and validate a score-log file."""
     header: dict[str, str] = {}
-    records = []
     with _open_for_read(source) as fh:
         lineno = 0
-        saw_columns = False
-        for raw in fh:
+        while True:
+            raw = fh.readline()
+            if not raw:
+                raise ScoreLogError("missing column row")
             lineno += 1
             line = raw.rstrip("\r\n")
             if not line:
                 continue
-            if line.startswith("#"):
-                if saw_columns:
-                    raise ScoreLogError("header line after column row", line=lineno)
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise ScoreLogError(f"malformed header line {line!r}", line=lineno)
-                key, value = body.split("=", 1)
-                header[key.strip()] = value.strip()
-                continue
-            if not saw_columns:
-                if line != _COLUMNS:
-                    raise ScoreLogError(
-                        f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
-                    )
-                saw_columns = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ScoreLogError(f"expected 7 fields, got {len(parts)}", line=lineno)
-            try:
-                ordinal = int(parts[0])
-                batch = int(parts[1])
-                source_id = int(parts[3])
-                dest_id = int(parts[4])
-                timestamp = float(parts[5])
-                score = float(parts[6])
-            except ValueError as exc:
-                raise ScoreLogError(f"unparseable field ({exc})", line=lineno) from None
-            if math.isnan(score) or math.isinf(score):
-                raise ScoreLogError(f"non-finite score {parts[6]!r}", line=lineno)
-            records.append((ordinal, batch, parts[2], source_id, dest_id, timestamp, score))
+            if not line.startswith("#"):
+                break
+            entry = line[1:].strip()
+            if "=" not in entry:
+                raise ScoreLogError(f"malformed header line {line!r}", line=lineno)
+            key, value = entry.split("=", 1)
+            header[key.strip()] = value.strip()
+        if line != _COLUMNS:
+            raise ScoreLogError(
+                f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
+            )
+        records = _parse_records(fh.read(), lineno)
 
-    if not saw_columns:
-        raise ScoreLogError("missing column row")
     meta = _meta_from_header(header)
-    log = ScoredEventLog.from_records(records, meta.strategies)
+    log = ScoredEventLog._from_array(records, meta.strategies)
     log.validate()
     return log, meta
 
 
+def _parse_records(body: str, column_row: int) -> np.ndarray:
+    """The records after the column row (line ``column_row``) as one typed
+    array, blank lines skipped. Only when that parse fails or yields a
+    non-finite score are the lines walked, to raise the first bad one's error."""
+    if not body.lstrip("\r\n"):
+        return np.empty(0, dtype=_RECORD)
+    try:
+        records = np.loadtxt(body.split("\n"), dtype=_RECORD, delimiter=",",
+                             comments=None, ndmin=1)
+        if np.all(np.isfinite(records["score"])):
+            return records
+        error = "non-finite score"
+    except ValueError as exc:
+        error = exc  # rejected by the columnar parse only, e.g. "1_0"
+    for lineno, raw in enumerate(body.split("\n"), start=column_row + 1):
+        line = raw.rstrip("\r")
+        if not line:
+            continue
+        if line.startswith("#"):
+            raise ScoreLogError("header line after column row", line=lineno)
+        parts = line.split(",")
+        if len(parts) != len(_RECORD.names):
+            raise ScoreLogError(f"expected 7 fields, got {len(parts)}", line=lineno)
+        try:
+            for i in (0, 1, 3, 4):
+                int(parts[i])
+            float(parts[5])
+            score = float(parts[6])
+        except ValueError as exc:
+            raise ScoreLogError(f"unparseable field ({exc})", line=lineno) from None
+        if math.isnan(score) or math.isinf(score):
+            raise ScoreLogError(f"non-finite score {parts[6]!r}", line=lineno)
+    raise ScoreLogError(f"unparseable record ({error})")
+
+
 def _meta_from_header(header: dict[str, str]) -> ScoreLogMeta:
-    required = ("dataset", "t_split", "batch_size", "strategies", "k", "seed", "scorer")
-    missing = [key for key in required if key not in header]
+    missing = [f.name for f in fields(ScoreLogMeta) if f.name not in header]
     if missing:
         raise ScoreLogError(f"missing header keys: {missing}")
     strategies = tuple(s for s in header["strategies"].split(",") if s)

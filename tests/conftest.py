@@ -104,6 +104,18 @@ def pair_counting_auc(pos, neg) -> float:
     return float((greater + 0.5 * equal) / (len(pos) * len(neg)))
 
 
+def brute_force_ranks(scores, groups) -> list[float]:
+    """Descending fractional rank of every score within its group, by
+    counting: 1 + #greater + (#equal - 1) / 2 over the members of the group."""
+    ranks = []
+    for s, g in zip(scores, groups):
+        peers = [x for x, h in zip(scores, groups) if h == g]
+        greater = sum(x > s for x in peers)
+        equal = sum(x == s for x in peers)
+        ranks.append(1 + greater + (equal - 1) / 2)
+    return ranks
+
+
 def brute_force_lifetimes(h: History, edges: bool = False) -> dict:
     """Per-key min/max timestamp by scanning the raw event list."""
     out: dict = {}

@@ -317,6 +317,46 @@ class TestPinnedOutputs:
                 "0c4ba97dcf2f8f63be03eb7b6c73be023dfc7cf6867d83dd4e1d7b1b20f5667d",
         }
 
+    def test_pinned_metric_digests(self, dataset, tmp_path, capsys):
+        # Golden sha256 of the AUC and MAR exports of the `metrics` command
+        # and of a two-log external `eval`, and the `metrics` table text;
+        # the binary pa/edgebank scores make every batch and group full of ties.
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        logs = []
+        for scorer in ("pa", "edgebank"):
+            out = tmp_path / scorer
+            assert run("eval", dataset, "--scorer", scorer, *self.ARGS,
+                       "--batch-size", "37", "--out", out) == 0
+            logs.append(out / "scores.csv")
+        capsys.readouterr()
+        m, x = tmp_path / "m", tmp_path / "x"
+        assert run("metrics", "--log", logs[0], "--bins", "7", "--period", "all",
+                   "--out", m) == 0
+        assert capsys.readouterr().out == (
+            "strategy    mean_auc  batches  skipped\n"
+            "OS            0.4982       11        0\n"
+            "HE            0.4963       11        0\n"
+            "IE            0.5012       11        0\n"
+            "RND           0.5006       11        0\n")
+        assert run("eval", dataset, "--scorer", "external", "--logs", *logs,
+                   "--bins", "7", "--out", x) == 0
+        got = {path.relative_to(tmp_path).as_posix(): digest(path) for path in (
+            m / "auc.csv", m / "mar.csv", x / "auc_seed0.csv", x / "auc_seed1.csv",
+            x / "auc_summary.csv", x / "mar.csv")}
+        assert got == {
+            "m/auc.csv": "b59c4b76f0099aca80c81c36d47340048ad394fd8d4026e0c74390eb906b61de",
+            "m/mar.csv": "d1c71320742ee70670400475d0d36768e162da65d2f465b6d2bab56b8b83430e",
+            "x/auc_seed0.csv":
+                "a22d133036b56dc8e0001ba19195843035219320fc16ce39d87f139bfbb49e45",
+            "x/auc_seed1.csv":
+                "02baf843a5946c533ee3af68677862026bc487416052d778f9eec278291b8694",
+            "x/auc_summary.csv":
+                "1b0c2643457a43176116580dd896af41cf7c8a8b8db9ffd07c61eec24dc0b642",
+            "x/mar.csv": "d1c71320742ee70670400475d0d36768e162da65d2f465b6d2bab56b8b83430e",
+        }
+
     def test_sample_rows_are_eval_negatives(self, dataset, tmp_path):
         # external-replay contract: `sample` exports exactly the negative
         # records `eval` scores for the same seed, strategies and k

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_history, random_history
 from dlpeval import GraphKind, History, IngestError, ingest_csv
@@ -185,3 +186,34 @@ class TestFromArrays:
             History.from_arrays([0, 1], [1, 3], [1.0, 2.0], kind, num_sources=2)
         h = History.from_arrays([0, 1], [2, 3], [1.0, 2.0], kind, num_sources=2)
         assert h.num_sources == 2
+
+
+class TestOccurs:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        directed=st.booleans(),
+        n_nodes=st.integers(1, 6),
+        events=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 6)),
+                        max_size=25),
+        queries=st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8),
+                                   st.sampled_from([0.0, 1.0, 2.5, 3.0, 6.0, 7.0, -1.0])),
+                         max_size=40),
+    )
+    def test_matches_set_oracle(self, directed, n_nodes, events, queries):
+        # timestamps 2.5 and 7.0 never occur; ids -2, -1 and >= n_nodes are
+        # outside the stream; undirected edges match in either orientation
+        kind = GraphKind(directed=directed, allow_self_loops=True)
+        events = [(u % n_nodes, v % n_nodes, float(t)) for u, v, t in events]
+        h = build_history(events, kind=kind, num_nodes=n_nodes)
+
+        def canon(u, v):
+            return (u, v) if directed else (min(u, v), max(u, v))
+
+        truth = {(canon(u, v), t) for u, v, t in events}
+        # absent edges next to true ones, at their timestamps
+        queries = queries + [(u, v + d, t) for u, v, t in events for d in (-1, 1)]
+        u, v, t = (np.asarray(c) for c in zip(*queries)) if queries else (
+            np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+        want = [0 <= a < n_nodes and 0 <= b < n_nodes and (canon(a, b), c) in truth
+                for a, b, c in queries]
+        assert h.occurs(u, v, t).tolist() == want

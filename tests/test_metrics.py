@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_log, pair_counting_auc, worked_example_log
+from conftest import brute_force_ranks, make_log, pair_counting_auc, worked_example_log
 from dlpeval import (
     ScoredEventLog,
     batch_auc,
@@ -12,6 +13,22 @@ from dlpeval import (
 )
 from dlpeval.metrics import fractional_ranks, write_auc_csv, write_mar_csv
 from dlpeval.scorelog import POSITIVE_ROLE
+
+
+@st.composite
+def tied_logs(draw):
+    """A log of 1-12 events: a positive plus 0-3 negatives of each of two
+    strategies, scored on a binary or a coarse grid, with tied timestamps
+    and non-decreasing batches."""
+    grid = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.25, 0.5, 0.75, 1.0)]))
+    score = st.sampled_from(grid)
+    n = draw(st.integers(1, 12))
+    groups = [(draw(score), {s: draw(st.lists(score, max_size=3)) for s in ("A", "B")})
+              for _ in range(n)]
+    t = np.cumsum(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))).tolist()
+    batch = np.cumsum(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))).tolist()
+    return make_log(groups, ("A", "B"), batch_of=batch.__getitem__,
+                    t_of=lambda o: float(t[o]))
 
 
 class TestBatchAuc:
@@ -102,7 +119,7 @@ class TestMeanAucOverBatches:
         groups = [(1.0, {"NS": [0.0]}), (0.0, {"NS": [1.0]})]
         log = make_log(groups, ("NS",), batch_of=lambda o: o)
         report = mean_auc_over_batches(log, "NS", period="all")
-        assert [e.auc for e in report.entries] == [1.0, 0.0]
+        assert report.auc.tolist() == [1.0, 0.0]
         assert report.mean_auc == 0.5
 
     def test_single_batch_identity(self):
@@ -134,8 +151,34 @@ class TestMeanAucOverBatches:
         ]
         log = ScoredEventLog.from_records(records, ("NS",))
         report = mean_auc_over_batches(log, "NS", "all")
-        assert len(report.entries) == 1
+        assert len(report.auc) == 1
         assert report.skipped_batches == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(log=tied_logs(), strategy=st.sampled_from(["A", "B"]),
+           period=st.sampled_from(["all", "test"]), t_split=st.integers(0, 12))
+    def test_matches_pair_counting_per_batch(self, log, strategy, period, t_split):
+        keep = (log.timestamp >= t_split) if period == "test" else np.ones(len(log), bool)
+        want, skipped = [], 0
+        for b in np.unique(log.batch[keep & np.isin(log.role, [POSITIVE_ROLE, strategy])]):
+            sel = keep & (log.batch == b)
+            pos = log.score[sel & (log.role == POSITIVE_ROLE)]
+            neg = log.score[sel & (log.role == strategy)]
+            if len(pos) and len(neg):
+                times = log.timestamp[sel & np.isin(log.role, [POSITIVE_ROLE, strategy])]
+                want.append((int(b), times.min(), times.max(), pair_counting_auc(pos, neg)))
+            else:
+                skipped += 1
+        if strategy not in log.role or not want:
+            with pytest.raises(ValueError):
+                mean_auc_over_batches(log, strategy, period, float(t_split))
+            return
+        report = mean_auc_over_batches(log, strategy, period, float(t_split))
+        got = list(zip(report.batch.tolist(), report.t_start.tolist(),
+                       report.t_end.tolist(), report.auc.tolist()))
+        assert got == want
+        assert report.mean_auc == np.mean([w[3] for w in want])
+        assert report.skipped_batches == skipped
 
     def test_no_usable_batch_is_an_error(self):
         records = [(0, 0, POSITIVE_ROLE, 0, 1, 0.0, 1.0)]
@@ -204,6 +247,24 @@ class TestMarTimeSeries:
         finite = series.mar[np.isfinite(series.mar)]
         assert finite.min() >= 1.0
         assert finite.max() <= 7.0  # group size 1 + 2 strategies x 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(log=tied_logs(), bins=st.integers(1, 6))
+    def test_matches_brute_force_ranks(self, log, bins):
+        # every record's rank within its event, summed per (role, bin)
+        ranks = brute_force_ranks(log.score.tolist(), log.event_ordinal.tolist())
+        t0, t1 = log.timestamp.min(), log.timestamp.max()
+        sums = np.zeros((3, bins))
+        counts = np.zeros((3, bins), dtype=np.int64)
+        for role, t, rank in zip(log.role.tolist(), log.timestamp.tolist(), ranks):
+            b = min(int((t - t0) / (t1 - t0) * bins), bins - 1) if t1 > t0 else 0
+            r = (POSITIVE_ROLE, "A", "B").index(role)
+            sums[r, b] += rank
+            counts[r, b] += 1
+        series = mar_time_series(log, bins)
+        assert np.array_equal(series.counts, counts)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(series.mar, sums / counts, equal_nan=True)
 
     def test_bins_must_be_positive(self):
         log = make_log([(1.0, {"NS": [0.0]})], ("NS",))

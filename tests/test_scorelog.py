@@ -1,7 +1,9 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_history, sample_and_score
 from dlpeval import (
@@ -75,6 +77,39 @@ class TestRoundTrip:
         log2, _ = read_score_log(io.StringIO(text))
         assert np.array_equal(log.score, log2.score)
         assert np.array_equal(log.timestamp, log2.timestamp)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3]
+
+
+@st.composite
+def awkward_logs(draw):
+    """A log of 1-8 events with ties among scores and timestamps and the
+    floats whose text is easiest to get wrong."""
+    value = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    n = draw(st.integers(1, 8))
+    t = sorted(draw(st.lists(st.sampled_from(EDGE_FLOATS[:4] + [2.5]),
+                             min_size=n, max_size=n)))
+    records = []
+    for o in range(n):
+        negatives = draw(st.lists(st.sampled_from(["OE", "OD"]), max_size=4))
+        for role in [POSITIVE_ROLE] + negatives:
+            records.append((o, o // 3, role, draw(st.integers(0, 10**12)),
+                            draw(st.integers(0, 9)), t[o], draw(value)))
+    return ScoredEventLog.from_records(records, ("OE", "OD"))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(log=awkward_logs())
+    def test_write_read_write_is_byte_identical(self, log):
+        text = dumps_score_log(log, _meta())
+        log2, meta2 = read_score_log(io.StringIO(text))
+        assert log2 == log and meta2 == _meta()
+        assert np.array_equal(log2.score.view(np.int64), log.score.view(np.int64))
+        assert np.array_equal(log2.timestamp.view(np.int64), log.timestamp.view(np.int64))
+        assert dumps_score_log(log2, meta2) == text
 
 
 class TestWriteValidation:
@@ -187,3 +222,44 @@ class TestReadValidation:
         text = "# dataset=x\nordinal,role,score\n"
         with pytest.raises(ScoreLogError, match="column row"):
             read_score_log(io.StringIO(text))
+
+    def test_long_undeclared_role_with_declared_prefix_rejected(self):
+        # a role wider than every declared one must not be cut into a match
+        text = self._text([
+            "0,0,positive,0,1,1.0,1.0",
+            "0,0,OEXXXXXXXXXX,2,3,1.0,0.0",
+        ])
+        with pytest.raises(ScoreLogError,
+                           match=r"undeclared roles present: \[.*'OEXXXXXXXXXX'\)?\]"):
+            read_score_log(io.StringIO(text))
+
+    def test_header_only_log_reads_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log, meta = read_score_log(io.StringIO(self._text([])))
+        assert len(log) == 0 and meta.strategies == ("OE",)
+
+    @pytest.mark.parametrize("row,message", [
+        ("0,5.0,positive,0,1,1.0,1.0",
+         "line 9: unparseable field (invalid literal for int() with base 10: '5.0')"),
+        ("0,0,positive,0,1,1.0,",
+         "line 9: unparseable field (could not convert string to float: '')"),
+    ])
+    def test_bad_number_reports_its_line(self, row, message):
+        text = self._text([row, "0,0,OE,2,3,1.0,0.0"])
+        with pytest.raises(ScoreLogError) as info:
+            read_score_log(io.StringIO(text))
+        assert str(info.value) == message
+        assert info.value.line == 9
+
+    def test_header_line_after_column_row_reports_line(self):
+        text = self._text(["0,0,positive,0,1,1.0,1.0", "", "# scorer=other"])
+        with pytest.raises(ScoreLogError) as info:
+            read_score_log(io.StringIO(text))
+        assert str(info.value) == "line 11: header line after column row"
+
+    def test_blank_body_lines_are_skipped(self):
+        rows = ["0,0,positive,0,1,1.0,1.0", "0,0,OE,2,3,1.0,0.0"]
+        plain, _ = read_score_log(io.StringIO(self._text(rows)))
+        spaced, _ = read_score_log(io.StringIO(self._text(["", rows[0], "", "", rows[1], ""])))
+        assert spaced == plain and len(plain) == 2
