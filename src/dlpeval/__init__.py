@@ -5,7 +5,7 @@ batched tie-aware AUC, rank-over-time series and diagram emission."""
 
 __version__ = "0.1.0"
 
-from .core import Event, GraphKind, History, ingest_csv
+from .core import GraphKind, History, ingest_csv
 from .errors import (
     DegenerateSplitError,
     DlpEvalError,
@@ -14,14 +14,11 @@ from .errors import (
     ScoreLogError,
 )
 from .metrics import (
-    ConfusionMatrix,
     MARSeries,
     batch_auc,
-    confusion_at_threshold,
     fractional_ranks,
     mar_time_series,
     mean_auc_over_batches,
-    rank_within_group,
 )
 from .partition import (
     CategoryCounts,
@@ -30,7 +27,6 @@ from .partition import (
     LifetimeTable,
     PartitionReport,
     TemporalCategory,
-    categorize,
     compute_cutoff,
     lifetimes,
     partition_report,
@@ -57,17 +53,16 @@ from .scorers import (
 )
 
 __all__ = [
-    "Event", "GraphKind", "History", "ingest_csv",
+    "GraphKind", "History", "ingest_csv",
     "DlpEvalError", "IngestError", "DegenerateSplitError",
     "EmptyCandidateSetError", "ScoreLogError",
     "TemporalCategory", "KeyKind", "Lifetime", "LifetimeTable", "CategoryCounts",
-    "PartitionReport", "compute_cutoff", "split", "categorize", "lifetimes",
+    "PartitionReport", "compute_cutoff", "split", "lifetimes",
     "partition_report", "surprise_sweep",
     "NegativeStrategy", "CandidateIndex",
     "build_candidate_index", "sample_negatives", "sample_stream",
     "ScorerKind", "heuristic_scores", "run_streaming_eval",
-    "ConfusionMatrix", "MARSeries", "batch_auc", "confusion_at_threshold",
-    "fractional_ranks", "rank_within_group", "mar_time_series",
+    "MARSeries", "batch_auc", "fractional_ranks", "mar_time_series",
     "mean_auc_over_batches",
     "ScoredEventLog", "ScoreLogMeta", "read_score_log", "write_score_log",
 ]

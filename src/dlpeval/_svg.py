@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 
 def fmt(x: float) -> str:
     """Compact fixed-precision coordinate formatting."""
@@ -29,12 +31,14 @@ class SvgDocument:
             f'stroke="{stroke}" stroke-width="{fmt(width)}"{dash_attr}/>'
         )
 
-    def circle(self, cx, cy, r, fill="#000000", opacity: float | None = None):
+    def circles(self, cx, cy, r, fill="#000000", opacity: float | None = None):
+        """One circle per point of the ``cx`` and ``cy`` columns; ``fill`` is
+        one color or a column of colors."""
+        cx, cy = np.asarray(cx, dtype=np.float64), np.asarray(cy, dtype=np.float64)
+        fills = np.broadcast_to(np.asarray(fill, dtype=object), cx.shape).tolist()
         opacity_attr = f' fill-opacity="{fmt(opacity)}"' if opacity is not None else ""
-        self._parts.append(
-            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" '
-            f'fill="{fill}"{opacity_attr}/>'
-        )
+        row = f'<circle cx="{{}}" cy="{{}}" r="{fmt(r)}" fill="{{}}"{opacity_attr}/>'.format
+        self._parts.extend(map(row, map(fmt, cx.tolist()), map(fmt, cy.tolist()), fills))
 
     def rect(self, x, y, w, h, fill="none", stroke: str | None = None, stroke_width=1.0):
         stroke_attr = (

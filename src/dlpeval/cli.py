@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import GraphKind, History, ingest_csv
+from .core import GraphKind, History, _open_for_write, _table_columns, _write_rows, ingest_csv
 from .diagrams import bd_diagram, mar_plot, surprise_curve
 from .errors import DlpEvalError, EmptyCandidateSetError, ScoreLogError
 from .metrics import (
@@ -401,10 +401,9 @@ def cmd_eval(args) -> int:
         mean, std = float(np.mean(aucs)), float(np.std(aucs))
         summary_rows.append((strategy, mean, std, len(aucs)))
         print(f"{strategy:10s} {mean:>9.4f} {std:>7.4f}")
-    with open(out / "auc_summary.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_for_write(out / "auc_summary.csv") as fh:
         fh.write("strategy,mean_auc,std_auc,n_logs\n")
-        for strategy, mean, std, n in summary_rows:
-            fh.write(f"{strategy},{mean!r},{std!r},{n}\n")
+        _write_rows(fh, "{},{!r},{!r},{}\n", _table_columns(summary_rows, 4))
     outputs.append("auc_summary.csv")
 
     series = mar_time_series(logs[0], bins=args.bins)

@@ -12,21 +12,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
 from .errors import IngestError
 
 MINIMAL_HEADER = ("source", "destination", "timestamp")
-
-
-class Event(NamedTuple):
-    source: int
-    destination: int
-    t: float
 
 
 @dataclass(frozen=True)
@@ -129,21 +125,6 @@ class History:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self.t)):
-            yield self.event(i)
-
-    def event(self, i: int) -> Event:
-        return Event(int(self.src[i]), int(self.dst[i]), float(self.t[i]))
-
-    @property
-    def t_min(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.t[-1])
-
     def slice_until(self, t: float) -> "History":
         """Events strictly before ``t``, sharing array storage with self."""
         n = int(np.searchsorted(self.t, t, side="left"))
@@ -197,10 +178,6 @@ class History:
         at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
         return in_range & (times[t_at] == t) & (edges[e_at] == key) & (codes[at] == code)
 
-    def observed_nodes(self) -> np.ndarray:
-        """Sorted ids of nodes that appear in at least one event."""
-        return np.unique(np.concatenate([self.src, self.dst]))
-
     # -- export ----------------------------------------------------------
 
     def label_of(self, node: int) -> str:
@@ -208,27 +185,56 @@ class History:
 
     def export_csv(self, dest: str | Path | TextIO) -> None:
         """Write the stream as minimal-schema CSV with original labels."""
+        labels = self._label_fields()
         with _open_for_write(dest) as fh:
             fh.write(",".join(MINIMAL_HEADER) + "\n")
-            for i in range(len(self)):
-                fh.write(
-                    f"{self.label_of(int(self.src[i]))},"
-                    f"{self.label_of(int(self.dst[i]))},"
-                    f"{float(self.t[i])!r}\n"
-                )
+            _write_rows(fh, "{},{},{!r}\n", [labels[self.src], labels[self.dst], self.t])
 
     def export_label_map(self, dest: str | Path | TextIO) -> None:
         """Write the dense-id to original-label map as ``id,label`` CSV."""
         with _open_for_write(dest) as fh:
             fh.write("id,label\n")
-            for i in range(self.num_nodes):
-                fh.write(f"{i},{self.label_of(i)}\n")
+            _write_rows(fh, "{},{}\n", [np.arange(self.num_nodes), self._label_fields()])
+
+    def _label_fields(self) -> np.ndarray:
+        """Each node's label as one CSV field, indexed by node id."""
+        if self.labels is None:
+            return np.arange(self.num_nodes)
+        return np.array([_csv_field(s) for s in self.labels], dtype=object)
+
+
+_CHUNK = 8192  # rows per formatted chunk, which bounds the lists .tolist() makes
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, when it
+    holds a comma, quote or line break, as ``csv`` writes it by default."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _write_rows(fh: TextIO, row_format: str, columns) -> None:
+    """Write one ``row_format`` line per row of aligned numpy ``columns``,
+    formatting ``_CHUNK`` rows at a time with one ``str.format`` map."""
+    fill = row_format.format
+    for start in range(0, len(columns[0]), _CHUNK):
+        fh.write("".join(map(fill, *(c[start:start + _CHUNK].tolist() for c in columns))))
+
+
+def _table_columns(rows, width: int) -> np.ndarray:
+    """The columns of a few table rows, each None as an empty field; ``{}``
+    prints the floats among them as their repr."""
+    table = np.array(list(rows), dtype=object).reshape(-1, width)
+    table[np.equal(table, None)] = ""
+    return table.T
 
 
 def _open_for_write(dest: str | Path | TextIO):
     if isinstance(dest, (str, Path)):
         return open(dest, "w", encoding="utf-8", newline="")
-    return _NonClosing(dest)
+    return nullcontext(dest)
 
 
 def _open_for_read(source: str | Path | TextIO):
@@ -236,20 +242,7 @@ def _open_for_read(source: str | Path | TextIO):
         return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, (bytes, bytearray)):
         return io.StringIO(source.decode("utf-8"))
-    return _NonClosing(source)
-
-
-class _NonClosing:
-    """Context wrapper that leaves caller-owned streams open."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __enter__(self):
-        return self._stream
-
-    def __exit__(self, *exc):
-        return False
+    return nullcontext(source)
 
 
 def ingest_csv(

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._svg import SvgDocument
+from .core import _write_rows
 from .errors import DlpEvalError
 from .metrics import MARSeries
 from .partition import LifetimeTable, SweepPoint, TemporalCategory, category_codes
@@ -99,15 +100,16 @@ def _role_color(role: str, i: int) -> str:
     return by_category.get(role[:1], _LINE_CYCLE[i % len(_LINE_CYCLE)])
 
 
-def _stratified_sample(categories: np.ndarray, max_points: int, seed: int) -> np.ndarray:
-    """Indexes to render, proportional per category, deterministic for a seed."""
-    n = len(categories)
+def _stratified_sample(codes: np.ndarray, max_points: int, seed: int) -> np.ndarray:
+    """Indexes to render, proportional per category code, deterministic for
+    a seed. Codes are drawn in the sorted order of their category names."""
+    n = len(codes)
     if n <= max_points:
         return np.arange(n)
     rng = np.random.default_rng(seed)
     keep: list[np.ndarray] = []
-    for cat in sorted(set(categories)):
-        members = np.flatnonzero(categories == cat)
+    for code in np.argsort(_CATEGORY_NAMES):
+        members = np.flatnonzero(codes == code)
         quota = max(1, int(round(max_points * len(members) / n)))
         if quota >= len(members):
             keep.append(members)
@@ -142,21 +144,12 @@ def bd_diagram(
         raise DlpEvalError("birth-death diagram needs at least one lifetime")
 
     doc = SvgDocument(_PANEL_W * len(panels), _PANEL_H)
-    csv_rows: list[str] = []
+    colors = np.array([palette[cat] for cat in TemporalCategory], dtype=object)
     for p, (panel_title, table) in enumerate(panels):
         if len(table) == 0:
             raise DlpEvalError(f"panel {panel_title!r} has no lifetimes")
         births, deaths = table.births, table.deaths
-        # names, not codes: the seeded stratified draw visits categories in
-        # sorted name order, so the rendered sample depends on that order
-        cats = _CATEGORY_NAMES[category_codes(births, deaths, t_split)]
-        if table.num_nodes is None:
-            key_text = table.ids.tolist()
-        else:
-            key_text = [f"{a}|{b}" for a, b in table]
-        prefix = f"{panel_title}:" if len(panels) > 1 else ""
-        for k, b, d, c in zip(key_text, births.tolist(), deaths.tolist(), cats.tolist()):
-            csv_rows.append(f"{prefix}{k},{b!r},{d!r},{c}")
+        codes = category_codes(births, deaths, t_split)
 
         lo = float(min(births.min(), deaths.min()))
         hi = float(max(births.max(), deaths.max(), t_split))
@@ -172,16 +165,13 @@ def bd_diagram(
         doc.line(frame.x0, frame.py(t_split), frame.x1, frame.py(t_split),
                  stroke=_GUIDE, dash="5,3")
 
-        shown = _stratified_sample(cats, max_points, seed)
-        for i in shown:
-            cat = TemporalCategory(cats[i])
-            doc.circle(frame.px(float(deaths[i])), frame.py(float(births[i])),
-                       2.2, fill=palette[cat], opacity=0.6)
+        shown = _stratified_sample(codes, max_points, seed)
+        doc.circles(frame.px(deaths[shown]), frame.py(births[shown]), 2.2,
+                    fill=colors[codes[shown]], opacity=0.6)
 
         # legend with per-category counts
         ly = frame.y0 + 6
-        for cat in TemporalCategory:
-            n_cat = int(np.count_nonzero(cats == cat.value))
+        for cat, n_cat in zip(TemporalCategory, np.bincount(codes, minlength=3).tolist()):
             doc.rect(frame.x0 + 8, ly, 10, 10, fill=palette[cat])
             doc.text(frame.x0 + 22, ly + 9,
                      f"{cat.value.capitalize()} (n={n_cat})", size=11)
@@ -191,7 +181,17 @@ def bd_diagram(
     doc.write(svg_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("key,birth,death,category\n")
-        fh.write("\n".join(csv_rows) + "\n")
+        for panel_title, table in panels:
+            # the prefix is literal text in the row format: double its braces
+            prefix = (panel_title.replace("{", "{{").replace("}", "}}") + ":"
+                      if len(panels) > 1 else "")
+            if table.num_nodes is None:
+                keys, key_format = [table.ids], "{}"
+            else:
+                keys, key_format = np.divmod(table.ids, table.num_nodes), "{}|{}"
+            codes = category_codes(table.births, table.deaths, t_split)
+            _write_rows(fh, prefix + key_format + ",{!r},{!r},{}\n",
+                        [*keys, table.births, table.deaths, _CATEGORY_NAMES[codes]])
     return svg_path, csv_path
 
 
@@ -224,8 +224,7 @@ def surprise_curve(
             if p.node_surprise is not None and p.edge_surprise is not None
         ]
         doc.polyline(coords, stroke=color)
-        for x, y in coords:
-            doc.circle(x, y, 2.5, fill=color)
+        doc.circles(*np.reshape(coords, (-1, 2)).T, 2.5, fill=color)
         if mark_ratio is not None:
             for p in points:
                 if p.node_surprise is None or abs(p.ratio - mark_ratio) > 1e-9:
@@ -260,18 +259,15 @@ def mar_plot(series: MARSeries, t_split: float | None, svg_path: str | Path) -> 
         doc.text(frame.px(t_split) + 3, frame.y0 + 12, "split", size=10, fill=_GUIDE)
 
     legend_x = frame.x1 + 14
+    xs = frame.px(centers)
     for r, role in enumerate(series.roles):
         color = _role_color(role, r)
-        run: list[tuple[float, float]] = []
-        for b in range(series.bins):
-            if np.isfinite(series.mar[r, b]):
-                x, y = frame.px(float(centers[b])), frame.py(float(series.mar[r, b]))
-                run.append((x, y))
-                doc.circle(x, y, 2.0, fill=color)
-            else:
-                doc.polyline(run, stroke=color)
-                run = []
-        doc.polyline(run, stroke=color)
+        ys = frame.py(series.mar[r])
+        # each run of non-empty bins draws its markers, then its line
+        for run in np.split(np.arange(series.bins), np.flatnonzero(~finite[r])):
+            run = run[finite[r, run]]
+            doc.circles(xs[run], ys[run], 2.0, fill=color)
+            doc.polyline(list(zip(xs[run].tolist(), ys[run].tolist())), stroke=color)
         doc.rect(legend_x, frame.y0 + 6 + 16 * r, 10, 10, fill=color)
         doc.text(legend_x + 14, frame.y0 + 15 + 16 * r, role, size=11)
 

@@ -16,22 +16,13 @@ sum is exact in float64 whatever its order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .core import _open_for_write
+from .core import _open_for_write, _write_rows
 from .scorelog import POSITIVE_ROLE, ScoredEventLog
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
 
 
 def _descending_ranks(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -61,14 +52,6 @@ def fractional_ranks(scores: Sequence[float]) -> np.ndarray:
     return _descending_ranks(scores, np.zeros(len(scores), dtype=np.int64))
 
 
-def rank_within_group(scores: Sequence[float]) -> np.ndarray:
-    """Fractional ranks of one comparison group (positive plus negatives)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) < 2:
-        raise ValueError("a comparison group needs at least 2 members")
-    return fractional_ranks(scores)
-
-
 def _rank_sum_auc(n_pos, n_neg, pos_rank_sum):
     """AUC from the positives' descending ranks among all ``n_pos + n_neg``
     scores: their ascending ranks sum to ``n_pos * (n + 1) - pos_rank_sum``.
@@ -88,19 +71,6 @@ def batch_auc(positive_scores: Sequence[float], negative_scores: Sequence[float]
         raise ValueError("AUC is undefined when either class is empty")
     ranks = fractional_ranks(np.concatenate([pos, neg]))
     return float(_rank_sum_auc(len(pos), len(neg), ranks[: len(pos)].sum()))
-
-
-def confusion_at_threshold(
-    log: ScoredEventLog, strategy: str, threshold: float
-) -> ConfusionMatrix:
-    """Confusion counts treating score >= threshold as a positive prediction."""
-    if strategy not in set(np.unique(log.role)):
-        raise ValueError(f"strategy {strategy!r} not present in log")
-    pos = log.score[log.role == POSITIVE_ROLE]
-    neg = log.score[log.role == strategy]
-    tp = int(np.count_nonzero(pos >= threshold))
-    fp = int(np.count_nonzero(neg >= threshold))
-    return ConfusionMatrix(tp, fp, len(pos) - tp, len(neg) - fp)
 
 
 @dataclass(frozen=True)
@@ -227,19 +197,21 @@ def write_auc_csv(reports: Iterable[BatchAUCReport], dest: str | Path | TextIO) 
     with _open_for_write(dest) as fh:
         fh.write("strategy,batch,t_start,t_end,auc\n")
         for r in reports:
-            fh.writelines(map("{},{},{!r},{!r},{!r}\n".format, repeat(r.strategy),
-                              r.batch.tolist(), r.t_start.tolist(), r.t_end.tolist(),
-                              r.auc.tolist()))
+            _write_rows(fh, "{},{},{!r},{!r},{!r}\n", [
+                np.full(len(r.batch), r.strategy, dtype=object),
+                r.batch, r.t_start, r.t_end, r.auc])
 
 
 def write_mar_csv(series: MARSeries, dest: str | Path | TextIO) -> None:
-    """CSV export: ``bin,t_start,t_end,role,mar,count``."""
+    """CSV export: ``bin,t_start,t_end,role,mar,count``, bin by bin, with an
+    empty ``mar`` where a cell has no count."""
+    n_roles = len(series.roles)
+    mar = series.mar.T.ravel().astype(object)
+    count = series.counts.T.ravel()
+    mar[count == 0] = ""  # "{}" prints the other cells' floats as their repr
     with _open_for_write(dest) as fh:
         fh.write("bin,t_start,t_end,role,mar,count\n")
-        for b in range(series.bins):
-            lo = float(series.bin_edges[b])
-            hi = float(series.bin_edges[b + 1])
-            for r, role in enumerate(series.roles):
-                count = int(series.counts[r, b])
-                mar = "" if count == 0 else repr(float(series.mar[r, b]))
-                fh.write(f"{b},{lo!r},{hi!r},{role},{mar},{count}\n")
+        _write_rows(fh, "{},{!r},{!r},{},{},{}\n", [
+            np.repeat(np.arange(series.bins), n_roles),
+            np.repeat(series.bin_edges[:-1], n_roles), np.repeat(series.bin_edges[1:], n_roles),
+            np.tile(np.array(series.roles, dtype=object), series.bins), mar, count])

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import History, _open_for_write
+from .core import History, _open_for_write, _table_columns, _write_rows
 from .errors import DegenerateSplitError
 
 
@@ -124,12 +124,6 @@ def category_codes(births, deaths, t_split: float) -> np.ndarray:
     """Per-key index into TemporalCategory: 0 historical (dies before the
     cutoff), 2 inductive (born at or after it), 1 overlap (straddles it)."""
     return np.where(deaths < t_split, 0, np.where(births >= t_split, 2, 1))
-
-
-def categorize(lifetime: Lifetime, t_split: float) -> TemporalCategory:
-    """Category of a key with the given lifetime relative to a cutoff."""
-    code = category_codes(lifetime.birth, lifetime.death, t_split)
-    return list(TemporalCategory)[int(code)]
 
 
 def node_lifetime_arrays(
@@ -238,21 +232,15 @@ def surprise_sweep(h: History, ratios: Iterable[float]) -> list[SweepPoint]:
 
 def write_partition_csv(report: PartitionReport, dest: str | Path | TextIO) -> None:
     """CSV export: ``kind,total,historical,overlap,inductive,surprise``."""
+    rows = [(kind.value, c.total, c.historical, c.overlap, c.inductive, c.surprise)
+            for kind, c in report.counts.items()]
     with _open_for_write(dest) as fh:
         fh.write("kind,total,historical,overlap,inductive,surprise\n")
-        for kind, c in report.counts.items():
-            surprise = "" if c.surprise is None else repr(c.surprise)
-            fh.write(
-                f"{kind.value},{c.total},{c.historical},{c.overlap},"
-                f"{c.inductive},{surprise}\n"
-            )
+        _write_rows(fh, "{},{},{},{},{},{}\n", _table_columns(rows, 6))
 
 
 def write_sweep_csv(points: Iterable[SweepPoint], dest: str | Path | TextIO) -> None:
     """CSV export: ``ratio,node_surprise,edge_surprise``."""
     with _open_for_write(dest) as fh:
         fh.write("ratio,node_surprise,edge_surprise\n")
-        for p in points:
-            ns = "" if p.node_surprise is None else repr(p.node_surprise)
-            es = "" if p.edge_surprise is None else repr(p.edge_surprise)
-            fh.write(f"{p.ratio!r},{ns},{es}\n")
+        _write_rows(fh, "{},{},{}\n", _table_columns(points, 3))

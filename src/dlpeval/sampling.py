@@ -26,7 +26,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import History, _open_for_write
+from .core import History, _open_for_write, _write_rows
 from .errors import EmptyCandidateSetError
 from .partition import (
     KeyKind,
@@ -125,19 +125,12 @@ class CandidateIndex:
     node_pools: dict[tuple[str, TemporalCategory | None], np.ndarray]
     edge_pools: dict[TemporalCategory, np.ndarray]
 
-    def nodes_in(self, category: TemporalCategory | None, role: str = "all") -> np.ndarray:
-        if not self.history.kind.bipartite:
-            role = "all"
-        return self.node_pools[(role, category)]
-
-    def edges_in(self, category: TemporalCategory) -> np.ndarray:
-        return self.edge_pools[category]
-
     def pool_for(self, strategy: NegativeStrategy) -> np.ndarray:
         """The candidate pool a strategy draws from (nodes or edge pairs)."""
         if strategy.replaces == "edge":
-            return self.edges_in(strategy.category)
-        return self.nodes_in(strategy.category, role=strategy.replaces)
+            return self.edge_pools[strategy.category]
+        role = strategy.replaces if self.history.kind.bipartite else "all"
+        return self.node_pools[(role, strategy.category)]
 
 
 def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
@@ -278,10 +271,9 @@ def sample_stream(
     no_legal = n - ok.sum(axis=0)
     if len(kept) < n and on_empty == "abort":
         i = int(np.argmin(ok.all(axis=1)))
-        pos = h.event(i)
         raise EmptyCandidateSetError(
             f"{strategies[int(np.argmin(ok[i]))].value}: no legal candidate for "
-            f"positive ({pos.source}, {pos.destination}, {pos.t}) "
+            f"positive ({int(h.src[i])}, {int(h.dst[i])}, {float(h.t[i])}) "
             f"after {MAX_ATTEMPTS} attempts"
         )
     for s, count in zip(strategies, no_legal.tolist()):
@@ -296,14 +288,14 @@ def sample_stream(
 
 def write_negatives_csv(sampled: SampledStream, dest: str | Path | TextIO) -> None:
     """CSV export for replay into external models:
-    ``event_ordinal,strategy,source,destination,timestamp``."""
-    n_kept, _, k = sampled.source.shape
-    names = [s.value for s in sampled.strategies for _ in range(k)]
-    rows = zip(sampled.timestamp.tolist(),
-               sampled.source.reshape(n_kept, len(names)).tolist(),
-               sampled.destination.reshape(n_kept, len(names)).tolist())
+    ``event_ordinal,strategy,source,destination,timestamp``, event by event,
+    then strategy by strategy."""
+    n_kept, n_strategies, k = sampled.source.shape
+    per_event = n_strategies * k
+    names = np.repeat(np.array([s.value for s in sampled.strategies], dtype=object), k)
     with _open_for_write(dest) as fh:
         fh.write("event_ordinal,strategy,source,destination,timestamp\n")
-        for ordinal, (t, us, vs) in enumerate(rows):
-            fh.writelines(f"{ordinal},{name},{u},{v},{t!r}\n"
-                          for name, u, v in zip(names, us, vs))
+        _write_rows(fh, "{},{},{},{},{!r}\n", [
+            np.repeat(np.arange(n_kept), per_event), np.tile(names, n_kept),
+            sampled.source.ravel(), sampled.destination.ravel(),
+            np.repeat(sampled.timestamp, per_event)])

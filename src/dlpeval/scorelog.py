@@ -8,9 +8,10 @@ any external model stack can produce it and feed its predictions into the
 metrics and plotting pipeline. Scores are printed with 17 significant
 digits, which round-trips 64-bit floats exactly.
 
-Both directions work on columns: the writer formats column lists with one
-``str.format`` map per chunk, and the reader parses the body once into typed
-columns, walking its lines only to name the line of an error.
+Both directions work on columns: the writer streams chunks of rows, each
+formatted from column lists with one ``str.format`` map, and the reader
+parses the body once into typed columns, walking its lines only to name the
+line of an error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import History, _open_for_read, _open_for_write
+from .core import History, _open_for_read, _open_for_write, _write_rows
 from .errors import ScoreLogError
 
 POSITIVE_ROLE = "positive"
@@ -33,7 +34,6 @@ _RECORD = np.dtype([
     ("timestamp", np.float64), ("score", np.float64),
 ])
 _COLUMNS = ",".join(_RECORD.names)
-_CHUNK = 8192  # records per formatted chunk, which bounds the lists .tolist() makes
 
 
 @dataclass
@@ -75,13 +75,6 @@ class ScoredEventLog:
         return self.strategies == other.strategies and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in _RECORD.names)
-
-    @classmethod
-    def from_records(cls, records, strategies: tuple[str, ...]) -> "ScoredEventLog":
-        """Build from an iterable of
-        (event_ordinal, batch, role, source, destination, timestamp, score)."""
-        return cls._from_array(np.array([tuple(r) for r in records], dtype=_RECORD),
-                               strategies)
 
     @classmethod
     def _from_array(cls, records: np.ndarray, strategies: tuple[str, ...]) -> "ScoredEventLog":
@@ -145,8 +138,10 @@ def check_positives(log: ScoredEventLog, h: History) -> None:
         )
 
 
-def dumps_score_log(log: ScoredEventLog, meta: ScoreLogMeta) -> str:
-    """Serialize a log deterministically; reading it back yields an equal log."""
+def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | TextIO) -> None:
+    """Write a log deterministically; reading it back yields an equal log.
+    An invalid log, or one with a role the header does not declare, raises
+    before ``dest`` is opened."""
     log.validate()
     undeclared = set(np.unique(log.role)) - {POSITIVE_ROLE, *meta.strategies}
     if undeclared:
@@ -154,17 +149,11 @@ def dumps_score_log(log: ScoredEventLog, meta: ScoreLogMeta) -> str:
             f"log contains strategies absent from header: {sorted(undeclared)}"
         )
     header = asdict(meta) | {"strategies": ",".join(meta.strategies)}
-    parts = [f"# {key}={value}\n" for key, value in header.items()] + [_COLUMNS + "\n"]
-    row = "{},{},{},{},{},{!r},{:.17g}\n".format
-    columns = [getattr(log, name) for name in _RECORD.names]
-    for start in range(0, len(log), _CHUNK):
-        parts.append("".join(map(row, *(c[start:start + _CHUNK].tolist() for c in columns))))
-    return "".join(parts)
-
-
-def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | TextIO) -> None:
     with _open_for_write(dest) as fh:
-        fh.write(dumps_score_log(log, meta))
+        fh.write("".join(f"# {key}={value}\n" for key, value in header.items()))
+        fh.write(_COLUMNS + "\n")
+        _write_rows(fh, "{},{},{},{},{},{!r},{:.17g}\n",
+                    [getattr(log, name) for name in _RECORD.names])
 
 
 def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog, ScoreLogMeta]:

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
-from dlpeval import GraphKind, History, build_candidate_index, run_streaming_eval, sample_stream
+from dlpeval import (
+    GraphKind,
+    History,
+    ScoredEventLog,
+    TemporalCategory,
+    build_candidate_index,
+    run_streaming_eval,
+    sample_stream,
+    write_score_log,
+)
+from dlpeval.partition import category_codes
+from dlpeval.scorelog import POSITIVE_ROLE
+
+# the score-log columns, in file order, and their dtypes
+LOG_COLUMNS = {"event_ordinal": np.int64, "batch": np.int64, "role": np.str_,
+               "source": np.int64, "destination": np.int64,
+               "timestamp": np.float64, "score": np.float64}
 
 
 def build_history(events, kind=GraphKind(), num_nodes=None, num_sources=None) -> History:
@@ -65,10 +83,47 @@ def scenario_history(scenario: int) -> History:
     return build_history(events + extra)
 
 
+def events_of(h: History) -> list[tuple[int, int, float]]:
+    """The stream as a list of (source, destination, t) tuples."""
+    return list(zip(h.src.tolist(), h.dst.tolist(), h.t.tolist()))
+
+
+def log_from_records(records, strategies) -> ScoredEventLog:
+    """Score log from an iterable of
+    (event_ordinal, batch, role, source, destination, timestamp, score)."""
+    columns = list(zip(*records)) or [()] * len(LOG_COLUMNS)
+    return ScoredEventLog(**{name: np.array(column, dtype=dtype) for (name, dtype), column
+                             in zip(LOG_COLUMNS.items(), columns)}, strategies=strategies)
+
+
+def written_log(log, meta) -> str:
+    """The text ``write_score_log`` writes for a log."""
+    buf = io.StringIO()
+    write_score_log(log, meta, buf)
+    return buf.getvalue()
+
+
+def score_log_text(log, meta) -> str:
+    """A score log's file text, built record by record."""
+    header = "".join(f"# {key}={value}\n" for key, value in (
+        ("dataset", meta.dataset), ("t_split", meta.t_split),
+        ("batch_size", meta.batch_size), ("strategies", ",".join(meta.strategies)),
+        ("k", meta.k), ("seed", meta.seed), ("scorer", meta.scorer)))
+    rows = [
+        "{},{},{},{},{},{!r},{:.17g}\n".format(*(getattr(log, name)[i].item()
+                                                for name in LOG_COLUMNS))
+        for i in range(len(log))
+    ]
+    return header + ",".join(LOG_COLUMNS) + "\n" + "".join(rows)
+
+
+def category_of(lifetime, t_split: float) -> TemporalCategory:
+    """The category of a (birth, death) lifetime against a cutoff."""
+    return list(TemporalCategory)[int(category_codes(*lifetime, t_split))]
+
+
 def make_log(groups, strategies, batch_of=None, t_of=None):
     """Score log from per-event groups: [(pos_score, {strategy: [scores]})]."""
-    from dlpeval.scorelog import POSITIVE_ROLE, ScoredEventLog
-
     records = []
     for ordinal, (pos_score, negs) in enumerate(groups):
         batch = batch_of(ordinal) if batch_of else 0
@@ -77,7 +132,7 @@ def make_log(groups, strategies, batch_of=None, t_of=None):
         for strategy, scores in negs.items():
             for s in scores:
                 records.append((ordinal, batch, strategy, 2, 3, t, s))
-    return ScoredEventLog.from_records(records, strategies)
+    return log_from_records(records, strategies)
 
 
 def worked_example_log():
@@ -119,18 +174,17 @@ def brute_force_ranks(scores, groups) -> list[float]:
 def brute_force_lifetimes(h: History, edges: bool = False) -> dict:
     """Per-key min/max timestamp by scanning the raw event list."""
     out: dict = {}
-    for e in h:
+    for u, v, t in events_of(h):
         if edges:
-            keys = [tuple(sorted((e.source, e.destination)))
-                    if not h.kind.directed else (e.source, e.destination)]
+            keys = [tuple(sorted((u, v))) if not h.kind.directed else (u, v)]
         else:
-            keys = {e.source, e.destination}
+            keys = {u, v}
         for key in keys:
             if key in out:
                 lo, hi = out[key]
-                out[key] = (min(lo, e.t), max(hi, e.t))
+                out[key] = (min(lo, t), max(hi, t))
             else:
-                out[key] = (e.t, e.t)
+                out[key] = (t, t)
     return out
 
 
@@ -148,7 +202,7 @@ def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.nd
     first event of the record's batch: ``edgebank`` scores 1 iff the
     record's (canonical) edge occurs in that prefix, ``pa`` iff both of its
     endpoints do."""
-    events = [h.event(i) for i in range(len(h))]
+    events = events_of(h)
 
     def canon(u, v):
         return (u, v) if h.kind.directed else (min(u, v), max(u, v))
@@ -157,7 +211,7 @@ def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.nd
     position, i = {}, 0
     for r in np.flatnonzero(log.role == "positive"):
         positive = (int(log.source[r]), int(log.destination[r]), float(log.timestamp[r]))
-        while tuple(events[i]) != positive:
+        while events[i] != positive:
             i += 1
         position[int(log.event_ordinal[r])] = i
         i += 1
@@ -166,9 +220,9 @@ def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.nd
         prefix = events[:position[int(log.event_ordinal[r])] // batch_size * batch_size]
         u, v = int(log.source[r]), int(log.destination[r])
         if scorer == "edgebank":
-            seen = canon(u, v) in {canon(e.source, e.destination) for e in prefix}
+            seen = canon(u, v) in {canon(a, b) for a, b, _ in prefix}
         else:
-            nodes = {e.source for e in prefix} | {e.destination for e in prefix}
+            nodes = {a for a, _, _ in prefix} | {b for _, b, _ in prefix}
             seen = u in nodes and v in nodes
         scores.append(float(seen))
     return np.asarray(scores)
@@ -181,7 +235,7 @@ def legal_negatives(h: History, t_split: float, strategy, i: int) -> set:
     category (any category for RND) on the matching side of a bipartite
     stream, which is neither a disallowed self-loop nor the canonical edge
     of a true event at the positive's timestamp."""
-    e = h.event(i)
+    source, destination, t = events_of(h)[i]
 
     def canon(u, v):
         return (u, v) if h.kind.directed else (min(u, v), max(u, v))
@@ -201,8 +255,8 @@ def legal_negatives(h: History, t_split: float, strategy, i: int) -> set:
         nodes = [n for n in life if want is None or category(life[n]) == want]
         if h.kind.bipartite:
             nodes = [n for n in nodes if (n < h.num_sources) == (strategy.replaces == "source")]
-        candidates = [(n, e.destination) if strategy.replaces == "source" else (e.source, n)
+        candidates = [(n, destination) if strategy.replaces == "source" else (source, n)
                       for n in nodes]
-    at_t = {canon(x.source, x.destination) for x in h if x.t == e.t}
+    at_t = {canon(a, b) for a, b, s in events_of(h) if s == t}
     return {(u, v) for u, v in candidates
             if (u != v or h.kind.allow_self_loops) and canon(u, v) not in at_t}

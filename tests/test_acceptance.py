@@ -24,24 +24,24 @@ import pytest
 from conftest import (
     SCENARIO_T_SPLIT,
     build_history,
+    category_of,
     pair_counting_auc,
     random_history,
     sample_and_score,
     scenario_history,
     worked_example_log,
+    written_log,
 )
 from dlpeval import (
     History,
     KeyKind,
     Lifetime,
     NegativeStrategy,
-    ScoredEventLog,
     ScoreLogError,
     ScoreLogMeta,
     ScorerKind,
     batch_auc,
     build_candidate_index,
-    categorize,
     compute_cutoff,
     lifetimes,
     mar_time_series,
@@ -54,7 +54,6 @@ from dlpeval import (
 from dlpeval.cli import main
 from dlpeval.diagrams import bd_diagram, mar_plot, surprise_curve
 from dlpeval.partition import SweepPoint
-from dlpeval.scorelog import dumps_score_log
 
 
 @contextmanager
@@ -135,7 +134,7 @@ def test_real_dataset_normalization_strips_index_column(tmp_path, monkeypatch):
     from dlpeval import ingest_csv
 
     h = ingest_csv(normalized, schema="jodie")
-    assert len(h) == 2 and [e.t for e in h] == [1.0, 2.0]
+    assert len(h) == 2 and h.t.tolist() == [1.0, 2.0]
 
 
 # -- criteria ---------------------------------------------------------------
@@ -291,7 +290,7 @@ def test_criterion_6_sampler_category_correctness():
                         life = node_life[a]
                     else:
                         life = node_life[b]
-                    assert categorize(life, t_split) is strategy.category
+                    assert category_of(life, t_split) is strategy.category
                 checked[strategy] += u.size
         assert min(checked.values()) >= per_strategy_target, checked
         # determinism: byte-identical serialized logs for equal seeds
@@ -304,7 +303,7 @@ def test_criterion_6_sampler_category_correctness():
                 [NegativeStrategy.HE, NegativeStrategy.OE, NegativeStrategy.IE],
                 k_per_strategy=2, batch_size=64, seed=11,
             )
-            return dumps_score_log(log, meta).encode()
+            return written_log(log, meta).encode()
 
         assert one_run() == one_run()
 
@@ -349,7 +348,7 @@ def test_criterion_8_score_exchange_round_trip(tmp_path):
         assert log2 == log and meta2 == meta
 
         # each constructed violation is rejected
-        good = dumps_score_log(log, meta).splitlines()
+        good = written_log(log, meta).splitlines()
 
         def corrupt(transform):
             lines = transform(list(good))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_history, scenario_history
+from dlpeval import GraphKind, ingest_csv
 from dlpeval.cli import main
 
 
@@ -64,6 +65,24 @@ class TestSplit:
         test = (out / "test.csv").read_text().splitlines()
         assert len(train) + len(test) == 2 + 400  # two headers plus data rows
         assert (out / "labels.csv").exists()
+
+    def test_labels_needing_quotes_read_back(self, tmp_path):
+        # a label holding a comma or a quote is written as one quoted CSV
+        # field, so the exports read back as the stream they came from
+        path = tmp_path / "quoted.csv"
+        path.write_text('source,destination,timestamp\n'
+                        '"a,b",c,1\nc,"d ""x""",2\n"a,b",d,3\n')
+        out = tmp_path / "out"
+        assert run("split", path, "--test-ratio", "0.4", "--out", out) == 0
+        assert (out / "train.csv").read_text() == \
+            'source,destination,timestamp\n"a,b",c,1.0\n'
+        assert (out / "test.csv").read_text() == \
+            'source,destination,timestamp\nc,"d ""x""",2.0\n"a,b",d,3.0\n'
+        assert (out / "labels.csv").read_text() == \
+            'id,label\n0,"a,b"\n1,c\n2,"d ""x"""\n3,d\n'
+        assert run("stats", out / "test.csv", "--t-split", "3",
+                   "--out", tmp_path / "stats") == 0
+        assert ingest_csv(out / "test.csv").labels == ("c", 'd "x"', "a,b", "d")
 
 
 class TestBdAndSweep:
@@ -355,6 +374,63 @@ class TestPinnedOutputs:
             "x/auc_summary.csv":
                 "1b0c2643457a43176116580dd896af41cf7c8a8b8db9ffd07c61eec24dc0b642",
             "x/mar.csv": "d1c71320742ee70670400475d0d36768e162da65d2f465b6d2bab56b8b83430e",
+        }
+
+    def test_pinned_writer_digests(self, dataset, tmp_path):
+        # Golden sha256 of the outputs of `split`, `stats`, `sweep`, the
+        # heuristic `eval`'s plot and `bd` at the default max_points, on
+        # streams whose labels need no CSV quoting.
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        bipartite = tmp_path / "bipartite.csv"
+        random_history(np.random.default_rng(12), n_events=300, n_nodes=20,
+                       kind=GraphKind(bipartite=True)).export_csv(bipartite)
+        commands = {
+            "split": ("split", dataset, "--test-ratio", "0.25"),
+            "split-bipartite": ("split", bipartite, "--bipartite"),
+            "stats": ("stats", dataset, "--roles"),
+            "sweep": ("sweep", dataset, "--ratios", "0.1,0.2,0.3,0.4"),
+            "eval": ("eval", dataset, "--scorer", "edgebank", *self.ARGS, "--bins", "200"),
+            "bd": ("bd", dataset, "--keys", "node"),
+        }
+        for name, argv in commands.items():
+            assert run(*argv, "--out", tmp_path / name) == 0, name
+        got = {path.relative_to(tmp_path).as_posix(): digest(path) for path in (
+            tmp_path / "split" / "train.csv", tmp_path / "split" / "test.csv",
+            tmp_path / "split" / "labels.csv",
+            tmp_path / "split-bipartite" / "train.csv",
+            tmp_path / "split-bipartite" / "test.csv",
+            tmp_path / "split-bipartite" / "labels.csv",
+            tmp_path / "stats" / "partition.csv",
+            tmp_path / "sweep" / "sweep.csv", tmp_path / "sweep" / "surprise_curve.svg",
+            tmp_path / "eval" / "mar.svg",
+            tmp_path / "bd" / "bd_node.svg", tmp_path / "bd" / "bd_node.csv")}
+        assert got == {
+            "split/train.csv":
+                "9f8533593741ec4f776296681cfdde0b967a07b1f495ef187e32b0571e6b419a",
+            "split/test.csv":
+                "1619ecdc414e7770afeb398d5bfba12d0bfb5d5775df6cdd9baaaee3ea782401",
+            "split/labels.csv":
+                "53979a9d9b1dd0e737a9699c798532234b44ecf52d6ffad384a1cba4fa29b08a",
+            "split-bipartite/train.csv":
+                "0fa3bf20a8d8f6a94001672febaa81e21c743305b5507a5307c724e786bcb8d1",
+            "split-bipartite/test.csv":
+                "7ac9ecc6a1a1a684c21bdd366e93b2892649b19dbfc2b74d727f61b1bbf3e822",
+            "split-bipartite/labels.csv":
+                "16b26aa4405ce7f27d26f8f0cb5e91f1fdeae38c87d223206dc56ca08df49aae",
+            "stats/partition.csv":
+                "b99d4c6646ae368209b6b8a2798ebbe7a31fadf3c62b97d2ea4a0d539afe744b",
+            "sweep/sweep.csv":
+                "aa1db64486f83bfe291e375360a4ca0ee285aee49fffc1c8c2bc8a7832c626d8",
+            "sweep/surprise_curve.svg":
+                "aa4f33b810bf1c5377f9067c3e51ded5226e5aa64f8c59b2bf64b4aa799cd966",
+            "eval/mar.svg":
+                "d42080e8062782e1762e8bec655638c473dbb5684d17446a5576e1c1e3b93f66",
+            "bd/bd_node.svg":
+                "2fa32862a66c490f3f970f29844ee22c14842bd02b39793566970593b9b419b5",
+            "bd/bd_node.csv":
+                "91d435a20a58cbc06d9fc98b5252f5b9eff0cc11fba830cf588783cb8c743e42",
         }
 
     def test_sample_rows_are_eval_negatives(self, dataset, tmp_path):

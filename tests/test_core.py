@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_history, random_history
+from conftest import build_history, events_of, random_history
 from dlpeval import GraphKind, History, IngestError, ingest_csv
 
 
@@ -15,14 +15,14 @@ def _ingest(text, **kw):
 class TestIngest:
     def test_rows_sorted_by_timestamp(self):
         h = _ingest("source,destination,timestamp\nA,B,3\nA,C,1\nB,C,2\n")
-        assert [e.t for e in h] == [1.0, 2.0, 3.0]
+        assert h.t.tolist() == [1.0, 2.0, 3.0]
         # dense ids follow first appearance in time order: A, C, B
         assert h.labels == ("A", "C", "B")
-        assert [(e.source, e.destination) for e in h] == [(0, 1), (2, 1), (0, 2)]
+        assert list(zip(h.src.tolist(), h.dst.tolist())) == [(0, 1), (2, 1), (0, 2)]
 
     def test_equal_timestamps_keep_input_order(self):
         h = _ingest("source,destination,timestamp\nA,B,5\nC,D,5\nE,F,5\nG,H,1\n")
-        assert [h.label_of(e.source) for e in h] == ["G", "A", "C", "E"]
+        assert [h.label_of(u) for u in h.src.tolist()] == ["G", "A", "C", "E"]
 
     def test_negative_timestamp_reports_line(self):
         with pytest.raises(IngestError, match="line 3.*negative"):
@@ -66,7 +66,7 @@ class TestIngest:
         h = _ingest(text, schema="jodie",
                     kind=GraphKind(directed=True, bipartite=True))
         assert len(h) == 2
-        assert [e.t for e in h] == [1.0, 2.0]
+        assert h.t.tolist() == [1.0, 2.0]
 
     def test_bipartite_id_ranges_are_disjoint(self):
         text = ("user_id,item_id,timestamp,state_label\n"
@@ -106,12 +106,12 @@ class TestSliceUntil:
     def test_empty_and_full(self):
         h = build_history([(0, 1, 1.0), (0, 1, 2.0), (0, 1, 3.0)])
         assert len(h.slice_until(0.0)) == 0
-        assert len(h.slice_until(h.t_max + 1)) == len(h)
+        assert len(h.slice_until(h.t[-1] + 1)) == len(h)
 
     def test_matches_brute_force_count(self):
         rng = np.random.default_rng(7)
         h = random_history(rng, n_events=300)
-        probes = np.concatenate([h.t, h.t + 0.05, [0.0, h.t_max + 1]])
+        probes = np.concatenate([h.t, h.t + 0.05, [0.0, h.t[-1] + 1]])
         for cutoff in probes:
             expected = int(np.sum(h.t < cutoff))
             assert len(h.slice_until(float(cutoff))) == expected
@@ -125,7 +125,7 @@ class TestRoundTrip:
         buf = io.StringIO()
         h.export_csv(buf)
         h2 = _ingest(buf.getvalue())
-        assert list(h) == list(h2)
+        assert events_of(h) == events_of(h2)
         assert h.labels == h2.labels
 
     def test_random_round_trip(self):
@@ -135,12 +135,12 @@ class TestRoundTrip:
         buf = io.StringIO()
         h.export_csv(buf)
         h2 = _ingest(buf.getvalue())
-        assert [(h.label_of(e.source), h.label_of(e.destination), e.t) for e in h] == \
-               [(h2.label_of(e.source), h2.label_of(e.destination), e.t) for e in h2]
+        assert [(h.label_of(u), h.label_of(v), t) for u, v, t in events_of(h)] == \
+               [(h2.label_of(u), h2.label_of(v), t) for u, v, t in events_of(h2)]
         buf2 = io.StringIO()
         h2.export_csv(buf2)
         h3 = _ingest(buf2.getvalue())
-        assert list(h2) == list(h3)
+        assert events_of(h2) == events_of(h3)
         assert h2.labels == h3.labels
 
     def test_label_map_export(self):

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_ranks, make_log, pair_counting_auc, worked_example_log
-from dlpeval import (
-    ScoredEventLog,
-    batch_auc,
-    confusion_at_threshold,
-    mar_time_series,
-    mean_auc_over_batches,
-    rank_within_group,
+from conftest import (
+    brute_force_ranks,
+    log_from_records,
+    make_log,
+    pair_counting_auc,
+    worked_example_log,
 )
+from dlpeval import batch_auc, mar_time_series, mean_auc_over_batches
 from dlpeval.metrics import fractional_ranks, write_auc_csv, write_mar_csv
 from dlpeval.scorelog import POSITIVE_ROLE
 
@@ -87,33 +86,6 @@ class TestBatchAuc:
             batch_auc([1.0], [])
 
 
-class TestConfusion:
-    def test_perfect_separation(self):
-        log = make_log([(1.0, {"NS": [0.0]})] * 6, ("NS",))
-        c = confusion_at_threshold(log, "NS", 0.5)
-        assert (c.tp, c.fp, c.fn, c.tn) == (6, 0, 0, 6)
-
-    def test_threshold_above_everything(self):
-        log = make_log([(1.0, {"NS": [1.0]})] * 4, ("NS",))
-        c = confusion_at_threshold(log, "NS", 2.0)
-        assert (c.tp, c.fp) == (0, 0)
-        assert (c.fn, c.tn) == (4, 4)
-
-    def test_all_negatives_jump_to_false_positives_at_one(self):
-        # binary scorer: some positives at 1, every negative at 1; at the
-        # threshold of 1 all negatives become predicted positives
-        groups = [(1.0, {"NS": [1.0]})] * 3 + [(0.0, {"NS": [1.0]})] * 5
-        log = make_log(groups, ("NS",))
-        c = confusion_at_threshold(log, "NS", 1.0)
-        assert c.fp == 8
-        assert c.tp == 3
-
-    def test_unknown_strategy(self):
-        log = make_log([(1.0, {"NS": [0.0]})], ("NS",))
-        with pytest.raises(ValueError):
-            confusion_at_threshold(log, "OTHER", 0.5)
-
-
 class TestMeanAucOverBatches:
     def test_two_batches_average(self):
         groups = [(1.0, {"NS": [0.0]}), (0.0, {"NS": [1.0]})]
@@ -149,7 +121,7 @@ class TestMeanAucOverBatches:
             (0, 0, "NS", 2, 3, 0.0, 0.0),
             (1, 1, POSITIVE_ROLE, 0, 1, 1.0, 1.0),  # batch 1 has no negatives
         ]
-        log = ScoredEventLog.from_records(records, ("NS",))
+        log = log_from_records(records, ("NS",))
         report = mean_auc_over_batches(log, "NS", "all")
         assert len(report.auc) == 1
         assert report.skipped_batches == 1
@@ -182,24 +154,20 @@ class TestMeanAucOverBatches:
 
     def test_no_usable_batch_is_an_error(self):
         records = [(0, 0, POSITIVE_ROLE, 0, 1, 0.0, 1.0)]
-        log = ScoredEventLog.from_records(records, ("NS",))
+        log = log_from_records(records, ("NS",))
         with pytest.raises(ValueError):
             mean_auc_over_batches(log, "NS", "all")
 
 
 class TestRanks:
     def test_strict_order(self):
-        assert rank_within_group([0.9, 0.5, 0.1]).tolist() == [1, 2, 3]
+        assert fractional_ranks([0.9, 0.5, 0.1]).tolist() == [1, 2, 3]
 
     def test_full_tie(self):
-        assert rank_within_group([0.4, 0.4, 0.4]).tolist() == [2, 2, 2]
+        assert fractional_ranks([0.4, 0.4, 0.4]).tolist() == [2, 2, 2]
 
     def test_pairwise_tie(self):
-        assert rank_within_group([0.5, 0.5, 0.1]).tolist() == [1.5, 1.5, 3]
-
-    def test_group_needs_two_members(self):
-        with pytest.raises(ValueError):
-            rank_within_group([1.0])
+        assert fractional_ranks([0.5, 0.5, 0.1]).tolist() == [1.5, 1.5, 3]
 
     def test_rank_sum_is_invariant(self):
         rng = np.random.default_rng(4)
@@ -273,7 +241,7 @@ class TestMarTimeSeries:
 
     def test_empty_log_is_an_error(self):
         with pytest.raises(ValueError):
-            mar_time_series(ScoredEventLog.from_records([], ()), bins=5)
+            mar_time_series(log_from_records([], ()), bins=5)
 
 
 class TestCsvExports:

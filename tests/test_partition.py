@@ -5,6 +5,7 @@ from conftest import (
     SCENARIO_T_SPLIT,
     brute_force_lifetimes,
     build_history,
+    category_of,
     random_history,
     scenario_history,
 )
@@ -16,7 +17,6 @@ from dlpeval import (
     Lifetime,
     LifetimeTable,
     TemporalCategory,
-    categorize,
     compute_cutoff,
     lifetimes,
     partition_report,
@@ -65,19 +65,19 @@ class TestComputeCutoff:
 class TestSplit:
     def test_boundaries(self):
         h = _ladder(10)
-        train, test = split(h, h.t_min)
+        train, test = split(h, h.t[0])
         assert (len(train), len(test)) == (0, 10)
-        train, test = split(h, h.t_max + 1)
+        train, test = split(h, h.t[-1] + 1)
         assert (len(train), len(test)) == (10, 0)
 
     def test_partition_is_exact(self):
         rng = np.random.default_rng(0)
         h = random_history(rng, n_events=200)
-        for cutoff in (0.0, 33.3, h.t_max):
+        for cutoff in (0.0, 33.3, h.t[-1]):
             train, test = split(h, cutoff)
             assert len(train) + len(test) == len(h)
-            assert all(e.t < cutoff for e in train)
-            assert all(e.t >= cutoff for e in test)
+            assert all(train.t < cutoff)
+            assert all(test.t >= cutoff)
 
 
 class TestLifetimes:
@@ -137,14 +137,14 @@ class TestLifetimes:
 
 class TestCategorize:
     def test_three_cases(self):
-        assert categorize(Lifetime(1, 3), 5.0) is TemporalCategory.HISTORICAL
-        assert categorize(Lifetime(6, 9), 5.0) is TemporalCategory.INDUCTIVE
-        assert categorize(Lifetime(1, 9), 5.0) is TemporalCategory.OVERLAP
+        assert category_of(Lifetime(1, 3), 5.0) is TemporalCategory.HISTORICAL
+        assert category_of(Lifetime(6, 9), 5.0) is TemporalCategory.INDUCTIVE
+        assert category_of(Lifetime(1, 9), 5.0) is TemporalCategory.OVERLAP
 
     def test_boundary_is_test_side(self):
         # birth exactly at the cutoff means never seen in train
-        assert categorize(Lifetime(5, 9), 5.0) is TemporalCategory.INDUCTIVE
-        assert categorize(Lifetime(1, 5), 5.0) is TemporalCategory.OVERLAP
+        assert category_of(Lifetime(5, 9), 5.0) is TemporalCategory.INDUCTIVE
+        assert category_of(Lifetime(1, 5), 5.0) is TemporalCategory.OVERLAP
 
 
 class TestPartitionReport:
@@ -161,7 +161,7 @@ class TestPartitionReport:
 
     def test_empty_test_side_surprise_undefined(self):
         h = _ladder(10)
-        report = partition_report(h, h.t_max + 1)
+        report = partition_report(h, h.t[-1] + 1)
         c = report.counts[KeyKind.NODE]
         assert c.historical == c.total
         assert c.surprise is None
@@ -170,7 +170,8 @@ class TestPartitionReport:
         rng = np.random.default_rng(5)
         h = random_history(rng, n_events=500, n_nodes=25)
         report = partition_report(h, 50.0)
-        assert report.counts[KeyKind.NODE].total == len(h.observed_nodes())
+        assert report.counts[KeyKind.NODE].total == \
+               len(np.unique(np.concatenate([h.src, h.dst])))
         assert report.counts[KeyKind.EDGE].total == \
                len(np.unique(h.event_edge_keys()))
 

@@ -9,6 +9,8 @@ from conftest import (
     SCENARIO_PAIRS,
     SCENARIO_T_SPLIT,
     build_history,
+    category_of,
+    events_of,
     legal_negatives,
     random_history,
     scenario_history,
@@ -18,9 +20,7 @@ from dlpeval import (
     GraphKind,
     KeyKind,
     NegativeStrategy,
-    TemporalCategory,
     build_candidate_index,
-    categorize,
     lifetimes,
     sample_negatives,
     sample_stream,
@@ -41,20 +41,20 @@ def draws(idx, strategy, i, k, seed):
 class TestCandidateIndex:
     def test_scenario_category_sets(self):
         idx = build_candidate_index(scenario_history(1), SCENARIO_T_SPLIT)
-        assert set(idx.nodes_in(TemporalCategory.OVERLAP)) == {0, 1, 2, 3}
-        assert set(idx.nodes_in(TemporalCategory.INDUCTIVE)) == {4}
-        assert len(idx.nodes_in(TemporalCategory.HISTORICAL)) == 0
-        overlap_edges = {tuple(e) for e in idx.edges_in(TemporalCategory.OVERLAP)}
+        assert set(idx.pool_for(NegativeStrategy.OD)) == {0, 1, 2, 3}
+        assert set(idx.pool_for(NegativeStrategy.ID)) == {4}
+        assert len(idx.pool_for(NegativeStrategy.HD)) == 0
+        overlap_edges = {tuple(e) for e in idx.pool_for(NegativeStrategy.OE)}
         assert overlap_edges == set(SCENARIO_PAIRS)
-        assert {tuple(e) for e in idx.edges_in(TemporalCategory.INDUCTIVE)} == {(4, 0)}
+        assert {tuple(e) for e in idx.pool_for(NegativeStrategy.IE)} == {(4, 0)}
 
     def test_empty_test_side_means_all_historical(self):
         h = scenario_history(1)
-        idx = build_candidate_index(h, h.t_max + 1)
-        assert len(idx.nodes_in(TemporalCategory.OVERLAP)) == 0
-        assert len(idx.nodes_in(TemporalCategory.INDUCTIVE)) == 0
-        assert len(idx.nodes_in(TemporalCategory.HISTORICAL)) == 5
-        assert len(idx.edges_in(TemporalCategory.HISTORICAL)) == 7
+        idx = build_candidate_index(h, h.t[-1] + 1)
+        assert len(idx.pool_for(NegativeStrategy.OD)) == 0
+        assert len(idx.pool_for(NegativeStrategy.ID)) == 0
+        assert len(idx.pool_for(NegativeStrategy.HD)) == 5
+        assert len(idx.pool_for(NegativeStrategy.HE)) == 7
 
     def test_index_agrees_with_categorize(self):
         rng = np.random.default_rng(21)
@@ -62,22 +62,24 @@ class TestCandidateIndex:
         t_split = 60.0
         idx = build_candidate_index(h, t_split)
         node_life = lifetimes(h, KeyKind.NODE)
-        for cat in TemporalCategory:
-            for u in idx.nodes_in(cat):
-                assert categorize(node_life[int(u)], t_split) is cat
+        for s in (NegativeStrategy.HD, NegativeStrategy.OD, NegativeStrategy.ID):
+            for u in idx.pool_for(s):
+                assert category_of(node_life[int(u)], t_split) is s.category
         edge_life = lifetimes(h, KeyKind.EDGE)
-        for cat in TemporalCategory:
-            for a, b in idx.edges_in(cat):
-                assert categorize(edge_life[(int(a), int(b))], t_split) is cat
+        for s in (NegativeStrategy.HE, NegativeStrategy.OE, NegativeStrategy.IE):
+            for a, b in idx.pool_for(s):
+                assert category_of(edge_life[(int(a), int(b))], t_split) is s.category
 
     def test_bipartite_role_pools_are_disjoint_universes(self):
         rng = np.random.default_rng(4)
         h = random_history(rng, n_events=300, n_nodes=20,
                            kind=GraphKind(bipartite=True))
         idx = build_candidate_index(h, 50.0)
-        for cat in TemporalCategory:
-            assert all(u < h.num_sources for u in idx.nodes_in(cat, role="source"))
-            assert all(v >= h.num_sources for v in idx.nodes_in(cat, role="destination"))
+        for cat in "HOI":
+            source_pool = idx.pool_for(NegativeStrategy[f"{cat}S"])
+            destination_pool = idx.pool_for(NegativeStrategy[f"{cat}D"])
+            assert all(u < h.num_sources for u in source_pool)
+            assert all(v >= h.num_sources for v in destination_pool)
 
 
 class TestSampleNegatives:
@@ -93,7 +95,7 @@ class TestSampleNegatives:
     def test_single_candidate_returned_k_times(self):
         h = scenario_history(1)
         idx = build_candidate_index(h, SCENARIO_T_SPLIT)
-        assert h.event(6) == (0, 1, 10.0)
+        assert events_of(h)[6] == (0, 1, 10.0)
         assert draws(idx, NegativeStrategy.IE, 6, 5, 123) == [(4, 0)] * 5
 
     def test_uniformity_chi_square(self):
@@ -143,7 +145,7 @@ class TestSampleNegatives:
                         life = node_life[a]
                     else:
                         life = node_life[b]
-                    assert categorize(life, t_split) is strategy.category
+                    assert category_of(life, t_split) is strategy.category
 
     def test_same_time_positives_excluded(self):
         # overlap edges (0,1), (2,3), (4,5); two positives share t=60, so the
@@ -154,7 +156,7 @@ class TestSampleNegatives:
         events += [(0, 1, 60.0), (2, 3, 60.0)]
         h = build_history(events)
         idx = build_candidate_index(h, 50.0)
-        assert h.event(3) == (0, 1, 60.0)
+        assert events_of(h)[3] == (0, 1, 60.0)
         for seed in range(50):
             assert set(draws(idx, NegativeStrategy.OE, 3, 3, seed)) == {(4, 5)}
 
@@ -163,7 +165,7 @@ class TestSampleNegatives:
         events = [(0, 1, 1.0), (0, 1, 90.0), (2, 3, 2.0)]
         h = build_history(events)
         idx = build_candidate_index(h, 50.0)
-        assert h.event(2) == (0, 1, 90.0)
+        assert events_of(h)[2] == (0, 1, 90.0)
         assert draws(idx, NegativeStrategy.OE, 2, 1, 0) is None
 
     def test_empty_pool_raises(self):
@@ -210,7 +212,7 @@ class TestSampleNegatives:
     def test_rnd_covers_all_observed_nodes(self):
         h = scenario_history(3)
         idx = build_candidate_index(h, SCENARIO_T_SPLIT)
-        assert h.event(6) == (0, 1, 10.0)
+        assert events_of(h)[6] == (0, 1, 10.0)
         seen = set()
         for seed in range(300):
             seen.update(v for _, v in draws(idx, NegativeStrategy.RND, 6, 1, seed))
@@ -227,7 +229,7 @@ class TestSampleNegatives:
         def reachable(positive, strategy):
             h = build_history(events + [positive], kind=GraphKind(directed=False))
             idx = build_candidate_index(h, 50.0)
-            assert h.event(3) == positive
+            assert events_of(h)[3] == positive
             edges = set()
             for seed in range(300):
                 edges.update(tuple(sorted(e)) for e in draws(idx, strategy, 3, 1, seed))
@@ -352,7 +354,7 @@ class TestSampleStream:
             rng.integers(0, 10, 300), rng.integers(0, 10, 300), rng.uniform(60, 100, 300))]
         h = build_history([(u, v % 20, t) for u, v, t in early] + late)
         idx = build_candidate_index(h, 50.0)
-        assert len(idx.nodes_in(TemporalCategory.HISTORICAL)) == 20
+        assert len(idx.pool_for(NegativeStrategy.HD)) == 20
         sampled = sample_stream(h, idx, (NegativeStrategy.HS, NegativeStrategy.HD), 1, 9)
         assert len(sampled.events) > 500
         same = sampled.source[:, 0, 0] == sampled.destination[:, 1, 0]

@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_history, sample_and_score
+from conftest import (
+    log_from_records,
+    random_history,
+    sample_and_score,
+    score_log_text,
+    written_log,
+)
 from dlpeval import (
     NegativeStrategy,
-    ScoredEventLog,
     ScoreLogError,
     ScoreLogMeta,
     ScorerKind,
     read_score_log,
     write_score_log,
 )
-from dlpeval.scorelog import POSITIVE_ROLE, dumps_score_log
+from dlpeval.core import _CHUNK
+from dlpeval.scorelog import POSITIVE_ROLE
 
 
 def _meta(**overrides):
@@ -47,7 +53,7 @@ class TestRoundTrip:
 
     def test_crlf_file_reads_like_lf(self, tmp_path):
         log, meta = _eval_log(), _meta()
-        crlf = dumps_score_log(log, meta).replace("\n", "\r\n").encode("utf-8")
+        crlf = written_log(log, meta).replace("\n", "\r\n").encode("utf-8")
         path = tmp_path / "scores.csv"
         path.write_bytes(crlf)
         for source in (path, crlf):
@@ -56,8 +62,8 @@ class TestRoundTrip:
             assert meta2 == meta
 
     def test_empty_log_is_header_only_and_valid(self):
-        log = ScoredEventLog.from_records([], ("OE", "OD"))
-        text = dumps_score_log(log, _meta())
+        log = log_from_records([], ("OE", "OD"))
+        text = written_log(log, _meta())
         data_lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert data_lines == ["event_ordinal,batch,role,source,destination,timestamp,score"]
         log2, meta2 = read_score_log(io.StringIO(text))
@@ -72,8 +78,8 @@ class TestRoundTrip:
             for i, s in enumerate(scores)
             for j in range(2)
         ]
-        log = ScoredEventLog.from_records(records, ("NS",))
-        text = dumps_score_log(log, _meta(strategies=("NS",)))
+        log = log_from_records(records, ("NS",))
+        text = written_log(log, _meta(strategies=("NS",)))
         log2, _ = read_score_log(io.StringIO(text))
         assert np.array_equal(log.score, log2.score)
         assert np.array_equal(log.timestamp, log2.timestamp)
@@ -97,35 +103,67 @@ def awkward_logs(draw):
         for role in [POSITIVE_ROLE] + negatives:
             records.append((o, o // 3, role, draw(st.integers(0, 10**12)),
                             draw(st.integers(0, 9)), t[o], draw(value)))
-    return ScoredEventLog.from_records(records, ("OE", "OD"))
+    return log_from_records(records, ("OE", "OD"))
 
 
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None)
     @given(log=awkward_logs())
     def test_write_read_write_is_byte_identical(self, log):
-        text = dumps_score_log(log, _meta())
+        text = written_log(log, _meta())
         log2, meta2 = read_score_log(io.StringIO(text))
         assert log2 == log and meta2 == _meta()
         assert np.array_equal(log2.score.view(np.int64), log.score.view(np.int64))
         assert np.array_equal(log2.timestamp.view(np.int64), log.timestamp.view(np.int64))
-        assert dumps_score_log(log2, meta2) == text
+        assert written_log(log2, meta2) == text
 
 
 class TestWriteValidation:
     def test_undeclared_strategy_rejected_at_write(self):
         log = _eval_log()
         with pytest.raises(ScoreLogError, match="absent from header"):
-            dumps_score_log(log, _meta(strategies=("OE",)))
+            written_log(log, _meta(strategies=("OE",)))
 
     def test_invalid_log_rejected_at_write(self):
         records = [
             (0, 0, POSITIVE_ROLE, 0, 1, 5.0, 1.0),
             (0, 0, "OE", 2, 3, 6.0, 0.0),  # timestamp differs from positive
         ]
-        log = ScoredEventLog.from_records(records, ("OE",))
+        log = log_from_records(records, ("OE",))
         with pytest.raises(ScoreLogError, match="timestamp"):
-            dumps_score_log(log, _meta(strategies=("OE",)))
+            written_log(log, _meta(strategies=("OE",)))
+
+    @pytest.mark.parametrize("case", ["invalid", "undeclared role"])
+    def test_rejected_log_leaves_dest_untouched(self, tmp_path, case):
+        if case == "invalid":
+            log = log_from_records([(0, 0, "OE", 2, 3, 1.0, 0.0)], ("OE",))  # no positive
+        else:
+            log = _eval_log()
+        meta = _meta(strategies=("OE",))
+        with pytest.raises(ScoreLogError):
+            write_score_log(log, meta, tmp_path / "new.csv")
+        assert not (tmp_path / "new.csv").exists()
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"earlier run\n")
+        with pytest.raises(ScoreLogError):
+            write_score_log(log, meta, old)
+        assert old.read_bytes() == b"earlier run\n"
+
+    def test_log_longer_than_a_chunk_matches_per_record_text(self):
+        # _CHUNK + 1 records: one full chunk of rows and one row after it
+        n_events = (_CHUNK + 1) // 3 + 1
+        rng = np.random.default_rng(2)
+        records = [(o, o // 7, role, int(u), int(v), o / 3, float(score))
+                   for o, u, v, score in zip(range(n_events), rng.integers(0, 10**9, n_events),
+                                             rng.integers(0, 99, n_events),
+                                             rng.normal(size=n_events))
+                   for role in (POSITIVE_ROLE, "OE", "OD")][:_CHUNK + 1]
+        log = log_from_records(records, ("OE", "OD"))
+        assert len(log) == _CHUNK + 1
+        text = written_log(log, _meta())
+        assert text == score_log_text(log, _meta())
+        log2, meta2 = read_score_log(io.StringIO(text))
+        assert log2 == log and meta2 == _meta()
 
 
 class TestReadValidation:

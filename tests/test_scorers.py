@@ -9,6 +9,7 @@ from conftest import (
     sample_and_score,
     scenario_history,
     SCENARIO_T_SPLIT,
+    written_log,
 )
 from dlpeval import (
     EmptyCandidateSetError,
@@ -21,7 +22,7 @@ from dlpeval import (
     sample_negatives,
     sample_stream,
 )
-from dlpeval.scorelog import POSITIVE_ROLE, ScoreLogMeta, dumps_score_log
+from dlpeval.scorelog import POSITIVE_ROLE, ScoreLogMeta
 
 PA, EDGEBANK = ScorerKind.PREFERENTIAL_ATTACHMENT, ScorerKind.EDGEBANK
 GRAPH_KINDS = {
@@ -139,7 +140,7 @@ class TestHarness:
                 [NegativeStrategy.OE, NegativeStrategy.OD],
                 k_per_strategy=2, batch_size=32, seed=9,
             )
-            return dumps_score_log(log, meta)
+            return written_log(log, meta)
 
         assert run() == run()
 
