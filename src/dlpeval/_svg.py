@@ -7,9 +7,13 @@ byte-identical documents.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` replaced by entity references, as
+    ``xml.sax.saxutils.escape`` does without importing its XML stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def fmt(x: float) -> str:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,27 +163,31 @@ class History:
         same canonical edge at that timestamp. Ids outside the stream never
         are."""
         if self._occurrences is None:
-            times, edges = np.unique(self.t), np.unique(self.event_edge_keys())
+            times, edges = _distinct(self.t), _distinct(self.event_edge_keys())
             codes = (np.searchsorted(edges, self.event_edge_keys()) * len(times)
                      + np.searchsorted(times, self.t))
-            self._occurrences = (times, edges, np.unique(codes))
+            self._occurrences = (times, edges, _distinct(codes))
         times, edges, codes = self._occurrences
         in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.num_nodes)
         if len(codes) == 0:
             return np.zeros(len(in_range), dtype=bool)
         key = self.edge_keys(np.where(in_range, u, 0), np.where(in_range, v, 0))
+        # callers query in time order, so times are searched as given; edge
+        # keys are random, so they and the codes are searched once sorted
         t_at = np.minimum(np.searchsorted(times, t), len(times) - 1)
+        on_time = times[t_at] == t
+        order = np.argsort(key)
+        key, t_at = key[order], t_at[order]
         e_at = np.minimum(np.searchsorted(edges, key), len(edges) - 1)
         # edge index * distinct timestamps + timestamp index is below
         # len(self) ** 2, so it cannot overflow
         code = e_at * len(times) + t_at
         at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        return in_range & (times[t_at] == t) & (edges[e_at] == key) & (codes[at] == code)
+        found = np.empty(len(order), dtype=bool)
+        found[order] = (edges[e_at] == key) & (codes[at] == code)
+        return in_range & on_time & found
 
     # -- export ----------------------------------------------------------
-
-    def label_of(self, node: int) -> str:
-        return self.labels[node] if self.labels is not None else str(node)
 
     def export_csv(self, dest: str | Path | TextIO) -> None:
         """Write the stream as minimal-schema CSV with original labels."""
@@ -201,6 +207,13 @@ class History:
         if self.labels is None:
             return np.arange(self.num_nodes)
         return np.array([_csv_field(s) for s in self.labels], dtype=object)
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, sorted. Sorting first is many times
+    faster than the hash table ``np.unique`` builds for large random keys."""
+    x = np.sort(x)
+    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
 _CHUNK = 8192  # rows per formatted chunk, which bounds the lists .tolist() makes
@@ -258,75 +271,125 @@ def ingest_csv(
     timestamp and node labels are remapped to dense ids in order of first
     appearance in the sorted stream (bipartite kinds get disjoint id
     ranges: sources first, then destinations offset past them).
+
+    The rows are parsed as columns in one pass. Only when that parse
+    refuses a row, or a row breaks a rule, are the rows walked one by one
+    as ``csv`` reads them: the walk raises the first bad row's error with
+    its line, or, where the columnar parse refused a row that ``csv``
+    accepts (a text handle that does not split lines at a bare CR), reads
+    the stream itself.
     """
     if schema not in ("minimal", "jodie"):
         raise ValueError(f"unknown schema {schema!r}")
-    exact_arity = 3 if schema == "minimal" else None
-
-    u_labels: list[str] = []
-    v_labels: list[str] = []
-    times: list[float] = []
     with _open_for_read(source) as fh:
-        reader = csv.reader(fh)
+        lines = fh if fh.seekable() else list(fh)  # a pipe is read once
+        start = fh.tell() if lines is fh else None
+        rows = _parse_rows(lines, schema)
+        h = None if rows is None else _remap(rows, kind)
+        if h is None:
+            if start is not None:
+                fh.seek(start)
+            h = _remap(_walk_rows(lines, schema, kind), kind)
+    return h
+
+
+# one input row: its source and destination label fields and its timestamp
+_ROW = np.dtype([("u", object), ("v", object), ("t", np.float64)])
+
+
+def _parse_rows(lines: Iterable[str], schema: str) -> np.ndarray | None:
+    """The rows after the header as one ``_ROW`` array, split into fields
+    as ``csv`` splits them, or None when the columnar parse refuses one."""
+    lines = iter(lines)
+    try:
+        next(csv.reader(lines))  # header
+    except StopIteration:
+        raise IngestError("empty stream: no header") from None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a stream of no rows
+            return np.loadtxt(lines, dtype=_ROW, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1, converters={2: float},
+                              usecols=(0, 1, 2) if schema == "jodie" else None)
+    except ValueError:
+        return None
+
+
+def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:
+    """The rows after the header as ``csv`` reads them, checked one by one:
+    the first bad row raises its IngestError with its line."""
+    exact_arity = 3 if schema == "minimal" else None
+    reader = csv.reader(lines)
+    next(reader, None)  # header
+    rows = []
+    for row in reader:
+        lineno = reader.line_num
+        if not row:
+            continue
+        if len(row) < 3 or (exact_arity is not None and len(row) != exact_arity):
+            raise IngestError(
+                f"expected {exact_arity or 'at least 3'} columns, got {len(row)}",
+                line=lineno,
+            )
+        u, v, raw_t = row[0].strip(), row[1].strip(), row[2].strip()
+        if not u or not v:
+            raise IngestError("empty node label", line=lineno)
         try:
-            next(reader)  # header
-        except StopIteration:
-            raise IngestError("empty stream: no header") from None
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) < 3 or (exact_arity is not None and len(row) != exact_arity):
-                raise IngestError(
-                    f"expected {exact_arity or 'at least 3'} columns, got {len(row)}",
-                    line=lineno,
-                )
-            u, v, raw_t = row[0].strip(), row[1].strip(), row[2].strip()
-            if not u or not v:
-                raise IngestError("empty node label", line=lineno)
-            try:
-                t = float(raw_t)
-            except ValueError:
-                raise IngestError(f"invalid timestamp {raw_t!r}", line=lineno) from None
-            if math.isnan(t) or math.isinf(t):
-                raise IngestError(f"non-finite timestamp {raw_t!r}", line=lineno)
-            if t < 0:
-                raise IngestError(f"negative timestamp {raw_t!r}", line=lineno)
-            if not kind.bipartite and not kind.allow_self_loops and u == v:
-                raise IngestError(f"self-loop on {u!r} (self-loops disabled)", line=lineno)
-            u_labels.append(u)
-            v_labels.append(v)
-            times.append(t)
+            t = float(raw_t)
+        except ValueError:
+            raise IngestError(f"invalid timestamp {raw_t!r}", line=lineno) from None
+        if math.isnan(t) or math.isinf(t):
+            raise IngestError(f"non-finite timestamp {raw_t!r}", line=lineno)
+        if t < 0:
+            raise IngestError(f"negative timestamp {raw_t!r}", line=lineno)
+        if not kind.bipartite and not kind.allow_self_loops and u == v:
+            raise IngestError(f"self-loop on {u!r} (self-loops disabled)", line=lineno)
+        rows.append((u, v, t))
+    return np.array(rows, dtype=_ROW)
 
-    if not times:
+
+def _remap(rows: np.ndarray, kind: GraphKind) -> History | None:
+    """The History of ``rows``, or None when a row breaks a rule: a
+    non-finite or negative timestamp, an empty label or a disabled self-loop."""
+    if len(rows) == 0:
         raise IngestError("empty stream: no event rows")
-
-    t_arr = np.asarray(times, dtype=np.float64)
-    order = np.argsort(t_arr, kind="stable")
-
+    t = rows["t"]
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        return None
+    order = np.argsort(t, kind="stable")
     if kind.bipartite:
-        src_map: dict[str, int] = {}
-        dst_map: dict[str, int] = {}
-        src_ids = np.empty(len(order), dtype=np.int64)
-        dst_ids = np.empty(len(order), dtype=np.int64)
-        for pos, i in enumerate(order):
-            src_ids[pos] = src_map.setdefault(u_labels[i], len(src_map))
-            dst_ids[pos] = dst_map.setdefault(v_labels[i], len(dst_map))
-        num_sources = len(src_map)
-        dst_ids += num_sources
-        labels = tuple(src_map) + tuple(dst_map)
-        num_nodes = len(labels)
+        src, src_labels = _first_appearance_ids(rows["u"][order].tolist())
+        dst, dst_labels = _first_appearance_ids(rows["v"][order].tolist())
+        num_sources = len(src_labels)
+        dst += num_sources
+        labels = src_labels + dst_labels
     else:
-        node_map: dict[str, int] = {}
-        src_ids = np.empty(len(order), dtype=np.int64)
-        dst_ids = np.empty(len(order), dtype=np.int64)
-        for pos, i in enumerate(order):
-            src_ids[pos] = node_map.setdefault(u_labels[i], len(node_map))
-            dst_ids[pos] = node_map.setdefault(v_labels[i], len(node_map))
+        fields = [None] * (2 * len(rows))
+        fields[0::2] = rows["u"][order].tolist()  # each event's source,
+        fields[1::2] = rows["v"][order].tolist()  # then its destination
+        ids, labels = _first_appearance_ids(fields)
+        src, dst = ids.reshape(-1, 2).T.copy()
         num_sources = None
-        labels = tuple(node_map)
-        num_nodes = len(labels)
+        if not kind.allow_self_loops and np.any(src == dst):
+            return None
+    if "" in labels:
+        return None
+    return History(src, dst, t[order], kind, len(labels), num_sources, labels)
 
-    return History(
-        src_ids, dst_ids, t_arr[order], kind, num_nodes, num_sources, labels
-    )
+
+def _first_appearance_ids(fields: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The dense id of each raw label field, numbered by first appearance of
+    its stripped text, and the stripped labels in id order. Only the
+    distinct raw fields are stripped; those that strip alike merge."""
+    raw: dict[str, int] = {}
+    # one dict pass maps each field to the position of the first field with
+    # its text; the dict holds each distinct text and that position, in order
+    first = np.fromiter(map(raw.setdefault, fields, itertools.count()),
+                        dtype=np.int64, count=len(fields))
+    stripped = list(map(str.strip, raw))
+    labels = dict.fromkeys(stripped)
+    ids_at_first = np.empty(len(fields), dtype=np.int64)  # read at first positions only
+    ids_at_first[np.fromiter(raw.values(), dtype=np.int64, count=len(raw))] = np.fromiter(
+        map(dict(zip(labels, itertools.count())).__getitem__, stripped),
+        dtype=np.int64, count=len(stripped))
+    return ids_at_first[first], tuple(labels)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import io
+import math
 
 import numpy as np
 
 from dlpeval import (
     GraphKind,
     History,
+    IngestError,
     ScoredEventLog,
     TemporalCategory,
     build_candidate_index,
@@ -16,6 +19,7 @@ from dlpeval import (
     sample_stream,
     write_score_log,
 )
+from dlpeval.core import _open_for_read
 from dlpeval.partition import category_codes
 from dlpeval.scorelog import POSITIVE_ROLE
 
@@ -169,6 +173,82 @@ def brute_force_ranks(scores, groups) -> list[float]:
         equal = sum(x == s for x in peers)
         ranks.append(1 + greater + (equal - 1) / 2)
     return ranks
+
+
+def brute_force_ingest(source, schema: str = "minimal", kind: GraphKind = GraphKind()) -> History:
+    """``ingest_csv`` row by row: check each ``csv`` row in turn and number
+    the stripped labels with a dict as the sorted stream meets them."""
+    if schema not in ("minimal", "jodie"):
+        raise ValueError(f"unknown schema {schema!r}")
+    exact_arity = 3 if schema == "minimal" else None
+
+    u_labels: list[str] = []
+    v_labels: list[str] = []
+    times: list[float] = []
+    with _open_for_read(source) as fh:
+        reader = csv.reader(fh)
+        try:
+            next(reader)  # header
+        except StopIteration:
+            raise IngestError("empty stream: no header") from None
+        for row in reader:
+            lineno = reader.line_num
+            if not row:
+                continue
+            if len(row) < 3 or (exact_arity is not None and len(row) != exact_arity):
+                raise IngestError(
+                    f"expected {exact_arity or 'at least 3'} columns, got {len(row)}",
+                    line=lineno,
+                )
+            u, v, raw_t = row[0].strip(), row[1].strip(), row[2].strip()
+            if not u or not v:
+                raise IngestError("empty node label", line=lineno)
+            try:
+                t = float(raw_t)
+            except ValueError:
+                raise IngestError(f"invalid timestamp {raw_t!r}", line=lineno) from None
+            if math.isnan(t) or math.isinf(t):
+                raise IngestError(f"non-finite timestamp {raw_t!r}", line=lineno)
+            if t < 0:
+                raise IngestError(f"negative timestamp {raw_t!r}", line=lineno)
+            if not kind.bipartite and not kind.allow_self_loops and u == v:
+                raise IngestError(f"self-loop on {u!r} (self-loops disabled)", line=lineno)
+            u_labels.append(u)
+            v_labels.append(v)
+            times.append(t)
+
+    if not times:
+        raise IngestError("empty stream: no event rows")
+
+    t_arr = np.asarray(times, dtype=np.float64)
+    order = np.argsort(t_arr, kind="stable")
+
+    if kind.bipartite:
+        src_map: dict[str, int] = {}
+        dst_map: dict[str, int] = {}
+        src_ids = np.empty(len(order), dtype=np.int64)
+        dst_ids = np.empty(len(order), dtype=np.int64)
+        for pos, i in enumerate(order):
+            src_ids[pos] = src_map.setdefault(u_labels[i], len(src_map))
+            dst_ids[pos] = dst_map.setdefault(v_labels[i], len(dst_map))
+        num_sources = len(src_map)
+        dst_ids += num_sources
+        labels = tuple(src_map) + tuple(dst_map)
+        num_nodes = len(labels)
+    else:
+        node_map: dict[str, int] = {}
+        src_ids = np.empty(len(order), dtype=np.int64)
+        dst_ids = np.empty(len(order), dtype=np.int64)
+        for pos, i in enumerate(order):
+            src_ids[pos] = node_map.setdefault(u_labels[i], len(node_map))
+            dst_ids[pos] = node_map.setdefault(v_labels[i], len(node_map))
+        num_sources = None
+        labels = tuple(node_map)
+        num_nodes = len(labels)
+
+    return History(
+        src_ids, dst_ids, t_arr[order], kind, num_nodes, num_sources, labels
+    )
 
 
 def brute_force_lifetimes(h: History, edges: bool = False) -> dict:

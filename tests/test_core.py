@@ -1,10 +1,11 @@
+import csv
 import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_history, events_of, random_history
+from conftest import brute_force_ingest, build_history, events_of, random_history
 from dlpeval import GraphKind, History, IngestError, ingest_csv
 
 
@@ -22,7 +23,7 @@ class TestIngest:
 
     def test_equal_timestamps_keep_input_order(self):
         h = _ingest("source,destination,timestamp\nA,B,5\nC,D,5\nE,F,5\nG,H,1\n")
-        assert [h.label_of(u) for u in h.src.tolist()] == ["G", "A", "C", "E"]
+        assert [h.labels[u] for u in h.src.tolist()] == ["G", "A", "C", "E"]
 
     def test_negative_timestamp_reports_line(self):
         with pytest.raises(IngestError, match="line 3.*negative"):
@@ -82,6 +83,119 @@ class TestIngest:
         assert h.labels == ("1", "2", "1", "2")
 
 
+# Generated CSV text. Labels are letters with padding whitespace (so " a"
+# and "a" merge after strip) and the characters CSV quoting has to carry.
+# A clean stream draws only well-formed rows; a dirty one may also draw
+# rows of the wrong arity, raw unquoted fields and bad timestamps.
+_PAD = st.sampled_from(["", "", " ", "\t"])
+_SPECIAL = st.text(alphabet=',"\r\n', max_size=2)
+_TIMES = ["1", "2", "2", "0", "-0", " 2 ", "1_000", "3.5", "1e3", "0.1"]
+_BAD_TIMES = ["-1", "nan", "inf", "oops", ""]
+_NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _label(draw, clean):
+    core = draw(st.text(alphabet="ab", min_size=1 if clean else 0, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        core += draw(_SPECIAL)
+    return draw(_PAD) + core + draw(_PAD)
+
+
+@st.composite
+def _field(draw, value, clean):
+    """``value`` as one CSV field: quoted with its quotes doubled when it
+    needs it (or at random), or, in a dirty stream, raw."""
+    if not clean and draw(st.integers(0, 5)) == 0:
+        return value
+    if any(c in value for c in ',"\r\n') or draw(st.booleans()):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def _csv_text(draw):
+    clean = draw(st.booleans())
+    lines = [draw(st.sampled_from(["source,destination,timestamp", '"s\nx",d,t', ""]))]
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank"] + ([] if clean else ["short", "long"])))
+        if shape == "blank":
+            lines.append("")
+            continue
+        t = draw(st.sampled_from(_TIMES + ([] if clean else _BAD_TIMES)))
+        fields = [draw(_field(draw(_label(clean)), clean)), draw(_field(draw(_label(clean)), clean)),
+                  draw(_field(t, clean))]
+        if shape == "short":
+            fields = fields[:draw(st.integers(1, 2))]
+        elif shape == "long":
+            fields += [draw(_field(draw(_label(clean)), clean))
+                       for _ in range(draw(st.integers(1, 2)))]
+        lines.append(",".join(fields))
+    end = draw(st.sampled_from(["", "\n"]))
+    return "".join(line + draw(_NEWLINE) for line in lines[:-1]) + lines[-1] + end
+
+
+def _outcome(read, source, **kw):
+    """What ingesting ``source`` gives: the stream's columns and labels, or
+    the error raised with its message."""
+    try:
+        h = read(source, **kw)
+    except (IngestError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return (h.src.tolist(), h.dst.tolist(), h.t.tolist(), h.labels, h.num_nodes,
+            h.num_sources, h.src.dtype, h.t.dtype)
+
+
+class _Pipe(io.StringIO):
+    """A text stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+
+class TestIngestMatchesRowOracle:
+    """The columnar ingest against the row-by-row oracle on generated CSV
+    text, read from a path, bytes, a text handle and a pipe."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_text(),
+           schema=st.sampled_from(["minimal", "jodie"]),
+           kind=st.sampled_from([GraphKind(), GraphKind(directed=False),
+                                 GraphKind(allow_self_loops=True),
+                                 GraphKind(bipartite=True)]))
+    def test_same_stream_or_same_error(self, tmp_path_factory, text, schema, kind):
+        path = tmp_path_factory.getbasetemp() / "ingest.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = _outcome(brute_force_ingest, path, schema=schema, kind=kind)
+        assert _outcome(ingest_csv, path, schema=schema, kind=kind) == want
+        assert _outcome(ingest_csv, text.encode(), schema=schema, kind=kind) == \
+            _outcome(brute_force_ingest, text.encode(), schema=schema, kind=kind)
+        assert _outcome(ingest_csv, io.StringIO(text, newline=""), schema=schema,
+                        kind=kind) == want
+        assert _outcome(ingest_csv, _Pipe(text, newline=""), schema=schema, kind=kind) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("s,d,t\na,b,1\na,b\n", "line 3: expected 3 columns, got 2"),
+        ("s,d,t\na,b,1\n\n , b,2\n", "line 4: empty node label"),
+        ("s,d,t\r\na,b,1\r\na,c,x\r\n", "line 3: invalid timestamp 'x'"),
+        ("s,d,t\n\"a\nb\",c,1\nb,c,inf\n", "line 4: non-finite timestamp 'inf'"),
+        ("s,d,t\na,b,2\na,c,-1\n", "line 3: negative timestamp '-1'"),
+        ("s,d,t\na,b,2\n a,a ,1\n", "line 3: self-loop on 'a' (self-loops disabled)"),
+    ])
+    def test_each_error_names_its_line(self, text, message):
+        with pytest.raises(IngestError) as caught:
+            _ingest(text)
+        assert str(caught.value) == message
+        assert _outcome(brute_force_ingest, io.StringIO(text)) == ("IngestError", message)
+
+    def test_padded_labels_merge_in_first_appearance_order(self):
+        text = 's,d,t\n" b",a,2\nb ,c,3\n"a""q",b,1\n\n\tc\t,"a""q",2\n'
+        h = _ingest(text)
+        assert h.labels == ('a"q', "b", "a", "c")
+        assert _outcome(ingest_csv, io.StringIO(text)) == \
+            _outcome(brute_force_ingest, io.StringIO(text))
+
+
 class TestGraphKind:
     def test_bipartite_requires_directed(self):
         with pytest.raises(ValueError):
@@ -132,11 +246,12 @@ class TestRoundTrip:
         # arbitrary ids survive as labels; a second round trip is an identity
         rng = np.random.default_rng(11)
         h = random_history(rng, n_events=200, n_nodes=15)
+        assert h.labels is None  # an unlabelled stream exports its ids as labels
         buf = io.StringIO()
         h.export_csv(buf)
         h2 = _ingest(buf.getvalue())
-        assert [(h.label_of(u), h.label_of(v), t) for u, v, t in events_of(h)] == \
-               [(h2.label_of(u), h2.label_of(v), t) for u, v, t in events_of(h2)]
+        assert [(str(u), str(v), t) for u, v, t in events_of(h)] == \
+               [(h2.labels[u], h2.labels[v], t) for u, v, t in events_of(h2)]
         buf2 = io.StringIO()
         h2.export_csv(buf2)
         h3 = _ingest(buf2.getvalue())

@@ -1,11 +1,14 @@
 import hashlib
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import SCENARIO_T_SPLIT, make_log, random_history, scenario_history, worked_example_log
 from dlpeval import GraphKind, KeyKind, LifetimeTable, lifetimes, mar_time_series, surprise_sweep
+from dlpeval._svg import escape
 from dlpeval.diagrams import PALETTE, bd_diagram, mar_plot, surprise_curve
 from dlpeval.errors import DlpEvalError
 from dlpeval.partition import SweepPoint, TemporalCategory
@@ -13,6 +16,11 @@ from dlpeval.partition import SweepPoint, TemporalCategory
 
 def _parse(path):
     return ET.parse(path)  # strict XML parser
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amp gtl\"'\n") | st.characters()))
+def test_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
 
 
 class TestBdDiagram:

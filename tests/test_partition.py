@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     SCENARIO_T_SPLIT,
@@ -24,6 +27,8 @@ from dlpeval import (
     surprise_sweep,
 )
 from dlpeval.partition import write_partition_csv, write_sweep_csv
+
+_RATIOS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.5, 0.7, 0.9)
 
 
 def _ladder(n=10):
@@ -242,3 +247,94 @@ class TestCsvExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "ratio,node_surprise,edge_surprise"
         assert len(lines) == 3
+
+
+@st.composite
+def _streams(draw):
+    """A small directed, undirected or bipartite stream on few timestamps,
+    so that ties at every cutoff are common."""
+    kind = draw(st.sampled_from([GraphKind(), GraphKind(directed=False),
+                                 GraphKind(bipartite=True)]))
+    n = draw(st.integers(1, 40))
+    times = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if kind.bipartite:
+        src = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        dst = draw(st.lists(st.integers(3, 6), min_size=n, max_size=n))
+        return build_history(list(zip(src, dst, map(float, times))), kind=kind,
+                             num_nodes=7, num_sources=3)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                          min_size=n, max_size=n))
+    # the offset in 1..6 keeps every destination off its source
+    return build_history([(u, (u + d) % 7, float(t)) for (u, d), t in zip(pairs, times)],
+                         kind=kind, num_nodes=7)
+
+
+def _oracle_cutoff(h, ratio):
+    """The documented rule: the timestamp of the
+    (floor((1 - ratio) * N) + 1)-th event, None when it is the first one's."""
+    k = int((1 - Fraction(str(ratio))) * len(h))
+    t_split = sorted(h.t.tolist())[k]
+    return None if t_split <= h.t.min() else t_split
+
+
+def _oracle_counts(h, t_split, edges):
+    """(total, historical, overlap, inductive) of the brute-force lifetimes:
+    a key dies before the cutoff, is born at or after it, or straddles it."""
+    life = brute_force_lifetimes(h, edges=edges).values()
+    historical = sum(death < t_split for _, death in life)
+    inductive = sum(birth >= t_split for birth, _ in life)
+    return len(life), historical, len(life) - historical - inductive, inductive
+
+
+class TestPartitionProperties:
+    """Lifetimes, partition reports, sweeps and cutoffs against the
+    brute-force scans of the raw event list."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=_streams())
+    def test_lifetime_columns_match_scan(self, h):
+        nodes = lifetimes(h, KeyKind.NODE)
+        assert dict(zip(nodes.ids.tolist(), zip(nodes.births.tolist(),
+                                                 nodes.deaths.tolist()))) == \
+            brute_force_lifetimes(h)
+        edges = lifetimes(h, KeyKind.EDGE)
+        pairs = zip(*(c.tolist() for c in np.divmod(edges.ids, h.num_nodes)))
+        assert dict(zip(pairs, zip(edges.births.tolist(), edges.deaths.tolist()))) == \
+            brute_force_lifetimes(h, edges=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=_streams(), ratio=st.sampled_from(_RATIOS))
+    def test_cutoff_follows_documented_rule(self, h, ratio):
+        want = _oracle_cutoff(h, ratio)
+        if want is None:
+            with pytest.raises(DegenerateSplitError):
+                compute_cutoff(h, ratio)
+        else:
+            assert compute_cutoff(h, ratio) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=_streams(), at=st.integers(0, 7))
+    def test_report_counts_match_scan(self, h, at):
+        # cutoffs on event timestamps put ties exactly at the cutoff
+        t_split = float(at)
+        report = partition_report(h, t_split)
+        for kind, edges in ((KeyKind.NODE, False), (KeyKind.EDGE, True)):
+            c = report.counts[kind]
+            assert (c.total, c.historical, c.overlap, c.inductive) == \
+                _oracle_counts(h, t_split, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=_streams(), ratios=st.lists(st.sampled_from(_RATIOS), min_size=1, max_size=4))
+    def test_sweep_matches_scan(self, h, ratios):
+        cutoffs = [_oracle_cutoff(h, r) for r in ratios]
+        if None in cutoffs:
+            with pytest.raises(DegenerateSplitError):
+                surprise_sweep(h, ratios)
+            return
+
+        def surprise(t_split, edges):
+            _, _, overlap, inductive = _oracle_counts(h, t_split, edges)
+            return inductive / (inductive + overlap) if inductive + overlap else None
+
+        assert surprise_sweep(h, ratios) == [
+            (r, surprise(t, False), surprise(t, True)) for r, t in zip(ratios, cutoffs)]
