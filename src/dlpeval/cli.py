@@ -1,7 +1,9 @@
 """Command-line pipeline: ingest -> split -> sample -> score -> metrics -> plots.
 
 Every run writes a manifest with the fully resolved configuration so outputs
-can be reproduced byte-identically. Exit codes: 0 success, 1 evaluation
+can be reproduced byte-identically: each subcommand returns the values it
+resolved and the outputs it wrote, and ``main`` records them with every
+parsed option. Exit codes: 0 success, 1 evaluation
 policy failure (e.g. empty candidate sets under the abort policy), 2 input
 or configuration error.
 
@@ -16,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +120,7 @@ def _load_history(args) -> History:
 
 
 def _resolve_cutoff(args, h: History) -> float:
-    if getattr(args, "t_split", None) is not None:
+    if args.t_split is not None:
         return args.t_split
     return compute_cutoff(h, args.test_ratio)
 
@@ -149,30 +152,27 @@ def _parse_strategies(text: str, kind: GraphKind) -> list[NegativeStrategy]:
     return out
 
 
-def _write_manifest(out: Path, command: str, config: dict, outputs: list[str],
+def _write_manifest(args, resolved: dict, outputs: list[str],
                     run: dict | None = None) -> None:
+    """``manifest.json``: every parsed option, the stream's ``GraphKind`` in
+    place of ``--undirected``, overlaid by what the command ``resolved``."""
+    config = {name: value for name, value in vars(args).items()
+              if name not in ("command", "func", "verbose", "out")}
+    if "undirected" in config:
+        del config["undirected"]
+        config |= asdict(_graph_kind(args))
     manifest = {
         "tool": "dlpeval",
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": config | resolved,
         "outputs": sorted(outputs),
     }
     if run is not None:
         manifest["run"] = run
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(_out_dir(args) / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _dataset_config(args) -> dict:
-    return {
-        "dataset": str(args.dataset),
-        "schema": args.schema,
-        "directed": not args.undirected or args.bipartite,
-        "bipartite": args.bipartite,
-        "allow_self_loops": args.allow_self_loops,
-    }
 
 
 def _sample(args, h: History, t_split: float, strategies) -> tuple[SampledStream, dict]:
@@ -197,10 +197,10 @@ def _surprise_text(s: float | None) -> str:
     return "undefined" if s is None else f"{s:.3f}"
 
 
-# -- subcommands ---------------------------------------------------------
+# -- subcommands: each returns (resolved, outputs) or (resolved, outputs, run)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
     kinds = [KeyKind.NODE, KeyKind.EDGE]
@@ -216,14 +216,10 @@ def cmd_stats(args) -> int:
     for kind, c in report.counts.items():
         print(f"{kind.value:24s} {c.total:>8d} {c.historical:>11d} {c.overlap:>8d} "
               f"{c.inductive:>10d} {_surprise_text(c.surprise):>9s}")
-    config = _dataset_config(args) | {
-        "test_ratio": args.test_ratio, "t_split": t_split, "roles": args.roles,
-    }
-    _write_manifest(out, "stats", config, ["partition.csv"])
-    return EXIT_OK
+    return {"t_split": t_split}, ["partition.csv"]
 
 
-def cmd_split(args) -> int:
+def cmd_split(args):
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
     train, test = split(h, t_split)
@@ -232,53 +228,36 @@ def cmd_split(args) -> int:
     test.export_csv(out / "test.csv")
     h.export_label_map(out / "labels.csv")
     print(f"t_split={t_split!r} train={len(train)} test={len(test)}")
-    config = _dataset_config(args) | {"test_ratio": args.test_ratio, "t_split": t_split}
-    _write_manifest(out, "split", config, ["train.csv", "test.csv", "labels.csv"])
-    return EXIT_OK
+    return {"t_split": t_split}, ["train.csv", "test.csv", "labels.csv"]
 
 
-def cmd_bd(args) -> int:
+def cmd_bd(args):
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
-    out = _out_dir(args)
     name = Path(args.dataset).stem
-    outputs = []
     keys = [k.strip() for k in args.keys.split(",") if k.strip()]
+    # (file stem, panels), every key kind checked before any diagram is drawn
+    diagrams = []
     for key in keys:
-        if key == "node":
-            life = lifetimes(h, KeyKind.NODE)
-        elif key == "edge":
-            life = lifetimes(h, KeyKind.EDGE)
-        else:
+        if key not in ("node", "edge"):
             raise ValueError(f"unknown key kind {key!r} (use node,edge)")
-        svg, csv_ = bd_diagram(
-            life, t_split,
-            out / f"bd_{key}.svg", out / f"bd_{key}.csv",
-            title=f"{name} {key}s", seed=args.seed,
-        )
-        outputs += [svg.name, csv_.name]
-        print(f"wrote {svg} and {csv_}")
+        diagrams.append((f"bd_{key}", [(f"{name} {key}s", KeyKind(key))]))
     if args.facet_roles:
-        panels = [
-            ("source", lifetimes(h, KeyKind.SOURCE_NODE)),
-            ("destination", lifetimes(h, KeyKind.DESTINATION_NODE)),
-        ]
+        diagrams.append(("bd_node_roles", [("source", KeyKind.SOURCE_NODE),
+                                           ("destination", KeyKind.DESTINATION_NODE)]))
+    out = _out_dir(args)
+    outputs = []
+    for stem, panels in diagrams:
         svg, csv_ = bd_diagram(
-            panels, t_split,
-            out / "bd_node_roles.svg", out / "bd_node_roles.csv",
-            seed=args.seed,
+            [(title, lifetimes(h, kind)) for title, kind in panels], t_split,
+            out / f"{stem}.svg", out / f"{stem}.csv", seed=args.seed,
         )
         outputs += [svg.name, csv_.name]
         print(f"wrote {svg} and {csv_}")
-    config = _dataset_config(args) | {
-        "test_ratio": args.test_ratio, "t_split": t_split,
-        "keys": keys, "facet_roles": args.facet_roles, "seed": args.seed,
-    }
-    _write_manifest(out, "bd", config, outputs)
-    return EXIT_OK
+    return {"t_split": t_split, "keys": keys}, outputs
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     h = _load_history(args)
     ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
     points = surprise_sweep(h, ratios)
@@ -291,12 +270,10 @@ def cmd_sweep(args) -> int:
         print(f"ratio={p.ratio:g} node_surprise={_surprise_text(p.node_surprise)} "
               f"edge_surprise={_surprise_text(p.edge_surprise)}")
     print(f"wrote {svg}")
-    config = _dataset_config(args) | {"ratios": ratios, "mark_ratio": args.mark_ratio}
-    _write_manifest(out, "sweep", config, ["sweep.csv", "surprise_curve.svg"])
-    return EXIT_OK
+    return {"ratios": ratios}, ["sweep.csv", "surprise_curve.svg"]
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args):
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
     strategies = _parse_strategies(args.strategies, h.kind)
@@ -305,20 +282,8 @@ def cmd_sample(args) -> int:
     write_negatives_csv(sampled, out / "negatives.csv")
     print(f"sampled {len(sampled.events)} events ({sampled.skipped} skipped) "
           f"-> {out / 'negatives.csv'}")
-    config = _dataset_config(args) | {
-        "test_ratio": args.test_ratio, "t_split": t_split, "seed": args.seed,
-        "strategies": [s.value for s in strategies], "k": args.k,
-        "on_empty": args.on_empty,
-    }
-    _write_manifest(out, "sample", config, ["negatives.csv"], run=run)
-    return EXIT_OK
-
-
-def _auc_summary(log, strategies, period, t_split):
-    reports = []
-    for strategy in strategies:
-        reports.append(mean_auc_over_batches(log, strategy, period, t_split))
-    return reports
+    resolved = {"t_split": t_split, "strategies": [s.value for s in strategies]}
+    return resolved, ["negatives.csv"], run
 
 
 def _read_external_logs(paths: list[str], h: History):
@@ -344,7 +309,7 @@ def _read_external_logs(paths: list[str], h: History):
     return logs, metas
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
     out = _out_dir(args)
@@ -352,14 +317,25 @@ def cmd_eval(args) -> int:
     outputs = []
     run = None
 
-    if args.scorer in ("pa", "edgebank"):
+    if args.scorer == "external":
+        if not args.logs:
+            raise ValueError("--scorer external requires --logs")
+        logs, metas = _read_external_logs(args.logs, h)
+        t_split = metas[0].t_split
+        # the logs, not the command line, say how they were sampled and
+        # scored: their headers replace the sampling options in the config
+        for option in ("k", "seed", "batch_size", "on_empty"):
+            delattr(args, option)
+        resolved = {"log_headers": [
+            {"scorer": m.scorer, "k": m.k, "seed": m.seed, "batch_size": m.batch_size}
+            for m in metas
+        ]}
+    else:
         strategies = _parse_strategies(args.strategies, h.kind)
-        kind = (ScorerKind.PREFERENTIAL_ATTACHMENT if args.scorer == "pa"
-                else ScorerKind.EDGEBANK)
         if args.batch_size < 1:
             raise ValueError("batch_size must be >= 1")  # before drawing the stream
         sampled, run = _sample(args, h, t_split, strategies)
-        log = run_streaming_eval(h, kind, sampled, args.batch_size)
+        log = run_streaming_eval(h, ScorerKind(args.scorer), sampled, args.batch_size)
         meta = ScoreLogMeta(
             dataset=name, t_split=t_split, batch_size=args.batch_size,
             strategies=tuple(s.value for s in strategies),
@@ -372,23 +348,13 @@ def cmd_eval(args) -> int:
         write_score_log(log, meta, out / "scores.csv")
         outputs.append("scores.csv")
         logs = [log]
-        drawn = {"k": args.k, "seed": args.seed, "batch_size": args.batch_size,
-                 "on_empty": args.on_empty}
-    else:
-        if not args.logs:
-            raise ValueError("--scorer external requires --logs")
-        logs, metas = _read_external_logs(args.logs, h)
-        t_split = metas[0].t_split
-        # the logs, not the command line, say how they were sampled and scored
-        drawn = {"log_headers": [
-            {"scorer": m.scorer, "k": m.k, "seed": m.seed, "batch_size": m.batch_size}
-            for m in metas
-        ]}
+        resolved = {}
 
     strategy_names = list(logs[0].strategies)
     per_log_reports = []
     for j, log in enumerate(logs):
-        reports = _auc_summary(log, strategy_names, args.period, t_split)
+        reports = [mean_auc_over_batches(log, s, args.period, t_split)
+                   for s in strategy_names]
         per_log_reports.append(reports)
         suffix = f"_seed{j}" if len(logs) > 1 else ""
         write_auc_csv(reports, out / f"auc{suffix}.csv")
@@ -411,21 +377,16 @@ def cmd_eval(args) -> int:
     svg = mar_plot(series, t_split, out / "mar.svg")
     outputs += ["mar.csv", "mar.svg"]
     print(f"wrote {out / 'mar.csv'} and {svg}")
-
-    config = _dataset_config(args) | drawn | {
-        "test_ratio": args.test_ratio, "t_split": t_split, "scorer": args.scorer,
-        "strategies": strategy_names, "bins": args.bins, "period": args.period,
-        "logs": [str(p) for p in (args.logs or [])],
-    }
-    _write_manifest(out, "eval", config, outputs, run=run)
-    return EXIT_OK
+    resolved |= {"t_split": t_split, "strategies": strategy_names, "logs": args.logs or []}
+    return resolved, outputs, run
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args):
     log, meta = read_score_log(args.log)
     t_split = meta.t_split if args.t_split is None else args.t_split
     out = _out_dir(args)
-    reports = _auc_summary(log, list(log.strategies), args.period, t_split)
+    reports = [mean_auc_over_batches(log, s, args.period, t_split)
+               for s in log.strategies]
     write_auc_csv(reports, out / "auc.csv")
     series = mar_time_series(log, bins=args.bins)
     write_mar_csv(series, out / "mar.csv")
@@ -433,22 +394,17 @@ def cmd_metrics(args) -> int:
     for r in reports:
         print(f"{r.strategy:10s} {r.mean_auc:>9.4f} {len(r.auc):>8d} "
               f"{r.skipped_batches:>8d}")
-    config = {"log": str(args.log), "period": args.period,
-              "t_split": t_split, "bins": args.bins}
-    _write_manifest(out, "metrics", config, ["auc.csv", "mar.csv"])
-    return EXIT_OK
+    return {"t_split": t_split}, ["auc.csv", "mar.csv"]
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args):
     log, meta = read_score_log(args.log)
     t_split = meta.t_split if args.t_split is None else args.t_split
     out = _out_dir(args)
     series = mar_time_series(log, bins=args.bins)
     svg = mar_plot(series, t_split, out / "mar.svg")
     print(f"wrote {svg}")
-    config = {"log": str(args.log), "t_split": t_split, "bins": args.bins}
-    _write_manifest(out, "plot", config, ["mar.svg"])
-    return EXIT_OK
+    return {"t_split": t_split}, ["mar.svg"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,13 +495,14 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        _write_manifest(args, *args.func(args))
     except EmptyCandidateSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_FAILURE
     except (DlpEvalError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -254,7 +254,7 @@ def _open_for_read(source: str | Path | TextIO):
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8"), newline="")
     return nullcontext(source)
 
 

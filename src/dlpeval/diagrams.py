@@ -119,69 +119,63 @@ def _stratified_sample(codes: np.ndarray, max_points: int, seed: int) -> np.ndar
 
 
 def bd_diagram(
-    lifetimes: LifetimeTable | Sequence[tuple[str, LifetimeTable]],
+    lifetimes: Sequence[tuple[str, LifetimeTable]],
     t_split: float,
     svg_path: str | Path,
     csv_path: str | Path,
-    title: str = "",
     max_points: int = 100_000,
     seed: int = 0,
-    palette: Mapping[TemporalCategory, str] = PALETTE,
 ) -> tuple[Path, Path]:
     """Scatter of death time (x) against birth time (y) per key.
 
-    ``lifetimes`` is one LifetimeTable, or a list of named (panel, table)
-    pairs for side-by-side facets (e.g. source-role and destination-role
-    nodes of a bipartite stream). Split guides are drawn at ``t_split`` on
-    both axes; the CSV lists every key as ``key,birth,death,category``,
-    with edge keys written ``a|b``.
+    ``lifetimes`` lists named (title, table) panels, drawn side by side
+    (e.g. source-role and destination-role nodes of a bipartite stream).
+    Split guides are drawn at ``t_split`` on both axes; the CSV lists every
+    key as ``key,birth,death,category``, with edge keys written ``a|b`` and,
+    when there are several panels, prefixed by the panel's title.
     """
-    if isinstance(lifetimes, LifetimeTable):
-        panels = [(title, lifetimes)]
-    else:
-        panels = list(lifetimes)
+    panels = list(lifetimes)
     if not panels or all(len(m) == 0 for _, m in panels):
         raise DlpEvalError("birth-death diagram needs at least one lifetime")
-
-    doc = SvgDocument(_PANEL_W * len(panels), _PANEL_H)
-    colors = np.array([palette[cat] for cat in TemporalCategory], dtype=object)
-    for p, (panel_title, table) in enumerate(panels):
+    for panel_title, table in panels:
         if len(table) == 0:
             raise DlpEvalError(f"panel {panel_title!r} has no lifetimes")
-        births, deaths = table.births, table.deaths
-        codes = category_codes(births, deaths, t_split)
 
-        lo = float(min(births.min(), deaths.min()))
-        hi = float(max(births.max(), deaths.max(), t_split))
-        frame = _Frame(doc, p * _PANEL_W, (lo, hi), (lo, hi))
-        frame.draw_axes("death time", "birth time",
-                        panel_title or title or "birth-death")
-        # diagonal: every key satisfies death >= birth
-        doc.line(frame.px(lo), frame.py(lo), frame.px(hi), frame.py(hi),
-                 stroke="#BBBBBB", width=0.8)
-        # split guides
-        doc.line(frame.px(t_split), frame.y0, frame.px(t_split), frame.y1,
-                 stroke=_GUIDE, dash="5,3")
-        doc.line(frame.x0, frame.py(t_split), frame.x1, frame.py(t_split),
-                 stroke=_GUIDE, dash="5,3")
-
-        shown = _stratified_sample(codes, max_points, seed)
-        doc.circles(frame.px(deaths[shown]), frame.py(births[shown]), 2.2,
-                    fill=colors[codes[shown]], opacity=0.6)
-
-        # legend with per-category counts
-        ly = frame.y0 + 6
-        for cat, n_cat in zip(TemporalCategory, np.bincount(codes, minlength=3).tolist()):
-            doc.rect(frame.x0 + 8, ly, 10, 10, fill=palette[cat])
-            doc.text(frame.x0 + 22, ly + 9,
-                     f"{cat.value.capitalize()} (n={n_cat})", size=11)
-            ly += 16
-
+    doc = SvgDocument(_PANEL_W * len(panels), _PANEL_H)
+    colors = np.array([PALETTE[cat] for cat in TemporalCategory], dtype=object)
     svg_path, csv_path = Path(svg_path), Path(csv_path)
-    doc.write(svg_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("key,birth,death,category\n")
-        for panel_title, table in panels:
+        for p, (panel_title, table) in enumerate(panels):
+            births, deaths = table.births, table.deaths
+            codes = category_codes(births, deaths, t_split)
+
+            lo = float(min(births.min(), deaths.min()))
+            hi = float(max(births.max(), deaths.max(), t_split))
+            frame = _Frame(doc, p * _PANEL_W, (lo, hi), (lo, hi))
+            frame.draw_axes("death time", "birth time", panel_title or "birth-death")
+            # diagonal: every key satisfies death >= birth
+            doc.line(frame.px(lo), frame.py(lo), frame.px(hi), frame.py(hi),
+                     stroke="#BBBBBB", width=0.8)
+            # split guides
+            doc.line(frame.px(t_split), frame.y0, frame.px(t_split), frame.y1,
+                     stroke=_GUIDE, dash="5,3")
+            doc.line(frame.x0, frame.py(t_split), frame.x1, frame.py(t_split),
+                     stroke=_GUIDE, dash="5,3")
+
+            shown = _stratified_sample(codes, max_points, seed)
+            doc.circles(frame.px(deaths[shown]), frame.py(births[shown]), 2.2,
+                        fill=colors[codes[shown]], opacity=0.6)
+
+            # legend with per-category counts
+            ly = frame.y0 + 6
+            for cat, n_cat in zip(TemporalCategory,
+                                  np.bincount(codes, minlength=3).tolist()):
+                doc.rect(frame.x0 + 8, ly, 10, 10, fill=PALETTE[cat])
+                doc.text(frame.x0 + 22, ly + 9,
+                         f"{cat.value.capitalize()} (n={n_cat})", size=11)
+                ly += 16
+
             # the prefix is literal text in the row format: double its braces
             prefix = (panel_title.replace("{", "{{").replace("}", "}}") + ":"
                       if len(panels) > 1 else "")
@@ -189,9 +183,9 @@ def bd_diagram(
                 keys, key_format = [table.ids], "{}"
             else:
                 keys, key_format = np.divmod(table.ids, table.num_nodes), "{}|{}"
-            codes = category_codes(table.births, table.deaths, t_split)
             _write_rows(fh, prefix + key_format + ",{!r},{!r},{}\n",
-                        [*keys, table.births, table.deaths, _CATEGORY_NAMES[codes]])
+                        [*keys, births, deaths, _CATEGORY_NAMES[codes]])
+    doc.write(svg_path)
     return svg_path, csv_path
 
 

@@ -91,21 +91,23 @@ class ScoredEventLog:
         """Check internal invariants; raise ScoreLogError on violation."""
         if len(self) == 0:
             return
-        roles = set(np.unique(self.role))
-        unknown = roles - set(self.strategies) - {POSITIVE_ROLE}
+        unknown = _undeclared(self.role, self.strategies)
         if unknown:
-            raise ScoreLogError(f"undeclared roles present: {sorted(unknown)}")
-        ordinals = np.unique(self.event_ordinal)
-        if ordinals[0] != 0 or ordinals[-1] != len(ordinals) - 1:
+            raise ScoreLogError(f"undeclared roles present: {unknown}")
+        ordinal = self.event_ordinal
+        # bounded first, so that counting the ordinals cannot run away
+        if ordinal.min() != 0 or ordinal.max() >= len(self) \
+                or not np.all(np.bincount(ordinal)):
             raise ScoreLogError("event ordinals are not contiguous from 0")
+        n_events = int(ordinal.max()) + 1
         pos = self.role == POSITIVE_ROLE
-        pos_ordinals, pos_counts = np.unique(self.event_ordinal[pos], return_counts=True)
-        if len(pos_ordinals) != len(ordinals):
+        pos_counts = np.bincount(ordinal[pos], minlength=n_events)
+        if not np.all(pos_counts):
             raise ScoreLogError("some event ordinal lacks a positive record")
         if np.any(pos_counts != 1):
             raise ScoreLogError("some event ordinal has multiple positive records")
         # all records of one ordinal share the positive's timestamp
-        t_of = np.empty(len(ordinals))
+        t_of = np.empty(n_events)
         t_of[self.event_ordinal[pos]] = self.timestamp[pos]
         if np.any(self.timestamp != t_of[self.event_ordinal]):
             bad = int(np.flatnonzero(self.timestamp != t_of[self.event_ordinal])[0])
@@ -114,7 +116,7 @@ class ScoredEventLog:
             )
         if np.any(np.diff(t_of) < 0):
             raise ScoreLogError("event timestamps are not chronological")
-        b_of = np.empty(len(ordinals), dtype=np.int64)
+        b_of = np.empty(n_events, dtype=np.int64)
         b_of[self.event_ordinal[pos]] = self.batch[pos]
         if np.any(np.diff(b_of) < 0):
             raise ScoreLogError("batch ordinals decrease over events")
@@ -122,6 +124,12 @@ class ScoredEventLog:
             raise ScoreLogError("records of one event disagree on batch ordinal")
         if not np.all(np.isfinite(self.score)):
             raise ScoreLogError("non-finite score present")
+
+
+def _undeclared(role: np.ndarray, strategies) -> list:
+    """The distinct roles, sorted, that are neither a declared strategy nor
+    the positive role."""
+    return sorted(set(role[~np.isin(role, [POSITIVE_ROLE, *strategies])]))
 
 
 def check_positives(log: ScoredEventLog, h: History) -> None:
@@ -143,11 +151,9 @@ def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | 
     An invalid log, or one with a role the header does not declare, raises
     before ``dest`` is opened."""
     log.validate()
-    undeclared = set(np.unique(log.role)) - {POSITIVE_ROLE, *meta.strategies}
+    undeclared = _undeclared(log.role, meta.strategies)
     if undeclared:
-        raise ScoreLogError(
-            f"log contains strategies absent from header: {sorted(undeclared)}"
-        )
+        raise ScoreLogError(f"log contains strategies absent from header: {undeclared}")
     header = asdict(meta) | {"strategies": ",".join(meta.strategies)}
     with _open_for_write(dest) as fh:
         fh.write("".join(f"# {key}={value}\n" for key, value in header.items()))

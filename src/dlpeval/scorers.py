@@ -23,7 +23,6 @@ from .scorelog import POSITIVE_ROLE, ScoredEventLog
 class ScorerKind(enum.Enum):
     PREFERENTIAL_ATTACHMENT = "pa"
     EDGEBANK = "edgebank"
-    EXTERNAL = "external"
 
 
 def _first_event(keys: np.ndarray, per_event: int, query: np.ndarray) -> np.ndarray:
@@ -54,12 +53,10 @@ def heuristic_scores(
     v = np.asarray(v, dtype=np.int64)
     if scorer is ScorerKind.EDGEBANK:
         seen_at = _first_event(h.event_edge_keys(), 1, h.edge_keys(u, v))
-    elif scorer is ScorerKind.PREFERENTIAL_ATTACHMENT:
+    else:
         endpoints = np.column_stack([h.src, h.dst]).ravel()  # event i: 2i, 2i+1
         seen_at = _first_event(endpoints, 2, np.concatenate([u, v]))
         seen_at = seen_at.reshape(2, -1).max(axis=0)
-    else:
-        raise ValueError(f"scorer {scorer.value!r} is not a heuristic")
     return (seen_at < before).astype(np.float64)
 
 
@@ -77,11 +74,6 @@ def run_streaming_eval(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if scorer is ScorerKind.EXTERNAL:
-        raise ValueError(
-            "scorer 'external' does not run in this harness; "
-            "external scores arrive via score-log files"
-        )
     n_kept, n_strategies, k = sampled.source.shape
     # (u, v) pairs per event: the positive, then k negatives per strategy
     positives = np.column_stack([h.src, h.dst])[sampled.events, None]

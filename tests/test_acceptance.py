@@ -417,7 +417,7 @@ def test_criterion_10_diagram_golden_stability(tmp_path):
         for run_dir in ("a", "b"):
             out = tmp_path / run_dir
             out.mkdir()
-            bd_svg, bd_csv = bd_diagram(life, SCENARIO_T_SPLIT,
+            bd_svg, bd_csv = bd_diagram([("", life)], SCENARIO_T_SPLIT,
                                         out / "bd.svg", out / "bd.csv", seed=7)
             curve = surprise_curve({"synthetic": sweep}, out / "curve.svg")
             mar = mar_plot(series, t_split=1.5, svg_path=out / "mar.svg")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_history, scenario_history
-from dlpeval import GraphKind, ingest_csv
+from dlpeval import GraphKind, __version__, ingest_csv
 from dlpeval.cli import main
 
 
@@ -96,6 +96,12 @@ class TestBdAndSweep:
         out = tmp_path / "out"
         assert run("bd", dataset, "--facet-roles", "--out", out) == 0
         assert (out / "bd_node_roles.svg").exists()
+
+    def test_bd_unknown_key_exits_2_before_writing(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("bd", dataset, "--keys", "node,foo", "--out", out) == 2
+        assert "unknown key kind 'foo'" in capsys.readouterr().err
+        assert not list(out.glob("bd_*"))
 
     def test_sweep_outputs(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -486,6 +492,104 @@ class TestManifestAndEnv:
         assert manifest["command"] == "stats"
         assert manifest["config"]["test_ratio"] == 0.15
         assert "partition.csv" in manifest["outputs"]
+
+    def test_pinned_manifests(self, dataset, tmp_path):
+        # Every subcommand's manifest, temporary paths written TMP: its
+        # config is each parsed option with the values the command resolved
+        bipartite = tmp_path / "bipartite.csv"
+        random_history(np.random.default_rng(12), n_events=300, n_nodes=20,
+                       kind=GraphKind(bipartite=True)).export_csv(bipartite)
+        pa_log = tmp_path / "pa" / "scores.csv"
+        edgebank_log = tmp_path / "edgebank" / "scores.csv"
+        commands = {
+            "stats": ("stats", dataset, "--roles"),
+            "split": ("split", bipartite, "--bipartite", "--test-ratio", "0.25"),
+            "bd": ("bd", dataset, "--keys", "node", "--facet-roles", "--seed", "3"),
+            "sweep": ("sweep", dataset, "--ratios", "0.2,0.3"),
+            "sample": ("sample", dataset, "--undirected", "--strategies", "oe, HE",
+                       "--k", "2", "--t-split", "40"),
+            "pa": ("eval", dataset, "--scorer", "pa", "--strategies", "OE,RND",
+                   "--seed", "5", "--batch-size", "50", "--on-empty", "abort"),
+            "edgebank": ("eval", dataset, "--undirected", "--strategies", "OE,RND",
+                         "--seed", "6", "--k", "2"),
+            # the logs' t_split and headers win over the command line's
+            "external": ("eval", dataset, "--undirected", "--scorer", "external",
+                         "--logs", pa_log, edgebank_log, "--period", "all", "--bins", "9",
+                         "--t-split", "50", "--k", "3"),
+            "metrics": ("metrics", "--log", pa_log, "--bins", "7"),
+            "plot": ("plot", "--log", pa_log, "--t-split", "100"),
+        }
+        got = {}
+        for name, argv in commands.items():
+            assert run(*argv, "--out", tmp_path / name) == 0, name
+            text = (tmp_path / name / "manifest.json").read_text()
+            got[name] = json.loads(text.replace(str(tmp_path), "TMP"))
+            assert got[name].pop("tool") == "dlpeval"
+            assert got[name].pop("version") == __version__
+
+        stream = {"dataset": "TMP/synthetic.csv", "schema": "minimal", "directed": True,
+                  "bipartite": False, "allow_self_loops": False}
+        undirected = stream | {"directed": False}
+        cutoff = {"test_ratio": 0.15, "t_split": 84.4}
+
+        def sampled(pools):
+            return {"events": 400, "events_scored": 400, "events_skipped": 0,
+                    "strategies": {s: {"pool_size": n, "events_no_legal_negative": 0}
+                                   for s, n in pools.items()}}
+
+        eval_outputs = ["auc.csv", "auc_summary.csv", "mar.csv", "mar.svg", "scores.csv"]
+        assert got == {
+            "stats": {"command": "stats", "config": stream | cutoff | {"roles": True},
+                      "outputs": ["partition.csv"]},
+            "split": {"command": "split",
+                      "config": stream | {"dataset": "TMP/bipartite.csv", "bipartite": True,
+                                          "test_ratio": 0.25, "t_split": 76.3},
+                      "outputs": ["labels.csv", "test.csv", "train.csv"]},
+            "bd": {"command": "bd",
+                   "config": stream | cutoff | {"keys": ["node"], "facet_roles": True,
+                                                "seed": 3},
+                   "outputs": ["bd_node.csv", "bd_node.svg", "bd_node_roles.csv",
+                               "bd_node_roles.svg"]},
+            "sweep": {"command": "sweep",
+                      "config": stream | {"ratios": [0.2, 0.3], "mark_ratio": 0.15},
+                      "outputs": ["surprise_curve.svg", "sweep.csv"]},
+            "sample": {"command": "sample",
+                       "config": undirected | {"test_ratio": 0.15, "t_split": 40.0,
+                                               "strategies": ["OE", "HE"], "k": 2,
+                                               "seed": 0, "on_empty": "skip"},
+                       "outputs": ["negatives.csv"],
+                       "run": sampled({"OE": 59, "HE": 64})},
+            "pa": {"command": "eval",
+                   "config": stream | cutoff | {
+                       "scorer": "pa", "strategies": ["OE", "RND"], "k": 1, "seed": 5,
+                       "on_empty": "abort", "batch_size": 50, "bins": 50,
+                       "period": "test", "logs": []},
+                   "outputs": eval_outputs, "run": sampled({"OE": 26, "RND": 25})},
+            "edgebank": {"command": "eval",
+                         "config": undirected | cutoff | {
+                             "scorer": "edgebank", "strategies": ["OE", "RND"], "k": 2,
+                             "seed": 6, "on_empty": "skip", "batch_size": 200,
+                             "bins": 50, "period": "test", "logs": []},
+                         "outputs": eval_outputs, "run": sampled({"OE": 36, "RND": 25})},
+            "external": {"command": "eval",
+                         "config": undirected | cutoff | {
+                             "scorer": "external", "strategies": ["OE", "RND"],
+                             "bins": 9, "period": "all",
+                             "logs": ["TMP/pa/scores.csv", "TMP/edgebank/scores.csv"],
+                             "log_headers": [
+                                 {"scorer": "pa", "k": 1, "seed": 5, "batch_size": 50},
+                                 {"scorer": "edgebank", "k": 2, "seed": 6,
+                                  "batch_size": 200}]},
+                         "outputs": ["auc_seed0.csv", "auc_seed1.csv", "auc_summary.csv",
+                                     "mar.csv", "mar.svg"]},
+            "metrics": {"command": "metrics",
+                        "config": {"log": "TMP/pa/scores.csv", "period": "test",
+                                   "t_split": 84.4, "bins": 7},
+                        "outputs": ["auc.csv", "mar.csv"]},
+            "plot": {"command": "plot",
+                     "config": {"log": "TMP/pa/scores.csv", "t_split": 100.0, "bins": 50},
+                     "outputs": ["mar.svg"]},
+        }
 
     def test_env_var_overrides_default_out_dir(self, dataset, tmp_path, monkeypatch):
         env_dir = tmp_path / "from-env"

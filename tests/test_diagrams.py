@@ -27,7 +27,7 @@ class TestBdDiagram:
     def test_scenario_counts_and_colors(self, tmp_path):
         h = scenario_history(1)
         svg, csv_ = bd_diagram(
-            lifetimes(h, KeyKind.NODE), SCENARIO_T_SPLIT,
+            [("", lifetimes(h, KeyKind.NODE))], SCENARIO_T_SPLIT,
             tmp_path / "bd.svg", tmp_path / "bd.csv",
         )
         text = svg.read_text()
@@ -46,7 +46,7 @@ class TestBdDiagram:
         # (smaller than) the horizontal guide's
         h = scenario_history(1)
         svg, _ = bd_diagram(
-            lifetimes(h, KeyKind.NODE), SCENARIO_T_SPLIT,
+            [("", lifetimes(h, KeyKind.NODE))], SCENARIO_T_SPLIT,
             tmp_path / "bd.svg", tmp_path / "bd.csv",
         )
         root = _parse(svg).getroot()
@@ -61,7 +61,7 @@ class TestBdDiagram:
 
     def test_single_event_point_on_diagonal(self, tmp_path):
         life = LifetimeTable([0], [5.0], [5.0])
-        svg, csv_ = bd_diagram(life, 6.0, tmp_path / "bd.svg", tmp_path / "bd.csv")
+        svg, csv_ = bd_diagram([("", life)], 6.0, tmp_path / "bd.svg", tmp_path / "bd.csv")
         root = _parse(svg).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         pts = [el for el in root.iter(f"{ns}circle")]
@@ -88,8 +88,8 @@ class TestBdDiagram:
         rng = np.random.default_rng(3)
         h = random_history(rng, n_events=2000, n_nodes=300)
         life = lifetimes(h, KeyKind.EDGE)
-        svg, csv_ = bd_diagram(life, 50.0, tmp_path / "bd.svg", tmp_path / "bd.csv",
-                               max_points=100)
+        svg, csv_ = bd_diagram([("", life)], 50.0, tmp_path / "bd.svg",
+                               tmp_path / "bd.csv", max_points=100)
         root = _parse(svg).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         rendered = len(list(root.iter(f"{ns}circle")))
@@ -103,7 +103,7 @@ class TestBdDiagram:
         outputs = []
         for run in range(2):
             svg, csv_ = bd_diagram(
-                life, 50.0,
+                [("", life)], 50.0,
                 tmp_path / f"bd{run}.svg", tmp_path / f"bd{run}.csv",
                 max_points=100, seed=7,
             )
@@ -118,7 +118,7 @@ class TestBdDiagram:
                     hashlib.sha256(csv_.read_bytes()).hexdigest())
 
         h = random_history(np.random.default_rng(3), n_events=2000, n_nodes=300)
-        single = bd_diagram(lifetimes(h, KeyKind.EDGE), 50.0,
+        single = bd_diagram([("", lifetimes(h, KeyKind.EDGE))], 50.0,
                             tmp_path / "e.svg", tmp_path / "e.csv",
                             max_points=100, seed=7)
         assert digests(*single) == (

@@ -63,11 +63,6 @@ class TestScores:
             assert series == sorted(series)
             assert series[-1] == 1
 
-    def test_external_is_not_a_heuristic(self):
-        h = scenario_history(1)
-        with pytest.raises(ValueError, match="external"):
-            scores(h, ScorerKind.EXTERNAL, [(0, 1)], 1)
-
 
 class TestHarness:
     def test_first_batch_scores_zero_for_pa(self):
@@ -186,12 +181,10 @@ class TestHarness:
                 [NegativeStrategy.IS], batch_size=4, seed=0, on_empty="abort",
             )
 
-    def test_external_scorer_rejected(self):
+    def test_bad_batch_size_rejected(self):
         h = scenario_history(1)
         sampled = sample_stream(h, build_candidate_index(h, SCENARIO_T_SPLIT),
                                 [NegativeStrategy.OE], 1, 0)
-        with pytest.raises(ValueError, match="external"):
-            run_streaming_eval(h, ScorerKind.EXTERNAL, sampled)
         with pytest.raises(ValueError, match="batch_size"):
             run_streaming_eval(h, ScorerKind.EDGEBANK, sampled, batch_size=0)
 
