@@ -23,7 +23,6 @@ from .metrics import (
 from .partition import (
     CategoryCounts,
     KeyKind,
-    Lifetime,
     LifetimeTable,
     PartitionReport,
     TemporalCategory,
@@ -56,7 +55,7 @@ __all__ = [
     "GraphKind", "History", "ingest_csv",
     "DlpEvalError", "IngestError", "DegenerateSplitError",
     "EmptyCandidateSetError", "ScoreLogError",
-    "TemporalCategory", "KeyKind", "Lifetime", "LifetimeTable", "CategoryCounts",
+    "TemporalCategory", "KeyKind", "LifetimeTable", "CategoryCounts",
     "PartitionReport", "compute_cutoff", "split", "lifetimes",
     "partition_report", "surprise_sweep",
     "NegativeStrategy", "CandidateIndex",

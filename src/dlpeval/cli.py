@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -152,6 +153,18 @@ def _parse_strategies(text: str, kind: GraphKind) -> list[NegativeStrategy]:
     return out
 
 
+def _check_numbers(args) -> None:
+    """Reject a non-finite ``--t-split`` and a count option below 1 before
+    the command reads its input."""
+    t_split = getattr(args, "t_split", None)
+    if t_split is not None and not math.isfinite(t_split):
+        raise ValueError(f"--t-split must be finite, got {t_split}")
+    for name in ("bins", "k", "batch_size"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1, "
+                             f"got {getattr(args, name)}")
+
+
 def _write_manifest(args, resolved: dict, outputs: list[str],
                     run: dict | None = None) -> None:
     """``manifest.json``: every parsed option, the stream's ``GraphKind`` in
@@ -181,12 +194,12 @@ def _sample(args, h: History, t_split: float, strategies) -> tuple[SampledStream
     a legal negative, and per strategy its candidate pool size and the
     events for which it had no legal negative."""
     idx = build_candidate_index(h, t_split)
-    sampled = sample_stream(h, idx, strategies, args.k, args.seed, args.on_empty)
+    sampled = sample_stream(idx, strategies, args.k, args.seed, args.on_empty)
     run = {
         "events": len(h), "events_scored": len(sampled.events),
         "events_skipped": sampled.skipped,
         "strategies": {
-            s.value: {"pool_size": len(idx.pool_for(s)), "events_no_legal_negative": n}
+            s.value: {"pool_size": len(idx.pools[s]), "events_no_legal_negative": n}
             for s, n in zip(sampled.strategies, sampled.no_legal)
         },
     }
@@ -311,7 +324,8 @@ def _read_external_logs(paths: list[str], h: History):
 
 def cmd_eval(args):
     h = _load_history(args)
-    t_split = _resolve_cutoff(args, h)
+    # external logs carry their own cutoff: none is computed for them
+    t_split = None if args.scorer == "external" else _resolve_cutoff(args, h)
     out = _out_dir(args)
     name = Path(args.dataset).stem
     outputs = []
@@ -332,8 +346,6 @@ def cmd_eval(args):
         ]}
     else:
         strategies = _parse_strategies(args.strategies, h.kind)
-        if args.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")  # before drawing the stream
         sampled, run = _sample(args, h, t_split, strategies)
         log = run_streaming_eval(h, ScorerKind(args.scorer), sampled, args.batch_size)
         meta = ScoreLogMeta(
@@ -495,6 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_numbers(args)
         _write_manifest(args, *args.func(args))
     except EmptyCandidateSetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,6 +152,12 @@ class History:
             a, b = np.minimum(u, v), np.maximum(u, v)
         return a * np.int64(self.num_nodes) + b
 
+    @staticmethod
+    def edge_endpoints(keys: np.ndarray, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (a, b) endpoint columns of edge keys packed by ``edge_keys``
+        over ``num_nodes`` nodes."""
+        return np.divmod(keys, num_nodes)
+
     def event_edge_keys(self) -> np.ndarray:
         """Per-event canonical edge key, cached."""
         if self._event_edge_keys is None:

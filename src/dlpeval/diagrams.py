@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._svg import SvgDocument
-from .core import _write_rows
+from .core import History, _write_rows
 from .errors import DlpEvalError
 from .metrics import MARSeries
 from .partition import LifetimeTable, SweepPoint, TemporalCategory, category_codes
@@ -182,7 +182,7 @@ def bd_diagram(
             if table.num_nodes is None:
                 keys, key_format = [table.ids], "{}"
             else:
-                keys, key_format = np.divmod(table.ids, table.num_nodes), "{}|{}"
+                keys, key_format = History.edge_endpoints(table.ids, table.num_nodes), "{}|{}"
             _write_rows(fh, prefix + key_format + ",{!r},{!r},{}\n",
                         [*keys, births, deaths, _CATEGORY_NAMES[codes]])
     doc.write(svg_path)

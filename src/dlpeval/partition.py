@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -35,17 +34,12 @@ class KeyKind(enum.Enum):
     DESTINATION_NODE = "destination-role-node"
 
 
-class Lifetime(NamedTuple):
-    birth: float
-    death: float
-
-
-class LifetimeTable(Mapping):
-    """Read-only key -> Lifetime mapping over columns sorted by key.
+class LifetimeTable:
+    """Birth and death per observed key, in columns sorted by key.
 
     ``ids`` are node ids, or for edge tables (``num_nodes`` set) canonical
-    edges packed as ``a * num_nodes + b`` and exposed as ``(a, b)`` keys.
-    ``births`` and ``deaths`` align with ``ids``; a lookup is one binary search.
+    edges packed by ``History.edge_keys`` (``History.edge_endpoints`` unpacks
+    them). ``births`` and ``deaths`` align with ``ids``.
     """
 
     __slots__ = ("ids", "births", "deaths", "num_nodes")
@@ -62,27 +56,6 @@ class LifetimeTable(Mapping):
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator:
-        if self.num_nodes is None:
-            return iter(self.ids.tolist())
-        heads, tails = np.divmod(self.ids, self.num_nodes)
-        return zip(heads.tolist(), tails.tolist())
-
-    def __getitem__(self, key) -> Lifetime:
-        if self.num_nodes is None:
-            if not isinstance(key, (int, np.integer)):
-                raise KeyError(key)
-            packed = key
-        else:
-            if not (isinstance(key, tuple) and len(key) == 2
-                    and 0 <= key[1] < self.num_nodes):
-                raise KeyError(key)
-            packed = key[0] * self.num_nodes + key[1]
-        i = int(np.searchsorted(self.ids, packed))
-        if i == len(self.ids) or self.ids[i] != packed:
-            raise KeyError(key)
-        return Lifetime(float(self.births[i]), float(self.deaths[i]))
 
 
 class SweepPoint(NamedTuple):
@@ -126,15 +99,23 @@ def category_codes(births, deaths, t_split: float) -> np.ndarray:
     return np.where(deaths < t_split, 0, np.where(births >= t_split, 2, 1))
 
 
-def node_lifetime_arrays(
-    h: History, kind: KeyKind = KeyKind.NODE
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(node ids, births, deaths) for nodes with at least one event.
+def lifetimes(h: History, kind: KeyKind = KeyKind.NODE) -> LifetimeTable:
+    """Birth/death per observed key: nodes with at least one event, or for
+    KeyKind.EDGE every observed canonical edge.
 
     Role-restricted kinds only count events where the node appears in that
     role; they are rejected on undirected streams, where roles carry no
     meaning.
     """
+    if len(h) == 0:
+        raise ValueError("lifetimes of an empty history")
+    if kind is KeyKind.EDGE:
+        keys, inverse = np.unique(h.event_edge_keys(), return_inverse=True)
+        birth = np.full(len(keys), np.inf)
+        death = np.full(len(keys), -np.inf)
+        np.minimum.at(birth, inverse, h.t)
+        np.maximum.at(death, inverse, h.t)
+        return LifetimeTable(keys, birth, death, num_nodes=h.num_nodes)
     if kind in (KeyKind.SOURCE_NODE, KeyKind.DESTINATION_NODE) and not h.kind.directed:
         raise ValueError(f"{kind.value} lifetimes are undefined on undirected streams")
     birth = np.full(h.num_nodes, np.inf)
@@ -146,28 +127,7 @@ def node_lifetime_arrays(
         np.minimum.at(birth, h.dst, h.t)
         np.maximum.at(death, h.dst, h.t)
     ids = np.flatnonzero(np.isfinite(birth))
-    return ids, birth[ids], death[ids]
-
-
-def edge_lifetime_arrays(h: History) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(canonical edge keys, births, deaths) for every observed edge."""
-    keys = h.event_edge_keys()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    birth = np.full(len(uniq), np.inf)
-    death = np.full(len(uniq), -np.inf)
-    np.minimum.at(birth, inverse, h.t)
-    np.maximum.at(death, inverse, h.t)
-    return uniq, birth, death
-
-
-def lifetimes(h: History, kind: KeyKind = KeyKind.NODE) -> LifetimeTable:
-    """Birth/death per observed key as a LifetimeTable: node ids key node
-    kinds, canonical (a, b) pairs key KeyKind.EDGE."""
-    if len(h) == 0:
-        raise ValueError("lifetimes of an empty history")
-    if kind is KeyKind.EDGE:
-        return LifetimeTable(*edge_lifetime_arrays(h), num_nodes=h.num_nodes)
-    return LifetimeTable(*node_lifetime_arrays(h, kind))
+    return LifetimeTable(ids, birth[ids], death[ids])
 
 
 @dataclass(frozen=True)
@@ -192,9 +152,9 @@ class PartitionReport:
     counts: dict[KeyKind, CategoryCounts]
 
 
-def _count_categories(births: np.ndarray, deaths: np.ndarray, t_split: float) -> CategoryCounts:
-    counts = np.bincount(category_codes(births, deaths, t_split), minlength=3)
-    return CategoryCounts(len(births), *(int(c) for c in counts))
+def _count_categories(table: LifetimeTable, t_split: float) -> CategoryCounts:
+    counts = np.bincount(category_codes(table.births, table.deaths, t_split), minlength=3)
+    return CategoryCounts(len(table), *(int(c) for c in counts))
 
 
 def partition_report(
@@ -203,30 +163,18 @@ def partition_report(
     kinds: Iterable[KeyKind] = (KeyKind.NODE, KeyKind.EDGE),
 ) -> PartitionReport:
     """Per-kind category counts and surprise indices at a cutoff."""
-    counts: dict[KeyKind, CategoryCounts] = {}
-    for kind in kinds:
-        if kind is KeyKind.EDGE:
-            _, births, deaths = edge_lifetime_arrays(h)
-        else:
-            _, births, deaths = node_lifetime_arrays(h, kind)
-        counts[kind] = _count_categories(births, deaths, t_split)
-    return PartitionReport(t_split, counts)
+    return PartitionReport(t_split, {kind: _count_categories(lifetimes(h, kind), t_split)
+                                     for kind in kinds})
 
 
 def surprise_sweep(h: History, ratios: Iterable[float]) -> list[SweepPoint]:
     """Node and edge surprise at each test ratio, in the given order."""
-    _, node_births, node_deaths = node_lifetime_arrays(h)
-    _, edge_births, edge_deaths = edge_lifetime_arrays(h)
+    nodes, edges = lifetimes(h, KeyKind.NODE), lifetimes(h, KeyKind.EDGE)
     points = []
     for ratio in ratios:
         t_split = compute_cutoff(h, ratio)
-        points.append(
-            SweepPoint(
-                ratio,
-                _count_categories(node_births, node_deaths, t_split).surprise,
-                _count_categories(edge_births, edge_deaths, t_split).surprise,
-            )
-        )
+        points.append(SweepPoint(ratio, _count_categories(nodes, t_split).surprise,
+                                 _count_categories(edges, t_split).surprise))
     return points
 
 

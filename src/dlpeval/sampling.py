@@ -28,13 +28,7 @@ import numpy as np
 
 from .core import History, _open_for_write, _write_rows
 from .errors import EmptyCandidateSetError
-from .partition import (
-    KeyKind,
-    TemporalCategory,
-    category_codes,
-    edge_lifetime_arrays,
-    node_lifetime_arrays,
-)
+from .partition import KeyKind, TemporalCategory, category_codes, lifetimes
 
 MAX_ATTEMPTS = 1000  # rejected candidates after which a draw gives up
 
@@ -110,54 +104,40 @@ class SampledStream:
 
 @dataclass
 class CandidateIndex:
-    """Precomputed category pools for sampling against one cutoff.
+    """Precomputed candidate pools for sampling against one cutoff.
 
-    Node pools are keyed by (role, category) where role is ``all`` for
-    unipartite streams and additionally ``source`` / ``destination`` for
-    bipartite ones (whose universes are disjoint); category None holds every
-    observed node of the role. Edge pools hold the observed canonical edges
-    of each category. The index is immutable after build and safe to share
-    across concurrent sampling calls.
+    ``pools[s]`` holds, sorted, the observed nodes of strategy ``s``'s
+    category (every observed node for RND), restricted on a bipartite stream
+    to the side it replaces, or for edge strategies the (n, 2) endpoints of
+    the observed canonical edges of its category. The index is immutable
+    after build and safe to share across concurrent sampling calls.
     """
 
     history: History
     t_split: float
-    node_pools: dict[tuple[str, TemporalCategory | None], np.ndarray]
-    edge_pools: dict[TemporalCategory, np.ndarray]
-
-    def pool_for(self, strategy: NegativeStrategy) -> np.ndarray:
-        """The candidate pool a strategy draws from (nodes or edge pairs)."""
-        if strategy.replaces == "edge":
-            return self.edge_pools[strategy.category]
-        role = strategy.replaces if self.history.kind.bipartite else "all"
-        return self.node_pools[(role, strategy.category)]
+    pools: dict[NegativeStrategy, np.ndarray]
 
 
 def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
     """Categorize every observed node and edge against ``t_split``."""
-    ids, births, deaths = node_lifetime_arrays(h, KeyKind.NODE)
-    codes = category_codes(births, deaths, t_split)
-    groups = [(None, ids)] + [(cat, ids[codes == code])
-                              for code, cat in enumerate(TemporalCategory)]
-    node_pools: dict[tuple[str, TemporalCategory | None], np.ndarray] = {}
-    for cat, members in groups:
-        node_pools[("all", cat)] = members
+    if h.kind.bipartite and h.num_sources is None:
+        raise ValueError("bipartite history lacks its source/destination id boundary")
+    nodes, edges = lifetimes(h, KeyKind.NODE), lifetimes(h, KeyKind.EDGE)
+    node_codes = category_codes(nodes.births, nodes.deaths, t_split)
+    edge_codes = category_codes(edges.births, edges.deaths, t_split)
+    pools: dict[NegativeStrategy, np.ndarray] = {}
+    for s in NegativeStrategy:
+        edge = s.replaces == "edge"
+        ids, codes = (edges.ids, edge_codes) if edge else (nodes.ids, node_codes)
+        keep = (np.ones(len(ids), dtype=bool) if s.category is None
+                else codes == list(TemporalCategory).index(s.category))
+        if edge:
+            pools[s] = np.column_stack(History.edge_endpoints(ids[keep], h.num_nodes))
+            continue
         if h.kind.bipartite:
-            if h.num_sources is None:
-                raise ValueError("bipartite history lacks its source/destination id boundary")
-            node_pools[("source", cat)] = members[members < h.num_sources]
-            node_pools[("destination", cat)] = members[members >= h.num_sources]
-
-    keys, e_births, e_deaths = edge_lifetime_arrays(h)
-    e_codes = category_codes(e_births, e_deaths, t_split)
-    edge_pools: dict[TemporalCategory, np.ndarray] = {}
-    for code, cat in enumerate(TemporalCategory):
-        pool_keys = keys[e_codes == code]
-        edge_pools[cat] = np.column_stack(
-            [pool_keys // h.num_nodes, pool_keys % h.num_nodes]
-        ).astype(np.int64)
-
-    return CandidateIndex(h, t_split, node_pools, edge_pools)
+            keep &= (ids < h.num_sources) == (s.replaces == "source")
+        pools[s] = ids[keep]
+    return CandidateIndex(h, t_split, pools)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -192,7 +172,7 @@ def sample_negatives(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pool = idx.pool_for(strategy)
+    pool = idx.pools[strategy]
     if len(pool) == 0:
         raise EmptyCandidateSetError(
             f"{strategy.value}: no candidate of the required category exists"
@@ -230,14 +210,13 @@ def sample_negatives(
 
 
 def sample_stream(
-    h: History,
     idx: CandidateIndex,
     strategies: Sequence[NegativeStrategy],
     k: int,
     seed: int,
     on_empty: str = "skip",
 ) -> SampledStream:
-    """Draw k negatives per strategy for every event of the stream.
+    """Draw k negatives per strategy for every event of ``idx.history``.
 
     ``on_empty`` decides what happens to an event for which some strategy
     has no legal negative: ``skip`` drops the event and counts it in one
@@ -246,11 +225,14 @@ def sample_stream(
     strategies = tuple(strategies)
     if not strategies:
         raise ValueError("at least one negative strategy is required")
+    if len(set(strategies)) < len(strategies):
+        raise ValueError("repeated strategy in "
+                         + ",".join(s.value for s in strategies))
     if k < 1:
         raise ValueError("k must be >= 1")
     if on_empty not in ("skip", "abort"):
         raise ValueError(f"unknown empty-candidate policy {on_empty!r}")
-    barren = ", ".join(s.value for s in strategies if len(idx.pool_for(s)) == 0)
+    barren = ", ".join(s.value for s in strategies if len(idx.pools[s]) == 0)
     if barren:
         # no event can succeed, so fail (or empty out) once
         if on_empty == "abort":
@@ -259,12 +241,13 @@ def sample_stream(
             )
         logger.warning("strategies with no candidates anywhere (%s): every event "
                        "will be skipped", barren)
+    h = idx.history
     n = len(h)
     source = np.zeros((n, len(strategies), k), dtype=np.int64)
     destination = np.zeros_like(source)
     ok = np.zeros((n, len(strategies)), dtype=bool)
     for j, s in enumerate(strategies):
-        if len(idx.pool_for(s)):
+        if len(idx.pools[s]):
             source[:, j], destination[:, j], ok[:, j] = sample_negatives(
                 idx, s, np.arange(n), k, seed)
     kept = np.flatnonzero(ok.all(axis=1))

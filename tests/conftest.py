@@ -20,7 +20,6 @@ from dlpeval import (
     write_score_log,
 )
 from dlpeval.core import _open_for_read
-from dlpeval.partition import category_codes
 from dlpeval.scorelog import POSITIVE_ROLE
 
 # the score-log columns, in file order, and their dtypes
@@ -122,8 +121,12 @@ def score_log_text(log, meta) -> str:
 
 
 def category_of(lifetime, t_split: float) -> TemporalCategory:
-    """The category of a (birth, death) lifetime against a cutoff."""
-    return list(TemporalCategory)[int(category_codes(*lifetime, t_split))]
+    """The category of a (birth, death) lifetime against a cutoff: a key
+    dies before it, is born at or after it, or straddles it."""
+    birth, death = lifetime
+    if death < t_split:
+        return TemporalCategory.HISTORICAL
+    return TemporalCategory.INDUCTIVE if birth >= t_split else TemporalCategory.OVERLAP
 
 
 def make_log(groups, strategies, batch_of=None, t_of=None):
@@ -268,11 +271,20 @@ def brute_force_lifetimes(h: History, edges: bool = False) -> dict:
     return out
 
 
+def lifetime_rows(table) -> dict:
+    """A lifetime table's columns as {key: (birth, death)}, edge keys
+    unpacked into (a, b) pairs, in the shape of ``brute_force_lifetimes``."""
+    keys = table.ids.tolist()
+    if table.num_nodes is not None:
+        keys = zip(*(c.tolist() for c in History.edge_endpoints(table.ids, table.num_nodes)))
+    return dict(zip(keys, zip(table.births.tolist(), table.deaths.tolist())))
+
+
 def sample_and_score(h: History, t_split: float, scorer, strategies, k_per_strategy=1,
                      batch_size=200, seed=0, on_empty="skip"):
     """Draw the stream's negatives against ``t_split`` and score them, as the
     ``eval`` command does."""
-    sampled = sample_stream(h, build_candidate_index(h, t_split), strategies,
+    sampled = sample_stream(build_candidate_index(h, t_split), strategies,
                             k_per_strategy, seed, on_empty)
     return run_streaming_eval(h, scorer, sampled, batch_size)
 

@@ -25,6 +25,7 @@ from conftest import (
     SCENARIO_T_SPLIT,
     build_history,
     category_of,
+    lifetime_rows,
     pair_counting_auc,
     random_history,
     sample_and_score,
@@ -35,7 +36,6 @@ from conftest import (
 from dlpeval import (
     History,
     KeyKind,
-    Lifetime,
     NegativeStrategy,
     ScoreLogError,
     ScoreLogMeta,
@@ -269,11 +269,11 @@ def test_criterion_6_sampler_category_correctness():
                 break
             h, t_split = _three_phase_history(rng)
             idx = build_candidate_index(h, t_split)
-            node_life = lifetimes(h, KeyKind.NODE)
-            edge_life = lifetimes(h, KeyKind.EDGE)
+            node_life = lifetime_rows(lifetimes(h, KeyKind.NODE))
+            edge_life = lifetime_rows(lifetimes(h, KeyKind.EDGE))
             events = rng.integers(0, len(h), 30)
             for strategy in checked:
-                if len(idx.pool_for(strategy)) == 0:
+                if len(idx.pools[strategy]) == 0:
                     continue
                 u, v, ok = sample_negatives(idx, strategy, events, k, round_no)
                 u, v = u[ok], v[ok]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_history, scenario_history
+from conftest import build_history, random_history, scenario_history
 from dlpeval import GraphKind, __version__, ingest_csv
 from dlpeval.cli import main
 
@@ -294,6 +294,37 @@ class TestSampleAndEval:
         assert run("eval", scenario_csv, "--t-split", "10", "--batch-size", "0",
                    "--scorer", "edgebank", "--strategies", "HS",
                    "--on-empty", "abort", "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("stats", "--t-split", "nan"), ("stats", "--t-split", "inf"),
+        ("sample", "--t-split", "-inf"), ("sample", "--k", "0"),
+        ("eval", "--bins", "0"), ("eval", "--k", "-1"), ("eval", "--batch-size", "0")])
+    def test_bad_numeric_option_exits_2_before_any_work(self, dataset, tmp_path, capsys,
+                                                         command, option, value):
+        out = tmp_path / "out"
+        assert run(command, dataset, f"{option}={value}", "--out", out) == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_repeated_strategy_exits_2(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run("eval", dataset, "--strategies", "HE,OE,HE", "--out", out) == 2
+        assert not (out / "scores.csv").exists()
+
+    def test_external_eval_takes_the_cutoff_from_the_logs_only(self, tmp_path):
+        # the default --test-ratio would put the cutoff inside the 90 ties
+        # at t=0, a degenerate split; the log says t_split=5
+        events = [(i % 9, 9 + i % 7, 0.0) for i in range(90)]
+        events += [(t % 9, 9 + t % 7, float(t)) for t in range(1, 11)]
+        path = tmp_path / "ties.csv"
+        build_history(events).export_csv(path)
+        assert run("eval", path, "--t-split", "5", "--strategies", "HE,OE",
+                   "--out", tmp_path / "heur") == 0
+        assert run("eval", path, "--scorer", "external",
+                   "--logs", tmp_path / "heur" / "scores.csv",
+                   "--out", tmp_path / "ext") == 0
+        manifest = json.loads((tmp_path / "ext" / "manifest.json").read_text())
+        assert manifest["config"]["t_split"] == 5.0
 
     def test_eval_all_skipped_exits_1(self, scenario_csv, tmp_path, capsys):
         out = tmp_path / "out"

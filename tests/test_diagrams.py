@@ -1,12 +1,24 @@
+import csv
 import hashlib
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import SCENARIO_T_SPLIT, make_log, random_history, scenario_history, worked_example_log
+from conftest import (
+    SCENARIO_T_SPLIT,
+    brute_force_lifetimes,
+    build_history,
+    category_of,
+    make_log,
+    random_history,
+    scenario_history,
+    worked_example_log,
+)
 from dlpeval import GraphKind, KeyKind, LifetimeTable, lifetimes, mar_time_series, surprise_sweep
 from dlpeval._svg import escape
 from dlpeval.diagrams import PALETTE, bd_diagram, mar_plot, surprise_curve
@@ -141,6 +153,42 @@ class TestBdDiagram:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(DlpEvalError):
             bd_diagram({}, 1.0, tmp_path / "bd.svg", tmp_path / "bd.csv")
+
+
+@st.composite
+def _small_streams(draw):
+    """A directed or undirected stream on 7 nodes and quarter-step
+    timestamps, without self-loops."""
+    kind = draw(st.sampled_from([GraphKind(), GraphKind(directed=False)]))
+    n = draw(st.integers(1, 40))
+    events = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6),
+                                     st.integers(0, 24)), min_size=n, max_size=n))
+    return build_history([(u, (u + d) % 7, t / 4) for u, d, t in events],
+                         kind=kind, num_nodes=7)
+
+
+class TestBdDiagramProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(h=_small_streams(), kind=st.sampled_from([KeyKind.NODE, KeyKind.EDGE]),
+           at=st.integers(0, 25), max_points=st.integers(1, 50))
+    def test_csv_rows_are_the_scanned_lifetimes(self, h, kind, at, max_points):
+        # the CSV lists every key, however few points the scatter keeps
+        t_split = at / 4
+        with tempfile.TemporaryDirectory() as tmp:
+            _, csv_ = bd_diagram([("", lifetimes(h, kind))], t_split,
+                                 Path(tmp) / "bd.svg", Path(tmp) / "bd.csv",
+                                 max_points=max_points)
+            with open(csv_, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        assert rows[0] == ["key", "birth", "death", "category"]
+        got = {}
+        for key, birth, death, category in rows[1:]:
+            key = tuple(map(int, key.split("|"))) if kind is KeyKind.EDGE else int(key)
+            assert key not in got
+            got[key] = (float(birth), float(death), category)
+        want = brute_force_lifetimes(h, edges=kind is KeyKind.EDGE)
+        assert got == {key: (*life, category_of(life, t_split).value)
+                       for key, life in want.items()}
 
 
 class TestSurpriseCurve:

@@ -9,6 +9,7 @@ from conftest import (
     brute_force_lifetimes,
     build_history,
     category_of,
+    lifetime_rows,
     random_history,
     scenario_history,
 )
@@ -17,7 +18,6 @@ from dlpeval import (
     GraphKind,
     History,
     KeyKind,
-    Lifetime,
     LifetimeTable,
     TemporalCategory,
     compute_cutoff,
@@ -88,30 +88,29 @@ class TestSplit:
 class TestLifetimes:
     def test_single_event(self):
         h = build_history([(0, 1, 7.0)])
-        assert lifetimes(h, KeyKind.NODE)[0] == Lifetime(7.0, 7.0)
-        assert lifetimes(h, KeyKind.EDGE)[(0, 1)] == Lifetime(7.0, 7.0)
+        assert lifetime_rows(lifetimes(h, KeyKind.NODE))[0] == (7.0, 7.0)
+        assert lifetime_rows(lifetimes(h, KeyKind.EDGE))[(0, 1)] == (7.0, 7.0)
 
     def test_min_max_over_events(self):
         h = build_history([(0, 1, 1.0), (0, 2, 5.0)])
-        life = lifetimes(h, KeyKind.NODE)
-        assert life[0] == Lifetime(1.0, 5.0)
-        assert life[1] == Lifetime(1.0, 1.0)
-        assert life[2] == Lifetime(5.0, 5.0)
+        life = lifetime_rows(lifetimes(h, KeyKind.NODE))
+        assert life[0] == (1.0, 5.0)
+        assert life[1] == (1.0, 1.0)
+        assert life[2] == (5.0, 5.0)
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(42)
         for kind in (GraphKind(directed=True), GraphKind(directed=False)):
             h = random_history(rng, n_events=10_000, n_nodes=60, kind=kind)
             nodes = lifetimes(h, KeyKind.NODE)
-            assert {k: tuple(v) for k, v in nodes.items()} == brute_force_lifetimes(h)
+            assert lifetime_rows(nodes) == brute_force_lifetimes(h)
             edges = lifetimes(h, KeyKind.EDGE)
-            assert {k: tuple(v) for k, v in edges.items()} == \
-                   brute_force_lifetimes(h, edges=True)
+            assert lifetime_rows(edges) == brute_force_lifetimes(h, edges=True)
 
     def test_role_split_restricts_to_role(self):
         h = build_history([(0, 1, 1.0), (1, 0, 9.0)])
-        assert lifetimes(h, KeyKind.SOURCE_NODE)[0] == Lifetime(1.0, 1.0)
-        assert lifetimes(h, KeyKind.DESTINATION_NODE)[0] == Lifetime(9.0, 9.0)
+        assert lifetime_rows(lifetimes(h, KeyKind.SOURCE_NODE))[0] == (1.0, 1.0)
+        assert lifetime_rows(lifetimes(h, KeyKind.DESTINATION_NODE))[0] == (9.0, 9.0)
 
     def test_role_split_rejected_on_undirected(self):
         h = build_history([(0, 1, 1.0)], kind=GraphKind(directed=False))
@@ -122,17 +121,6 @@ class TestLifetimes:
         with pytest.raises(ValueError):
             lifetimes(build_history([]), KeyKind.NODE)
 
-    def test_table_lookups_behave_like_a_dict(self):
-        h = build_history([(0, 1, 1.0), (2, 1, 3.0)])
-        edges = lifetimes(h, KeyKind.EDGE)
-        assert list(edges) == [(0, 1), (2, 1)]
-        # (1, 4) packs to the same int as (2, 1) but is not a key
-        assert (1, 0) not in edges and (1, 4) not in edges and 1 not in edges
-        nodes = lifetimes(h, KeyKind.NODE)
-        assert len(nodes) == 3 and 3 not in nodes and (0, 1) not in nodes
-        with pytest.raises(KeyError):
-            nodes[5]
-
     def test_table_rejects_unsorted_or_misaligned_columns(self):
         with pytest.raises(ValueError):
             LifetimeTable([1, 0], [0.0, 0.0], [1.0, 1.0])
@@ -142,14 +130,14 @@ class TestLifetimes:
 
 class TestCategorize:
     def test_three_cases(self):
-        assert category_of(Lifetime(1, 3), 5.0) is TemporalCategory.HISTORICAL
-        assert category_of(Lifetime(6, 9), 5.0) is TemporalCategory.INDUCTIVE
-        assert category_of(Lifetime(1, 9), 5.0) is TemporalCategory.OVERLAP
+        assert category_of((1, 3), 5.0) is TemporalCategory.HISTORICAL
+        assert category_of((6, 9), 5.0) is TemporalCategory.INDUCTIVE
+        assert category_of((1, 9), 5.0) is TemporalCategory.OVERLAP
 
     def test_boundary_is_test_side(self):
         # birth exactly at the cutoff means never seen in train
-        assert category_of(Lifetime(5, 9), 5.0) is TemporalCategory.INDUCTIVE
-        assert category_of(Lifetime(1, 5), 5.0) is TemporalCategory.OVERLAP
+        assert category_of((5, 9), 5.0) is TemporalCategory.INDUCTIVE
+        assert category_of((1, 5), 5.0) is TemporalCategory.OVERLAP
 
 
 class TestPartitionReport:
@@ -293,13 +281,8 @@ class TestPartitionProperties:
     @settings(max_examples=200, deadline=None)
     @given(h=_streams())
     def test_lifetime_columns_match_scan(self, h):
-        nodes = lifetimes(h, KeyKind.NODE)
-        assert dict(zip(nodes.ids.tolist(), zip(nodes.births.tolist(),
-                                                 nodes.deaths.tolist()))) == \
-            brute_force_lifetimes(h)
-        edges = lifetimes(h, KeyKind.EDGE)
-        pairs = zip(*(c.tolist() for c in np.divmod(edges.ids, h.num_nodes)))
-        assert dict(zip(pairs, zip(edges.births.tolist(), edges.deaths.tolist()))) == \
+        assert lifetime_rows(lifetimes(h, KeyKind.NODE)) == brute_force_lifetimes(h)
+        assert lifetime_rows(lifetimes(h, KeyKind.EDGE)) == \
             brute_force_lifetimes(h, edges=True)
 
     @settings(max_examples=200, deadline=None)

@@ -12,6 +12,7 @@ from conftest import (
     category_of,
     events_of,
     legal_negatives,
+    lifetime_rows,
     random_history,
     scenario_history,
 )
@@ -41,33 +42,33 @@ def draws(idx, strategy, i, k, seed):
 class TestCandidateIndex:
     def test_scenario_category_sets(self):
         idx = build_candidate_index(scenario_history(1), SCENARIO_T_SPLIT)
-        assert set(idx.pool_for(NegativeStrategy.OD)) == {0, 1, 2, 3}
-        assert set(idx.pool_for(NegativeStrategy.ID)) == {4}
-        assert len(idx.pool_for(NegativeStrategy.HD)) == 0
-        overlap_edges = {tuple(e) for e in idx.pool_for(NegativeStrategy.OE)}
+        assert set(idx.pools[NegativeStrategy.OD]) == {0, 1, 2, 3}
+        assert set(idx.pools[NegativeStrategy.ID]) == {4}
+        assert len(idx.pools[NegativeStrategy.HD]) == 0
+        overlap_edges = {tuple(e) for e in idx.pools[NegativeStrategy.OE]}
         assert overlap_edges == set(SCENARIO_PAIRS)
-        assert {tuple(e) for e in idx.pool_for(NegativeStrategy.IE)} == {(4, 0)}
+        assert {tuple(e) for e in idx.pools[NegativeStrategy.IE]} == {(4, 0)}
 
     def test_empty_test_side_means_all_historical(self):
         h = scenario_history(1)
         idx = build_candidate_index(h, h.t[-1] + 1)
-        assert len(idx.pool_for(NegativeStrategy.OD)) == 0
-        assert len(idx.pool_for(NegativeStrategy.ID)) == 0
-        assert len(idx.pool_for(NegativeStrategy.HD)) == 5
-        assert len(idx.pool_for(NegativeStrategy.HE)) == 7
+        assert len(idx.pools[NegativeStrategy.OD]) == 0
+        assert len(idx.pools[NegativeStrategy.ID]) == 0
+        assert len(idx.pools[NegativeStrategy.HD]) == 5
+        assert len(idx.pools[NegativeStrategy.HE]) == 7
 
     def test_index_agrees_with_categorize(self):
         rng = np.random.default_rng(21)
         h = random_history(rng, n_events=600, n_nodes=25)
         t_split = 60.0
         idx = build_candidate_index(h, t_split)
-        node_life = lifetimes(h, KeyKind.NODE)
+        node_life = lifetime_rows(lifetimes(h, KeyKind.NODE))
         for s in (NegativeStrategy.HD, NegativeStrategy.OD, NegativeStrategy.ID):
-            for u in idx.pool_for(s):
+            for u in idx.pools[s]:
                 assert category_of(node_life[int(u)], t_split) is s.category
-        edge_life = lifetimes(h, KeyKind.EDGE)
+        edge_life = lifetime_rows(lifetimes(h, KeyKind.EDGE))
         for s in (NegativeStrategy.HE, NegativeStrategy.OE, NegativeStrategy.IE):
-            for a, b in idx.pool_for(s):
+            for a, b in idx.pools[s]:
                 assert category_of(edge_life[(int(a), int(b))], t_split) is s.category
 
     def test_bipartite_role_pools_are_disjoint_universes(self):
@@ -76,8 +77,8 @@ class TestCandidateIndex:
                            kind=GraphKind(bipartite=True))
         idx = build_candidate_index(h, 50.0)
         for cat in "HOI":
-            source_pool = idx.pool_for(NegativeStrategy[f"{cat}S"])
-            destination_pool = idx.pool_for(NegativeStrategy[f"{cat}D"])
+            source_pool = idx.pools[NegativeStrategy[f"{cat}S"]]
+            destination_pool = idx.pools[NegativeStrategy[f"{cat}D"]]
             assert all(u < h.num_sources for u in source_pool)
             assert all(v >= h.num_sources for v in destination_pool)
 
@@ -117,7 +118,7 @@ class TestSampleNegatives:
         h = random_history(rng, n_events=500, n_nodes=25)
         idx = build_candidate_index(h, 60.0)
         for strategy in NegativeStrategy:
-            sampled = sample_stream(h, idx, [strategy], 4, 55)
+            sampled = sample_stream(idx, [strategy], 4, 55)
             kept = sampled.events
             assert np.array_equal(sampled.timestamp, h.t[kept])
             if strategy.replaces == "source":
@@ -131,11 +132,11 @@ class TestSampleNegatives:
             h = random_history(rng, n_events=400, n_nodes=20)
             t_split = float(rng.uniform(20.0, 80.0))
             idx = build_candidate_index(h, t_split)
-            node_life = lifetimes(h, KeyKind.NODE)
-            edge_life = lifetimes(h, KeyKind.EDGE)
+            node_life = lifetime_rows(lifetimes(h, KeyKind.NODE))
+            edge_life = lifetime_rows(lifetimes(h, KeyKind.EDGE))
             events = rng.integers(0, len(h), 10)
             for strategy in NegativeStrategy:
-                if strategy is NegativeStrategy.RND or len(idx.pool_for(strategy)) == 0:
+                if strategy is NegativeStrategy.RND or len(idx.pools[strategy]) == 0:
                     continue
                 u, v, ok = sample_negatives(idx, strategy, events, 2, trial)
                 for a, b in zip(u[ok].ravel().tolist(), v[ok].ravel().tolist()):
@@ -194,7 +195,7 @@ class TestSampleNegatives:
         idx = build_candidate_index(h, 50.0)
         for strategy in (NegativeStrategy.HD, NegativeStrategy.OD, NegativeStrategy.ID,
                          NegativeStrategy.RND):
-            if len(idx.pool_for(strategy)) == 0:
+            if len(idx.pools[strategy]) == 0:
                 continue
             _, v, ok = sample_negatives(idx, strategy, [len(h) - 1], 5, 77)
             assert (v[ok] >= h.num_sources).all()
@@ -205,7 +206,7 @@ class TestSampleNegatives:
         h = random_history(np.random.default_rng(3), n_events=300, n_nodes=20,
                            kind=GraphKind(bipartite=True))
         idx = build_candidate_index(h, 50.0)
-        sampled = sample_stream(h, idx, [NegativeStrategy.RND], 3, 0)
+        sampled = sample_stream(idx, [NegativeStrategy.RND], 3, 0)
         assert len(sampled.events) == len(h)
         assert (sampled.destination >= h.num_sources).all()
 
@@ -243,7 +244,7 @@ class TestSampleNegatives:
         idx = build_candidate_index(h, SCENARIO_T_SPLIT)
         # the positive's own source is an overlap node, so 100 independent
         # draws propose the self-loop with near certainty
-        assert h.src[6] in idx.pool_for(NegativeStrategy.OD)
+        assert h.src[6] in idx.pools[NegativeStrategy.OD]
         for seed in range(100):
             (neg,) = draws(idx, NegativeStrategy.OD, 6, 1, seed)
             assert neg[1] != h.src[6]
@@ -311,7 +312,7 @@ class TestSampleStream:
         legal = {s: [legal_negatives(h, t_split, s, i) for i in range(len(h))]
                  for s in NegativeStrategy}
         for requested in [strategies] + [[s] for s in NegativeStrategy]:
-            sampled = sample_stream(h, idx, requested, k, seed)
+            sampled = sample_stream(idx, requested, k, seed)
             kept = [i for i in range(len(h)) if all(legal[s][i] for s in requested)]
             assert sampled.events.tolist() == kept
             assert sampled.skipped == len(h) - len(kept)
@@ -330,7 +331,7 @@ class TestSampleStream:
         h = random_history(np.random.default_rng(8), n_events=120, n_nodes=40)
         idx = build_candidate_index(h, 50.0)
         strategies = (NegativeStrategy.OE, NegativeStrategy.HD)
-        sampled = sample_stream(h, idx, strategies, 2, 4)
+        sampled = sample_stream(idx, strategies, 2, 4)
         assert sampled.source.shape == (len(sampled.events), 2, 2)
         assert sampled.skipped > 0 and len(sampled.events) > 0
         assert len(sampled.events) + sampled.skipped == len(h)
@@ -354,8 +355,8 @@ class TestSampleStream:
             rng.integers(0, 10, 300), rng.integers(0, 10, 300), rng.uniform(60, 100, 300))]
         h = build_history([(u, v % 20, t) for u, v, t in early] + late)
         idx = build_candidate_index(h, 50.0)
-        assert len(idx.pool_for(NegativeStrategy.HD)) == 20
-        sampled = sample_stream(h, idx, (NegativeStrategy.HS, NegativeStrategy.HD), 1, 9)
+        assert len(idx.pools[NegativeStrategy.HD]) == 20
+        sampled = sample_stream(idx, (NegativeStrategy.HS, NegativeStrategy.HD), 1, 9)
         assert len(sampled.events) > 500
         same = sampled.source[:, 0, 0] == sampled.destination[:, 1, 0]
         assert same.mean() < 0.2
@@ -363,8 +364,8 @@ class TestSampleStream:
     def test_draws_do_not_depend_on_other_strategies(self):
         h = random_history(np.random.default_rng(8), n_events=120, n_nodes=40)
         idx = build_candidate_index(h, 50.0)
-        alone = sample_stream(h, idx, (NegativeStrategy.OE,), 2, 4)
-        both = sample_stream(h, idx, (NegativeStrategy.HD, NegativeStrategy.OE), 2, 4)
+        alone = sample_stream(idx, (NegativeStrategy.OE,), 2, 4)
+        both = sample_stream(idx, (NegativeStrategy.HD, NegativeStrategy.OE), 2, 4)
         rows = np.isin(alone.events, both.events)
         assert 0 < len(both.events) < len(alone.events)
         assert np.array_equal(alone.source[rows, 0], both.source[:, 1])
@@ -374,12 +375,12 @@ class TestSampleStream:
         h = build_history([(0, 1, float(t)) for t in range(1, 11)])
         idx = build_candidate_index(h, 5.0)
         with caplog.at_level("WARNING"):
-            sampled = sample_stream(h, idx, [NegativeStrategy.IS], 3, 0)
+            sampled = sample_stream(idx, [NegativeStrategy.IS], 3, 0)
         assert sampled.source.shape == (0, 1, 3)
         assert sampled.skipped == len(h)
         assert len(caplog.records) == 1 and "no candidates anywhere" in caplog.text
         with pytest.raises(EmptyCandidateSetError):
-            sample_stream(h, idx, [NegativeStrategy.IS], 3, 0, on_empty="abort")
+            sample_stream(idx, [NegativeStrategy.IS], 3, 0, on_empty="abort")
         buf = io.StringIO()
         write_negatives_csv(sampled, buf)
         assert buf.getvalue() == "event_ordinal,strategy,source,destination,timestamp\n"
@@ -390,16 +391,17 @@ class TestSampleStream:
         h = build_history([(2, 3, 0.5), (0, 1, 1.0), (0, 1, 90.0)])
         idx = build_candidate_index(h, 50.0)
         with pytest.raises(EmptyCandidateSetError, match=r"OE: .*\(0, 1, 1.0\)"):
-            sample_stream(h, idx, [NegativeStrategy.OE], 2, 0, on_empty="abort")
+            sample_stream(idx, [NegativeStrategy.OE], 2, 0, on_empty="abort")
     @pytest.mark.parametrize("strategies,k,on_empty", [
         ((), 1, "skip"), ((NegativeStrategy.HS,), 0, "skip"),
-        ((NegativeStrategy.OE,), 1, "retry")])
+        ((NegativeStrategy.OE,), 1, "retry"),
+        ((NegativeStrategy.OE, NegativeStrategy.HE, NegativeStrategy.OE), 1, "skip")])
     def test_rejects_bad_arguments(self, strategies, k, on_empty):
         # HS has no candidate in the scenario: k is checked before the pools
         h = scenario_history(1)
         idx = build_candidate_index(h, SCENARIO_T_SPLIT)
         with pytest.raises(ValueError):
-            sample_stream(h, idx, strategies, k, 0, on_empty)
+            sample_stream(idx, strategies, k, 0, on_empty)
 
 
 class TestDeterminism:
@@ -407,7 +409,7 @@ class TestDeterminism:
         rng = np.random.default_rng(99)
         h = random_history(rng, n_events=300, n_nodes=20)
         idx = build_candidate_index(h, 50.0)
-        sampled = sample_stream(h, idx, (NegativeStrategy.OE, NegativeStrategy.OD),
+        sampled = sample_stream(idx, (NegativeStrategy.OE, NegativeStrategy.OD),
                                 3, seed)
         buf = io.StringIO()
         write_negatives_csv(sampled, buf)

@@ -183,7 +183,7 @@ class TestHarness:
 
     def test_bad_batch_size_rejected(self):
         h = scenario_history(1)
-        sampled = sample_stream(h, build_candidate_index(h, SCENARIO_T_SPLIT),
+        sampled = sample_stream(build_candidate_index(h, SCENARIO_T_SPLIT),
                                 [NegativeStrategy.OE], 1, 0)
         with pytest.raises(ValueError, match="batch_size"):
             run_streaming_eval(h, ScorerKind.EDGEBANK, sampled, batch_size=0)
