@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _compact as fmt
+from .core import _format_rows
+
 
 def escape(text: str) -> str:
     """``text`` with ``&``, ``<`` and ``>`` replaced by entity references, as
@@ -16,10 +19,7 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def fmt(x: float) -> str:
-    """Compact fixed-precision coordinate formatting."""
-    s = f"{x:.2f}".rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+_SEPARATOR = "\n  "  # what render puts between two parts
 
 
 class SvgDocument:
@@ -36,13 +36,22 @@ class SvgDocument:
         )
 
     def circles(self, cx, cy, r, fill="#000000", opacity: float | None = None):
-        """One circle per point of the ``cx`` and ``cy`` columns; ``fill`` is
-        one color or a column of colors."""
+        """One circle per point of the ``cx`` and ``cy`` columns, all in one
+        part; ``fill`` is one color or a column of colors."""
         cx, cy = np.asarray(cx, dtype=np.float64), np.asarray(cy, dtype=np.float64)
-        fills = np.broadcast_to(np.asarray(fill, dtype=object), cx.shape).tolist()
+        if len(cx) == 0:
+            return
+        columns = [cx, cy]
+        if isinstance(fill, str):  # one color is literal text of the row format
+            fill = fill.replace("{", "{{").replace("}", "}}")
+        else:
+            columns.append(np.asarray(fill, dtype=object))
+            fill = "{}"
         opacity_attr = f' fill-opacity="{fmt(opacity)}"' if opacity is not None else ""
-        row = f'<circle cx="{{}}" cy="{{}}" r="{fmt(r)}" fill="{{}}"{opacity_attr}/>'.format
-        self._parts.extend(map(row, map(fmt, cx.tolist()), map(fmt, cy.tolist()), fills))
+        row = (f'<circle cx="{{:compact}}" cy="{{:compact}}" r="{fmt(r)}" '
+               f'fill="{fill}"{opacity_attr}/>{_SEPARATOR}')
+        text = "".join(_format_rows(row, columns))
+        self._parts.append(text[:-len(_SEPARATOR)])
 
     def rect(self, x, y, w, h, fill="none", stroke: str | None = None, stroke_width=1.0):
         stroke_attr = (

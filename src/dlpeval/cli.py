@@ -154,8 +154,8 @@ def _parse_strategies(text: str, kind: GraphKind) -> list[NegativeStrategy]:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite ``--t-split`` and a count option below 1 before
-    the command reads its input."""
+    """Reject a non-finite ``--t-split``, a count option below 1 and fewer
+    than two ``--ratios`` before the command reads its input."""
     t_split = getattr(args, "t_split", None)
     if t_split is not None and not math.isfinite(t_split):
         raise ValueError(f"--t-split must be finite, got {t_split}")
@@ -163,6 +163,14 @@ def _check_numbers(args) -> None:
         if getattr(args, name, 1) < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1, "
                              f"got {getattr(args, name)}")
+    ratios = getattr(args, "ratios", None)
+    if ratios is not None and len(_ratios(ratios)) < 2:
+        raise ValueError(f"--ratios needs at least 2 ratios, got {ratios!r}")
+
+
+def _ratios(text: str) -> list[float]:
+    """The test ratios of a comma-separated ``--ratios`` option."""
+    return [float(r) for r in text.split(",") if r.strip()]
 
 
 def _write_manifest(args, resolved: dict, outputs: list[str],
@@ -258,12 +266,15 @@ def cmd_bd(args):
     if args.facet_roles:
         diagrams.append(("bd_node_roles", [("source", KeyKind.SOURCE_NODE),
                                            ("destination", KeyKind.DESTINATION_NODE)]))
+    # every panel's table is built before the first diagram is drawn, so a
+    # key kind the stream cannot have writes nothing
+    diagrams = [(stem, [(title, lifetimes(h, kind)) for title, kind in panels])
+                for stem, panels in diagrams]
     out = _out_dir(args)
     outputs = []
     for stem, panels in diagrams:
         svg, csv_ = bd_diagram(
-            [(title, lifetimes(h, kind)) for title, kind in panels], t_split,
-            out / f"{stem}.svg", out / f"{stem}.csv", seed=args.seed,
+            panels, t_split, out / f"{stem}.svg", out / f"{stem}.csv", seed=args.seed,
         )
         outputs += [svg.name, csv_.name]
         print(f"wrote {svg} and {csv_}")
@@ -272,7 +283,7 @@ def cmd_bd(args):
 
 def cmd_sweep(args):
     h = _load_history(args)
-    ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
+    ratios = _ratios(args.ratios)
     points = surprise_sweep(h, ratios)
     out = _out_dir(args)
     name = Path(args.dataset).stem

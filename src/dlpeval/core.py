@@ -18,7 +18,7 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -222,7 +222,7 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
 
 
-_CHUNK = 8192  # rows per formatted chunk, which bounds the lists .tolist() makes
+_CHUNK = 8192  # rows per rendered chunk, which bounds the byte blocks
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -234,12 +234,225 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _compact(x: float) -> str:
+    """``x`` to two decimals without trailing zeros, a trailing point or a
+    negative zero; ``{:compact}`` in a row format."""
+    s = f"{x:.2f}".rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
+
+
 def _write_rows(fh: TextIO, row_format: str, columns) -> None:
     """Write one ``row_format`` line per row of aligned numpy ``columns``,
-    formatting ``_CHUNK`` rows at a time with one ``str.format`` map."""
-    fill = row_format.format
+    as ``row_format.format`` writes it, ``_CHUNK`` rows at a time."""
+    for text in _format_rows(row_format, columns):
+        fh.write(text)
+
+
+# Each field renders a chunk of its column to a block of UTF-8 bytes, one row
+# per value, padded with _PAD, a byte no UTF-8 text holds; the row literals
+# are blocks of their own. One mask over the side-by-side blocks drops the
+# padding and leaves the rows' text in order.
+_PAD = 0xFF
+
+
+def _format_rows(row_format: str, columns) -> Iterator[str]:
+    """The text of ``row_format.format`` on each row of ``columns``, one
+    string per ``_CHUNK`` rows. Fields are ``{}``, ``{!r}``, ``{:.17g}``
+    or ``{:compact}`` (``_compact``); integers, and the floats whose text
+    is a short decimal, render by numpy arithmetic, every other value by
+    Python once per distinct value."""
+    from string import Formatter  # imported here, so `import dlpeval` loads no more modules
+
+    literals, fields = [""], []  # the text before each field, and after the last
+    for literal, name, spec, conversion in Formatter().parse(row_format):
+        literals[-1] += literal  # an escaped brace ends a literal early
+        if name is not None:
+            if name:
+                raise ValueError(f"row format fields are unnumbered: {row_format!r}")
+            fields.append((conversion, spec))
+            literals.append("")
+    literals = [np.frombuffer(s.encode("utf-8", "surrogatepass"), np.uint8) for s in literals]
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(fields):
+        raise ValueError(f"{len(columns)} columns for {len(fields)} fields")
     for start in range(0, len(columns[0]), _CHUNK):
-        fh.write("".join(map(fill, *(c[start:start + _CHUNK].tolist() for c in columns))))
+        chunk = [c[start:start + _CHUNK] for c in columns]
+        blocks = [_field_block(values, *field) for values, field in zip(chunk, fields)]
+        rows = len(blocks[0])
+        parts = [np.broadcast_to(literals[0], (rows, len(literals[0])))]
+        for block, literal in zip(blocks, literals[1:]):
+            parts += [block, np.broadcast_to(literal, (rows, len(literal)))]
+        text = np.concatenate(parts, axis=1)
+        yield text[text != _PAD].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _field_block(values: np.ndarray, conversion: str | None, spec: str) -> np.ndarray:
+    """The block of one field of a row format over a chunk of its column."""
+    if spec == "compact":
+        python = _compact
+    else:
+        python = ("{" + (f"!{conversion}" if conversion else "")
+                  + (f":{spec}" if spec else "") + "}").format
+    kind = values.dtype.kind
+    # str, repr and ascii of an int are its digits
+    if kind in "iu" and not spec and (kind == "i" or values.max() < 2 ** 63):
+        return _int_block(values.astype(np.int64))
+    if kind == "f" and values.dtype.itemsize <= 8:  # widening to float64 is exact
+        x = values.astype(np.float64)
+        if not spec:
+            return _fast_or_python(x, *_repr_digits(x), python)
+        if spec == ".17g" and not conversion:
+            return _fast_or_python(x, *_integral_digits(x), python)
+        if spec == "compact":
+            return _fast_or_python(x, *_compact_digits(x), python)
+    return _python_block(values, python)
+
+
+def _fast_or_python(x: np.ndarray, fast: np.ndarray, block: np.ndarray | None,
+                    python) -> np.ndarray:
+    """One block of the ``fast`` rows of ``x``, already rendered in
+    ``block`` (None when there are none), and of the others, rendered by
+    ``python``."""
+    if fast.all():
+        return block
+    slow = _python_block(x[~fast], python)
+    if block is None:
+        return slow
+    out = np.full((len(x), max(block.shape[1], slow.shape[1])), _PAD, np.uint8)
+    out[fast, :block.shape[1]] = block
+    out[~fast, :slow.shape[1]] = slow
+    return out
+
+
+def _python_block(values: np.ndarray, python) -> np.ndarray:
+    """The block of ``python`` over ``values``, called once per distinct
+    value. Floats are told apart by their bits (``-0.0`` is not ``0.0``);
+    values that compare equal but may print apart, such as ``1`` and
+    ``1.0`` in an object column, are each printed."""
+    items, kind = values.tolist(), values.dtype.kind
+    if kind in "fiub" and values.dtype.itemsize <= 8:
+        bits = values.view(f"u{values.itemsize}") if kind == "f" else values
+        _, firsts, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    elif kind in "US" or kind == "O" and set(map(type, items)) == {str}:
+        first: dict = {}
+        at = np.fromiter(map(first.setdefault, items, itertools.count()),
+                         dtype=np.int64, count=len(items))
+        firsts = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+        row_of = np.empty(len(items), dtype=np.int64)
+        row_of[firsts] = np.arange(len(firsts))
+        inverse = row_of[at]
+    else:
+        return _text_block(list(map(python, items)))
+    if len(firsts) == len(items):
+        return _text_block(list(map(python, items)))
+    return _text_block(list(map(python, map(items.__getitem__, firsts.tolist()))))[inverse.ravel()]
+
+
+def _text_block(texts: list[str]) -> np.ndarray:
+    """One row per text, its UTF-8 bytes left-aligned."""
+    joined = "".join(texts)
+    data = joined.encode("utf-8", "surrogatepass")
+    if len(data) != len(joined):  # not all ASCII: count bytes, not characters
+        texts = [t.encode("utf-8", "surrogatepass") for t in texts]
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    block = np.full((len(texts), int(lengths.max(initial=0))), _PAD, np.uint8)
+    block[np.arange(block.shape[1]) < lengths[:, None]] = np.frombuffer(data, np.uint8)
+    return block
+
+
+def _digits(magnitude: np.ndarray) -> np.ndarray:
+    """The decimal digits of non-negative integers, right-aligned."""
+    top = int(magnitude.max(initial=0))
+    width = len(str(top))
+    # division by a scalar is fastest in the narrowest type that holds them
+    m = magnitude.astype(np.int32 if top < 2 ** 31 else np.int64 if top < 2 ** 63 else np.uint64)
+    digits = m
+    block = np.empty((width, len(m)), np.uint8)  # a row per digit; transposed below
+    for j in range(width - 1, -1, -1):
+        q = digits // 10
+        block[j] = digits - q * 10
+        digits = q
+    block += ord("0")
+    for j in range(width - 1):  # leading zeros
+        block[j, m < 10 ** (width - 1 - j)] = _PAD
+    return block.T
+
+
+def _signed(negative: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """``blocks`` side by side, after a ``-`` on the ``negative`` rows."""
+    if negative.any():
+        blocks = (np.where(negative, ord("-"), _PAD).astype(np.uint8)[:, None], *blocks)
+    return np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+
+
+def _int_block(v: np.ndarray) -> np.ndarray:
+    """``str`` of int64 values."""
+    magnitude = v.astype(np.uint64)
+    negative = v < 0
+    np.negative(magnitude, out=magnitude, where=negative)  # exact for the int64 minimum
+    return _signed(negative, _digits(magnitude))
+
+
+def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of float64 ``x`` whose ``repr`` is fixed-point with at most
+    15 significant digits, and their block. ``x`` is such a row when it is
+    zero, or when ``1e-4 <= |x| < 1e15`` and, for the least ``p`` in 0..6,
+    ``m = rint(|x| * 10**p)`` is below ``10**15`` and ``m / 10**p == |x|``
+    exactly: then ``m * 10**-p`` is the one decimal of at most 15 digits
+    that rounds to ``x``, and ``repr`` prints it."""
+    a = np.abs(x)
+    m = np.zeros(len(x), dtype=np.int64)
+    p = np.zeros(len(x), dtype=np.int64)
+    fast = a == 0
+    todo = np.flatnonzero((a >= 1e-4) & (a < 1e15))
+    for places in range(7):
+        if len(todo) == 0:
+            break
+        scaled = np.rint(a[todo] * 10.0 ** places)
+        hit = (scaled < 1e15) & (scaled / 10.0 ** places == a[todo])
+        m[todo[hit]], p[todo[hit]], fast[todo[hit]] = scaled[hit], places, True
+        todo = todo[~hit]
+    if not fast.any():
+        return fast, None
+    m, p = m[fast], p[fast]
+    whole, fraction = np.divmod(m, 10 ** p)
+    places = int(p.max())
+    if places == 0:
+        point = np.broadcast_to(np.frombuffer(b".0", np.uint8), (len(m), 2))
+    else:  # a point, then the fraction zero-padded to p digits, at least one
+        point = _digits(fraction * 10 ** (places - p) + 10 ** places)
+        point[:, 0] = ord(".")
+        point[np.arange(places + 1) > np.maximum(p, 1)[:, None]] = _PAD
+    return fast, _signed(np.signbit(x[fast]), _digits(whole), point)
+
+
+def _integral_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of float64 ``x`` that ``{:.17g}`` prints as integer digits:
+    whole numbers below ``1e15`` in magnitude, but not ``-0.0``, and their block."""
+    with np.errstate(invalid="ignore"):  # nan and inf are not fast
+        fast = (np.abs(x) < 1e15) & (np.rint(x) == x) & ~((x == 0) & np.signbit(x))
+    if not fast.any():
+        return fast, None
+    return fast, _int_block(x[fast].astype(np.int64))
+
+
+def _compact_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of float64 ``x`` that ``_compact`` prints from ``q =
+    rint(100 * x)`` and their block. ``100 * x`` is rounded, so a row within
+    ``1e-6`` of a tie, where that rounding could decide ``.2f``, is not one;
+    nor are ``|100 * x| >= 2**53`` and the non-finite."""
+    with np.errstate(invalid="ignore", over="ignore"):  # nor are inf and nan
+        y = 100 * x
+        fast = (np.abs(y) < 2.0 ** 53) & (np.abs(y - np.floor(y) - 0.5) >= 1e-6)
+    if not fast.any():
+        return fast, None
+    q = np.rint(y[fast]).astype(np.int64)
+    whole, cents = np.divmod(np.abs(q), 100)
+    point = _digits(cents + 100)  # a point, then two digits but no trailing zeros
+    point[:, 0] = ord(".")
+    point[cents % 10 == 0, 2] = _PAD
+    point[cents == 0] = _PAD
+    return fast, _signed(q < 0, _digits(whole), point)
 
 
 def _table_columns(rows, width: int) -> np.ndarray:

@@ -120,6 +120,19 @@ def score_log_text(log, meta) -> str:
     return header + ",".join(LOG_COLUMNS) + "\n" + "".join(rows)
 
 
+def format_rows(row_format: str, columns) -> str:
+    """The text ``core._write_rows`` writes: ``row_format.format`` of each
+    row of the columns' ``tolist()`` values, one value at a time."""
+    return "".join(map(row_format.format, *(np.asarray(c).tolist() for c in columns)))
+
+
+def svg_number(x: float) -> str:
+    """An SVG coordinate as ``_svg.fmt`` prints it: two decimals, without
+    trailing zeros, a trailing point or a negative zero."""
+    s = f"{x:.2f}".rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
+
+
 def category_of(lifetime, t_split: float) -> TemporalCategory:
     """The category of a (birth, death) lifetime against a cutoff: a key
     dies before it, is born at or after it, or straddles it."""

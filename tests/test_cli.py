@@ -84,6 +84,19 @@ class TestSplit:
                    "--out", tmp_path / "stats") == 0
         assert ingest_csv(out / "test.csv").labels == ("c", 'd "x"', "a,b", "d")
 
+    def test_nul_and_non_ascii_labels_written_as_read(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text('source,destination,timestamp\n"a\x00b",é,1\n日本,"a\x00b",2.5\n'
+                        'z\x00,é,3\né,日本,4\n', encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("split", path, "--test-ratio", "0.5", "--out", out) == 0
+        assert (out / "train.csv").read_bytes().decode("utf-8") == \
+            "source,destination,timestamp\na\x00b,é,1.0\n日本,a\x00b,2.5\n"
+        assert (out / "test.csv").read_bytes().decode("utf-8") == \
+            "source,destination,timestamp\nz\x00,é,3.0\né,日本,4.0\n"
+        assert (out / "labels.csv").read_bytes().decode("utf-8") == \
+            "id,label\n0,a\x00b\n1,é\n2,日本\n3,z\x00\n"
+
 
 class TestBdAndSweep:
     def test_bd_writes_both_key_kinds(self, dataset, tmp_path):
@@ -102,6 +115,23 @@ class TestBdAndSweep:
         assert run("bd", dataset, "--keys", "node,foo", "--out", out) == 2
         assert "unknown key kind 'foo'" in capsys.readouterr().err
         assert not list(out.glob("bd_*"))
+
+    def test_bd_undirected_facet_roles_exits_2_before_writing(self, dataset, tmp_path,
+                                                              capsys):
+        # role panels need a directed stream; the node and edge diagrams that
+        # come first must not be drawn either
+        out = tmp_path / "out"
+        assert run("bd", dataset, "--undirected", "--facet-roles", "--out", out) == 2
+        assert "error" in capsys.readouterr().err
+        assert not list(out.glob("bd_*"))
+
+    @pytest.mark.parametrize("ratios", ["0.1", ",,", "0.2,"])
+    def test_sweep_with_fewer_than_two_ratios_exits_2_before_any_work(
+            self, dataset, tmp_path, capsys, ratios):
+        out = tmp_path / "out"
+        assert run("sweep", dataset, f"--ratios={ratios}", "--out", out) == 2
+        assert "--ratios" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_outputs(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,12 +1,14 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_ingest, build_history, events_of, random_history
+from conftest import brute_force_ingest, build_history, events_of, format_rows, random_history
 from dlpeval import GraphKind, History, IngestError, ingest_csv
+from dlpeval import core
 
 
 def _ingest(text, **kw):
@@ -337,3 +339,66 @@ class TestOccurs:
         want = [0 <= a < n_nodes and 0 <= b < n_nodes and (canon(a, b), c) in truth
                 for a, b, c in queries]
         assert h.occurs(u, v, t).tolist() == want
+
+
+_INT64 = st.one_of(st.sampled_from([0, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 18]),
+                   st.integers(-2 ** 63, 2 ** 63 - 1), st.integers(-10 ** 6, 10 ** 6))
+# the edges of the exact fast paths, short decimals and arbitrary doubles
+_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-5, 1e-4, 1e15, 1e16, 5e-324, -5e-324, 0.5, 2.0 ** 53,
+                     1e15 - 1, 999999999999999.9, float("nan"), float("inf"), float("-inf")]),
+    st.builds(lambda m, p: m / 10 ** p, st.integers(-10 ** 15, 10 ** 15), st.integers(0, 6)),
+    st.builds(float, st.integers(-10 ** 16, 10 ** 16)),
+    st.floats())
+_OBJECT = st.one_of(st.just(""), st.text(max_size=4), st.integers(), st.floats(),
+                    st.booleans(), st.none())
+
+
+class TestWriteRows:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 12), chunk=st.integers(1, 5),
+           float_field=st.sampled_from(["{}", "{!r}", "{:.17g}"]),
+           float_dtype=st.sampled_from([np.float64, np.float32]),
+           int_dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
+           literal=st.sampled_from(["", ",", " é{{x}} ", "\x00"]))
+    def test_matches_str_format(self, data, rows, chunk, float_field, float_dtype,
+                                int_dtype, literal):
+        # every row as str.format prints it, chunk boundaries included
+        ints = np.array(data.draw(st.lists(_INT64, min_size=rows, max_size=rows)), dtype=np.int64)
+        if int_dtype is not np.int64:
+            info = np.iinfo(int_dtype)
+            ints = ints.clip(info.min, info.max).astype(int_dtype)
+        with np.errstate(over="ignore"):
+            floats = np.array(data.draw(st.lists(_FLOAT, min_size=rows, max_size=rows)),
+                              dtype=np.float64).astype(float_dtype)
+        objects = np.empty(rows, dtype=object)
+        objects[:] = data.draw(st.lists(_OBJECT, min_size=rows, max_size=rows))
+        words = np.array(data.draw(st.lists(st.text(max_size=3), min_size=rows, max_size=rows)),
+                         dtype=np.str_)
+        row_format = f"{{}}{literal}{float_field},{{!r}}{literal}{{}}|{float_field}{literal}\n"
+        columns = [ints, floats, words, objects, floats]
+        buf = io.StringIO()
+        with mock.patch.object(core, "_CHUNK", chunk):
+            core._write_rows(buf, row_format, columns)
+        assert buf.getvalue() == format_rows(row_format, columns)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-5, 1e-4, 1e15, 1e16, 5e-324, 0.1, 1 / 3,
+                                   123456.789012, -2.5, 1e14 + 0.5, float("nan")])
+    @pytest.mark.parametrize("field", ["{}", "{!r}", "{:.17g}"])
+    def test_float_edges(self, x, field):
+        # alone, and among values of the fast paths
+        for column in (np.array([x, -x]), np.array([x, -x, x, 1.0])):
+            buf = io.StringIO()
+            core._write_rows(buf, field + ";", [column])
+            assert buf.getvalue() == format_rows(field + ";", [column])
+
+    def test_int64_extremes(self):
+        column = np.array([-2 ** 63, 2 ** 63 - 1, -1, 0, 9, -10], dtype=np.int64)
+        buf = io.StringIO()
+        core._write_rows(buf, "{}\n", [column])
+        assert buf.getvalue() == "".join(f"{v}\n" for v in column.tolist())
+
+    def test_zero_rows_write_nothing(self):
+        buf = io.StringIO()
+        core._write_rows(buf, "{},{!r}\n", [np.zeros(0, np.int64), np.zeros(0)])
+        assert buf.getvalue() == ""

@@ -17,10 +17,11 @@ from conftest import (
     make_log,
     random_history,
     scenario_history,
+    svg_number,
     worked_example_log,
 )
 from dlpeval import GraphKind, KeyKind, LifetimeTable, lifetimes, mar_time_series, surprise_sweep
-from dlpeval._svg import escape
+from dlpeval._svg import SvgDocument, escape
 from dlpeval.diagrams import PALETTE, bd_diagram, mar_plot, surprise_curve
 from dlpeval.errors import DlpEvalError
 from dlpeval.partition import SweepPoint, TemporalCategory
@@ -33,6 +34,43 @@ def _parse(path):
 @given(st.text(alphabet=st.sampled_from("&<>;amp gtl\"'\n") | st.characters()))
 def test_escape_matches_saxutils(text):
     assert escape(text) == sax_escape(text)
+
+
+def _circle(cx: str, cy: str, fill: str) -> str:
+    return f'<circle cx="{cx}" cy="{cy}" r="2" fill="{fill}"/>'
+
+
+class TestCircles:
+    @pytest.mark.parametrize("x", [0.125, 0.005, 1.005, 2.675, -0.004, -0.0, 1e14,
+                                   float("nan"), float("inf"), 0.375, -1.5, 12.0, 2.0 ** 60])
+    def test_coordinates_print_as_fmt(self, x):
+        # ties of .2f, values that 100 * x rounds across a tie, negative
+        # zeros and values too large for the integer path
+        doc = SvgDocument(10, 10)
+        doc.circles([x, 1.25], [-x, x], 2.0, fill=["#a", "#b"])
+        assert doc._parts == ["\n  ".join([_circle(svg_number(x), svg_number(-x), "#a"),
+                                          _circle("1.25", svg_number(x), "#b")])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | st.floats(-1e4, 1e4)
+                    | st.builds(lambda m: m / 1000, st.integers(-10 ** 7, 10 ** 7)),
+                    min_size=1, max_size=20))
+    def test_random_coordinates_print_as_fmt(self, xs):
+        doc = SvgDocument(10, 10)
+        doc.circles(xs, xs[::-1], 2.0, fill="{#c}")
+        assert doc._parts == ["\n  ".join(_circle(svg_number(a), svg_number(b), "{#c}")
+                                          for a, b in zip(xs, xs[::-1]))]
+
+    def test_column_of_non_finite_values(self):
+        doc = SvgDocument(10, 10)
+        doc.circles([float("nan"), float("inf")], [float("-inf"), 1e300], 2.0, fill="#d")
+        assert doc._parts == ["\n  ".join([_circle("nan", "-inf", "#d"),
+                                          _circle("inf", svg_number(1e300), "#d")])]
+
+    def test_empty_column_adds_no_part(self):
+        doc = SvgDocument(10, 10)
+        doc.circles([], [], 2.0)
+        assert doc._parts == []
 
 
 class TestBdDiagram:
@@ -253,6 +291,17 @@ class TestMarPlot:
         polys = [el for el in root.iter(f"{ns}polyline")]
         for p in polys:
             assert len(p.get("points").split()) <= 2
+
+    def test_adjacent_empty_bins_render_as_pinned(self, tmp_path):
+        # runs of empty bins hand circles empty columns, which draw nothing
+        groups = [(0.9, {"NS": [0.1], "HE": [0.95]})] * 6
+        log = make_log(groups, ("NS", "HE"),
+                       t_of=lambda o: [0.0, 1.0, 2.0, 7.0, 9.0, 10.0][o])
+        series = mar_time_series(log, bins=10)
+        assert series.counts[0].tolist() == [1, 1, 1, 0, 0, 0, 0, 1, 0, 2]
+        svg = mar_plot(series, t_split=5.0, svg_path=tmp_path / "mar.svg")
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
+            "7b74085598dfa71d4198b6d4f46a20773944d29746a352056454798cf90bbd2b"
 
     def test_all_missing_is_an_error(self, tmp_path):
         series = mar_time_series(worked_example_log(), bins=1)
