@@ -37,7 +37,8 @@ class SvgDocument:
 
     def circles(self, cx, cy, r, fill="#000000", opacity: float | None = None):
         """One circle per point of the ``cx`` and ``cy`` columns, all in one
-        part; ``fill`` is one color or a column of colors."""
+        part; ``fill`` is one color, a column of colors or a ``(codes,
+        colors)`` column."""
         cx, cy = np.asarray(cx, dtype=np.float64), np.asarray(cy, dtype=np.float64)
         if len(cx) == 0:
             return
@@ -45,7 +46,7 @@ class SvgDocument:
         if isinstance(fill, str):  # one color is literal text of the row format
             fill = fill.replace("{", "{{").replace("}", "}}")
         else:
-            columns.append(np.asarray(fill, dtype=object))
+            columns.append(fill)
             fill = "{}"
         opacity_attr = f' fill-opacity="{fmt(opacity)}"' if opacity is not None else ""
         row = (f'<circle cx="{{:compact}}" cy="{{:compact}}" r="{fmt(r)}" '

@@ -260,7 +260,8 @@ def _format_rows(row_format: str, columns) -> Iterator[str]:
     string per ``_CHUNK`` rows. Fields are ``{}``, ``{!r}``, ``{:.17g}``
     or ``{:compact}`` (``_compact``); integers, and the floats whose text
     is a short decimal, render by numpy arithmetic, every other value by
-    Python once per distinct value."""
+    Python once per distinct value. A column given as a ``(codes, names)``
+    pair holds ``names[code]`` in each row."""
     from string import Formatter  # imported here, so `import dlpeval` loads no more modules
 
     literals, fields = [""], []  # the text before each field, and after the last
@@ -272,12 +273,11 @@ def _format_rows(row_format: str, columns) -> Iterator[str]:
             fields.append((conversion, spec))
             literals.append("")
     literals = [np.frombuffer(s.encode("utf-8", "surrogatepass"), np.uint8) for s in literals]
-    columns = [np.asarray(c) for c in columns]
     if len(columns) != len(fields):
         raise ValueError(f"{len(columns)} columns for {len(fields)} fields")
-    for start in range(0, len(columns[0]), _CHUNK):
-        chunk = [c[start:start + _CHUNK] for c in columns]
-        blocks = [_field_block(values, *field) for values, field in zip(chunk, fields)]
+    renders = [_column_render(column, *field) for column, field in zip(columns, fields)]
+    for start in range(0, len(renders[0][0]), _CHUNK):
+        blocks = [render(values[start:start + _CHUNK]) for values, render in renders]
         rows = len(blocks[0])
         parts = [np.broadcast_to(literals[0], (rows, len(literals[0])))]
         for block, literal in zip(blocks, literals[1:]):
@@ -286,13 +286,28 @@ def _format_rows(row_format: str, columns) -> Iterator[str]:
         yield text[text != _PAD].tobytes().decode("utf-8", "surrogatepass")
 
 
+def _column_render(column, conversion: str | None, spec: str):
+    """A column's values and the function that renders a chunk of them to
+    the block of one field. A ``(codes, names)`` column renders each name
+    once and gathers its rows from that block by their codes."""
+    if isinstance(column, tuple):
+        codes, names = column
+        block = _text_block(list(map(_python(conversion, spec), names)))
+        return np.asarray(codes), block.__getitem__
+    return np.asarray(column), lambda values: _field_block(values, conversion, spec)
+
+
+def _python(conversion: str | None, spec: str):
+    """The Python function that formats one value as the field does."""
+    if spec == "compact":
+        return _compact
+    return ("{" + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
+            + "}").format
+
+
 def _field_block(values: np.ndarray, conversion: str | None, spec: str) -> np.ndarray:
     """The block of one field of a row format over a chunk of its column."""
-    if spec == "compact":
-        python = _compact
-    else:
-        python = ("{" + (f"!{conversion}" if conversion else "")
-                  + (f":{spec}" if spec else "") + "}").format
+    python = _python(conversion, spec)
     kind = values.dtype.kind
     # str, repr and ascii of an int are its digits
     if kind in "iu" and not spec and (kind == "i" or values.max() < 2 ** 63):

@@ -28,7 +28,7 @@ PALETTE = {
 }
 _LINE_CYCLE = ("#007AA6", "#FF9933", "#008000", "#C02942", "#7851A9", "#555555")
 _GUIDE = "#444444"
-_CATEGORY_NAMES = np.array([c.value for c in TemporalCategory])
+_CATEGORY_NAMES = tuple(c.value for c in TemporalCategory)  # by category code
 
 _PANEL_W = 460.0
 _PANEL_H = 420.0
@@ -142,7 +142,7 @@ def bd_diagram(
             raise DlpEvalError(f"panel {panel_title!r} has no lifetimes")
 
     doc = SvgDocument(_PANEL_W * len(panels), _PANEL_H)
-    colors = np.array([PALETTE[cat] for cat in TemporalCategory], dtype=object)
+    colors = tuple(PALETTE[cat] for cat in TemporalCategory)
     svg_path, csv_path = Path(svg_path), Path(csv_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("key,birth,death,category\n")
@@ -165,7 +165,7 @@ def bd_diagram(
 
             shown = _stratified_sample(codes, max_points, seed)
             doc.circles(frame.px(deaths[shown]), frame.py(births[shown]), 2.2,
-                        fill=colors[codes[shown]], opacity=0.6)
+                        fill=(codes[shown], colors), opacity=0.6)
 
             # legend with per-category counts
             ly = frame.y0 + 6
@@ -184,7 +184,7 @@ def bd_diagram(
             else:
                 keys, key_format = History.edge_endpoints(table.ids, table.num_nodes), "{}|{}"
             _write_rows(fh, prefix + key_format + ",{!r},{!r},{}\n",
-                        [*keys, births, deaths, _CATEGORY_NAMES[codes]])
+                        [*keys, births, deaths, (codes, _CATEGORY_NAMES)])
     doc.write(svg_path)
     return svg_path, csv_path
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .core import _open_for_write, _write_rows
-from .scorelog import POSITIVE_ROLE, ScoredEventLog
+from .scorelog import POSITIVE_CODE, ScoredEventLog
 
 
 def _descending_ranks(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -106,12 +106,12 @@ def mean_auc_over_batches(
     train keeps t < t_split, all keeps everything. Batches lacking either
     class inside the period are excluded and counted as skipped.
     """
-    is_neg = log.role == strategy
+    is_neg = log.role == (log.names.index(strategy) if strategy in log.strategies else -1)
     if not is_neg.any():
         raise ValueError(f"strategy {strategy!r} not present in log")
     if period not in ("train", "test", "all"):
         raise ValueError(f"unknown period {period!r}")
-    keep = (log.role == POSITIVE_ROLE) | is_neg
+    keep = (log.role == POSITIVE_CODE) | is_neg
     if period != "all":
         if t_split is None:
             raise ValueError(f"period {period!r} requires t_split")
@@ -121,7 +121,7 @@ def mean_auc_over_batches(
 
     batches, inverse = np.unique(sub.batch, return_inverse=True)
     n = len(batches)
-    is_pos = sub.role == POSITIVE_ROLE
+    is_pos = sub.role == POSITIVE_CODE
     n_pos = np.bincount(inverse, weights=is_pos, minlength=n)
     n_neg = np.bincount(inverse, minlength=n) - n_pos
     ranks = _descending_ranks(sub.score, inverse)
@@ -170,7 +170,7 @@ def mar_time_series(log: ScoredEventLog, bins: int = 50) -> MARSeries:
         raise ValueError("bins must be >= 1")
     if len(log) == 0:
         raise ValueError("cannot bin an empty log")
-    roles = (POSITIVE_ROLE,) + tuple(log.strategies)
+    roles = log.names
 
     t0, t1 = float(log.timestamp.min()), float(log.timestamp.max())
     edges = np.linspace(t0, t1, bins + 1)
@@ -178,13 +178,9 @@ def mar_time_series(log: ScoredEventLog, bins: int = 50) -> MARSeries:
 
     ranks = _descending_ranks(log.score, log.event_ordinal)
     b = np.minimum(((log.timestamp - t0) / span * bins).astype(np.int64), bins - 1)
-    role_code = np.full(len(log), -1)
-    for r, role in enumerate(roles):
-        role_code[log.role == role] = r
-    known = role_code >= 0
-    cell = (role_code * bins + b)[known]
+    cell = log.role.astype(np.int64) * bins + b
     size = len(roles) * bins
-    sums = np.bincount(cell, weights=ranks[known], minlength=size).reshape(len(roles), bins)
+    sums = np.bincount(cell, weights=ranks, minlength=size).reshape(len(roles), bins)
     counts = np.bincount(cell, minlength=size).reshape(len(roles), bins)
 
     with np.errstate(invalid="ignore"):
@@ -198,7 +194,7 @@ def write_auc_csv(reports: Iterable[BatchAUCReport], dest: str | Path | TextIO) 
         fh.write("strategy,batch,t_start,t_end,auc\n")
         for r in reports:
             _write_rows(fh, "{},{},{!r},{!r},{!r}\n", [
-                np.full(len(r.batch), r.strategy, dtype=object),
+                (np.zeros(len(r.batch), dtype=np.int8), (r.strategy,)),
                 r.batch, r.t_start, r.t_end, r.auc])
 
 
@@ -214,4 +210,4 @@ def write_mar_csv(series: MARSeries, dest: str | Path | TextIO) -> None:
         _write_rows(fh, "{},{!r},{!r},{},{},{}\n", [
             np.repeat(np.arange(series.bins), n_roles),
             np.repeat(series.bin_edges[:-1], n_roles), np.repeat(series.bin_edges[1:], n_roles),
-            np.tile(np.array(series.roles, dtype=object), series.bins), mar, count])
+            (np.tile(np.arange(n_roles), series.bins), series.roles), mar, count])

@@ -275,10 +275,11 @@ def write_negatives_csv(sampled: SampledStream, dest: str | Path | TextIO) -> No
     then strategy by strategy."""
     n_kept, n_strategies, k = sampled.source.shape
     per_event = n_strategies * k
-    names = np.repeat(np.array([s.value for s in sampled.strategies], dtype=object), k)
+    codes = np.tile(np.repeat(np.arange(n_strategies, dtype=np.int8), k), n_kept)
+    names = tuple(s.value for s in sampled.strategies)
     with _open_for_write(dest) as fh:
         fh.write("event_ordinal,strategy,source,destination,timestamp\n")
         _write_rows(fh, "{},{},{},{},{!r}\n", [
-            np.repeat(np.arange(n_kept), per_event), np.tile(names, n_kept),
+            np.repeat(np.arange(n_kept), per_event), (codes, names),
             sampled.source.ravel(), sampled.destination.ravel(),
             np.repeat(sampled.timestamp, per_event)])

@@ -8,18 +8,20 @@ any external model stack can produce it and feed its predictions into the
 metrics and plotting pipeline. Scores are printed with 17 significant
 digits, which round-trips 64-bit floats exactly.
 
-Both directions work on columns: the writer streams chunks of rows, each
-formatted from column lists with one ``str.format`` map, and the reader
-parses the body once into typed columns, walking its lines only to name the
-line of an error.
+Both directions work on columns: the writer streams chunks of rows through
+the text kernel, and the reader parses the body once into typed columns,
+walking its lines only to name the line of an error. In memory a record's
+role is an ``int8`` code into the log's ``names``: the positive role, then
+the declared strategies.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, Iterable, NoReturn, TextIO
 
 import numpy as np
 
@@ -27,12 +29,22 @@ from .core import History, _open_for_read, _open_for_write, _write_rows
 from .errors import ScoreLogError
 
 POSITIVE_ROLE = "positive"
-# one score-log record; the field names, in order, form the column row
-_RECORD = np.dtype([
-    ("event_ordinal", np.int64), ("batch", np.int64), ("role", object),
-    ("source", np.int64), ("destination", np.int64),
-    ("timestamp", np.float64), ("score", np.float64),
-])
+POSITIVE_CODE = 0  # the positive role's code: it is first in every log's names
+# the most strategies whose codes, after the positive's, fit in an int8
+_MAX_STRATEGIES = np.iinfo(np.int8).max
+
+
+def _record(role) -> np.dtype:
+    """One score-log record with its role as ``role``; the field names, in
+    order, form the column row."""
+    return np.dtype([
+        ("event_ordinal", np.int64), ("batch", np.int64), ("role", role),
+        ("source", np.int64), ("destination", np.int64),
+        ("timestamp", np.float64), ("score", np.float64),
+    ])
+
+
+_RECORD = _record(np.int8)
 _COLUMNS = ",".join(_RECORD.names)
 
 
@@ -53,8 +65,9 @@ class ScoreLogMeta:
 class ScoredEventLog:
     """Columnar per-record score log.
 
-    ``role`` is ``positive`` for true events and the strategy name for
-    negatives. ``strategies`` lists the negative roles in emission order.
+    ``role`` holds ``int8`` codes into ``names``: ``POSITIVE_CODE`` (0) for
+    true events and ``1 + i`` for negatives of ``strategies[i]``.
+    ``strategies`` lists the negative roles in emission order.
     """
 
     event_ordinal: np.ndarray
@@ -69,19 +82,17 @@ class ScoredEventLog:
     def __len__(self) -> int:
         return len(self.score)
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The role names, indexed by role code: the positive role first."""
+        return (POSITIVE_ROLE,) + self.strategies
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoredEventLog):
             return NotImplemented
         return self.strategies == other.strategies and all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in _RECORD.names)
-
-    @classmethod
-    def _from_array(cls, records: np.ndarray, strategies: tuple[str, ...]) -> "ScoredEventLog":
-        """Build from a structured array of ``_RECORD``s, one column per field."""
-        columns = {name: np.ascontiguousarray(records[name]) for name in _RECORD.names}
-        columns["role"] = records["role"].astype(np.str_)
-        return cls(**columns, strategies=strategies)
 
     def mask(self, selector: np.ndarray) -> "ScoredEventLog":
         """Log restricted to the records where ``selector`` is True."""
@@ -91,16 +102,16 @@ class ScoredEventLog:
         """Check internal invariants; raise ScoreLogError on violation."""
         if len(self) == 0:
             return
-        unknown = _undeclared(self.role, self.strategies)
-        if unknown:
-            raise ScoreLogError(f"undeclared roles present: {unknown}")
+        role = self.role
+        if role.dtype.kind not in "iu" or role.min() < 0 or role.max() >= len(self.names):
+            raise ScoreLogError(f"roles are not codes 0..{len(self.names) - 1} into names")
         ordinal = self.event_ordinal
         # bounded first, so that counting the ordinals cannot run away
         if ordinal.min() != 0 or ordinal.max() >= len(self) \
                 or not np.all(np.bincount(ordinal)):
             raise ScoreLogError("event ordinals are not contiguous from 0")
         n_events = int(ordinal.max()) + 1
-        pos = self.role == POSITIVE_ROLE
+        pos = role == POSITIVE_CODE
         pos_counts = np.bincount(ordinal[pos], minlength=n_events)
         if not np.all(pos_counts):
             raise ScoreLogError("some event ordinal lacks a positive record")
@@ -126,16 +137,31 @@ class ScoredEventLog:
             raise ScoreLogError("non-finite score present")
 
 
-def _undeclared(role: np.ndarray, strategies) -> list:
-    """The distinct roles, sorted, that are neither a declared strategy nor
-    the positive role."""
-    return sorted(set(role[~np.isin(role, [POSITIVE_ROLE, *strategies])]))
+def _check_strategies(strategies: tuple[str, ...]) -> None:
+    """Raise ScoreLogError unless ``strategies`` can name role codes: at most
+    ``_MAX_STRATEGIES`` names, each Latin-1 text, none ``positive`` and no two
+    alike. A fixed-width role field drops trailing NULs, so names that differ
+    only by them are alike."""
+    if len(strategies) > _MAX_STRATEGIES:
+        raise ScoreLogError(f"strategies: {len(strategies)} names, more than {_MAX_STRATEGIES}")
+    seen = {POSITIVE_ROLE}
+    for name in strategies:
+        key = name.rstrip("\0")
+        if key == POSITIVE_ROLE:
+            raise ScoreLogError(f"strategies: {name!r} is the positive role")
+        if key in seen:
+            raise ScoreLogError(f"strategies: {name!r} is repeated")
+        try:
+            name.encode("latin-1")
+        except UnicodeEncodeError:
+            raise ScoreLogError(f"strategies: {name!r} is not Latin-1 text") from None
+        seen.add(key)
 
 
 def check_positives(log: ScoredEventLog, h: History) -> None:
     """Raise ScoreLogError unless every positive record is a true event of
     ``h``: the same canonical edge at exactly that timestamp."""
-    pos = np.flatnonzero(log.role == POSITIVE_ROLE)
+    pos = np.flatnonzero(log.role == POSITIVE_CODE)
     bad = pos[~h.occurs(log.source[pos], log.destination[pos], log.timestamp[pos])]
     if len(bad):
         r = bad[0]
@@ -148,18 +174,23 @@ def check_positives(log: ScoredEventLog, h: History) -> None:
 
 def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | TextIO) -> None:
     """Write a log deterministically; reading it back yields an equal log.
-    An invalid log, or one with a role the header does not declare, raises
-    before ``dest`` is opened."""
+    A header whose strategies cannot name role codes, an invalid log, or one
+    with a role the header does not declare, raises before ``dest`` is
+    opened."""
+    _check_strategies(meta.strategies)
     log.validate()
-    undeclared = _undeclared(log.role, meta.strategies)
+    counts = np.bincount(log.role, minlength=len(log.names)).tolist()
+    undeclared = sorted({name for name, count in zip(log.names, counts) if count}
+                        - {POSITIVE_ROLE, *meta.strategies})
     if undeclared:
         raise ScoreLogError(f"log contains strategies absent from header: {undeclared}")
     header = asdict(meta) | {"strategies": ",".join(meta.strategies)}
+    columns = [(log.role, log.names) if name == "role" else getattr(log, name)
+               for name in _RECORD.names]
     with _open_for_write(dest) as fh:
         fh.write("".join(f"# {key}={value}\n" for key, value in header.items()))
         fh.write(_COLUMNS + "\n")
-        _write_rows(fh, "{},{},{},{},{},{!r},{:.17g}\n",
-                    [getattr(log, name) for name in _RECORD.names])
+        _write_rows(fh, "{},{},{},{},{},{!r},{:.17g}\n", columns)
 
 
 def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog, ScoreLogMeta]:
@@ -186,30 +217,68 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
             raise ScoreLogError(
                 f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
             )
-        records = _parse_records(fh.read(), lineno)
+        meta = _meta_from_header(header)
+        lines = fh if fh.seekable() else list(fh)  # a pipe is read once
+        start = fh.tell() if lines is fh else None
 
-    meta = _meta_from_header(header)
-    log = ScoredEventLog._from_array(records, meta.strategies)
+        def body():
+            """The lines after the column row, read again from their start."""
+            if start is not None:
+                fh.seek(start)
+            return lines
+
+        columns = _parse_records(lines, (POSITIVE_ROLE,) + meta.strategies)
+        if columns is None:
+            _raise_record_error(body, lineno, meta.strategies)
+
+    log = ScoredEventLog(**columns, strategies=meta.strategies)
     log.validate()
     return log, meta
 
 
-def _parse_records(body: str, column_row: int) -> np.ndarray:
-    """The records after the column row (line ``column_row``) as one typed
-    array, blank lines skipped. Only when that parse fails or yields a
-    non-finite score are the lines walked, to raise the first bad one's error."""
-    if not body.lstrip("\r\n"):
-        return np.empty(0, dtype=_RECORD)
+def _parse_records(lines: Iterable[str], names: tuple[str, ...]) -> dict | None:
+    """The records in ``lines`` as ``ScoredEventLog`` columns, blank lines
+    skipped, each role coded by its index in ``names``; None when a record
+    is malformed, has a non-finite score or a role not in ``names``.
+
+    Roles are parsed as fixed-width Latin-1 bytes one wider than the longest
+    name, so that a longer role is cut to a width no name has."""
+    encoded = [name.encode("latin-1") for name in names]
     try:
-        records = np.loadtxt(body.split("\n"), dtype=_RECORD, delimiter=",",
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a log of no records
+            records = np.loadtxt(lines, dtype=_record(f"S{max(map(len, encoded)) + 1}"),
+                                 delimiter=",", comments=None, ndmin=1)
+    except ValueError:  # a malformed record, or a role outside Latin-1
+        return None
+    role = np.full(len(records), -1, dtype=np.int8)
+    for code, name in enumerate(encoded):
+        role[records["role"] == name] = code
+    if np.any(role < 0) or not np.all(np.isfinite(records["score"])):
+        return None
+    return {name: role if name == "role" else np.ascontiguousarray(records[name])
+            for name in _RECORD.names}
+
+
+def _raise_record_error(body: Callable[[], Iterable[str]], column_row: int,
+                        strategies: tuple[str, ...]) -> NoReturn:
+    """Raise the error of records that ``_parse_records`` refused, given the
+    lines after the column row (line ``column_row``): the first bad line's,
+    found by walking the lines when the records do not parse with their
+    roles as text, else one naming the undeclared roles."""
+    try:
+        records = np.loadtxt(body(), dtype=_record(object), delimiter=",",
                              comments=None, ndmin=1)
         if np.all(np.isfinite(records["score"])):
-            return records
+            # named as a str_ column names them: without trailing NULs
+            role = records["role"].astype(np.str_)
+            unknown = sorted(set(role[~np.isin(role, [POSITIVE_ROLE, *strategies])]))
+            raise ScoreLogError(f"undeclared roles present: {unknown}")
         error = "non-finite score"
     except ValueError as exc:
         error = exc  # rejected by the columnar parse only, e.g. "1_0"
-    for lineno, raw in enumerate(body.split("\n"), start=column_row + 1):
-        line = raw.rstrip("\r")
+    for lineno, raw in enumerate(body(), start=column_row + 1):
+        line = raw.rstrip("\r\n")
         if not line:
             continue
         if line.startswith("#"):
@@ -234,6 +303,7 @@ def _meta_from_header(header: dict[str, str]) -> ScoreLogMeta:
     if missing:
         raise ScoreLogError(f"missing header keys: {missing}")
     strategies = tuple(s for s in header["strategies"].split(",") if s)
+    _check_strategies(strategies)
     try:
         return ScoreLogMeta(
             dataset=header["dataset"],

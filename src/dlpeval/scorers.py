@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import History
 from .sampling import SampledStream
-from .scorelog import POSITIVE_ROLE, ScoredEventLog
+from .scorelog import ScoredEventLog
 
 
 class ScorerKind(enum.Enum):
@@ -80,12 +80,13 @@ def run_streaming_eval(
     negatives = np.stack([sampled.source, sampled.destination], axis=-1)
     pairs = np.concatenate([positives, negatives.reshape(n_kept, n_strategies * k, 2)], 1)
     source, destination = pairs.reshape(-1, 2).T
-    roles = [POSITIVE_ROLE] + [s.value for s in sampled.strategies for _ in range(k)]
+    # each event's role codes: the positive's (0), then k of each strategy's
+    roles = np.repeat(np.arange(1 + n_strategies, dtype=np.int8), [1] + [k] * n_strategies)
     batch = np.repeat(sampled.events // batch_size, len(roles))
     return ScoredEventLog(
         event_ordinal=np.repeat(np.arange(n_kept, dtype=np.int64), len(roles)),
         batch=batch,
-        role=np.tile(np.asarray(roles, dtype=np.str_), n_kept),
+        role=np.tile(roles, n_kept),
         source=source,
         destination=destination,
         timestamp=np.repeat(sampled.timestamp, len(roles)),

@@ -23,9 +23,16 @@ from dlpeval.core import _open_for_read
 from dlpeval.scorelog import POSITIVE_ROLE
 
 # the score-log columns, in file order, and their dtypes
-LOG_COLUMNS = {"event_ordinal": np.int64, "batch": np.int64, "role": np.str_,
+LOG_COLUMNS = {"event_ordinal": np.int64, "batch": np.int64, "role": np.int8,
                "source": np.int64, "destination": np.int64,
                "timestamp": np.float64, "score": np.float64}
+
+
+class Pipe(io.StringIO):
+    """A text stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
 
 
 def build_history(events, kind=GraphKind(), num_nodes=None, num_sources=None) -> History:
@@ -93,8 +100,11 @@ def events_of(h: History) -> list[tuple[int, int, float]]:
 
 def log_from_records(records, strategies) -> ScoredEventLog:
     """Score log from an iterable of
-    (event_ordinal, batch, role, source, destination, timestamp, score)."""
+    (event_ordinal, batch, role, source, destination, timestamp, score),
+    each role a name coded by its index in ``("positive",) + strategies``."""
     columns = list(zip(*records)) or [()] * len(LOG_COLUMNS)
+    names = (POSITIVE_ROLE,) + tuple(strategies)
+    columns[2] = [names.index(role) for role in columns[2]]
     return ScoredEventLog(**{name: np.array(column, dtype=dtype) for (name, dtype), column
                              in zip(LOG_COLUMNS.items(), columns)}, strategies=strategies)
 
@@ -113,8 +123,9 @@ def score_log_text(log, meta) -> str:
         ("batch_size", meta.batch_size), ("strategies", ",".join(meta.strategies)),
         ("k", meta.k), ("seed", meta.seed), ("scorer", meta.scorer)))
     rows = [
-        "{},{},{},{},{},{!r},{:.17g}\n".format(*(getattr(log, name)[i].item()
-                                                for name in LOG_COLUMNS))
+        "{},{},{},{},{},{!r},{:.17g}\n".format(*(
+            log.names[log.role[i]] if name == "role" else getattr(log, name)[i].item()
+            for name in LOG_COLUMNS))
         for i in range(len(log))
     ]
     return header + ",".join(LOG_COLUMNS) + "\n" + "".join(rows)
@@ -314,7 +325,7 @@ def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.nd
 
     # kept events appear in stream order: find each ordinal's position
     position, i = {}, 0
-    for r in np.flatnonzero(log.role == "positive"):
+    for r in np.flatnonzero(log.role == log.names.index("positive")):
         positive = (int(log.source[r]), int(log.destination[r]), float(log.timestamp[r]))
         while events[i] != positive:
             i += 1

@@ -214,8 +214,8 @@ def test_criterion_4_edgebank_below_half():
             for strategy in strategies:
                 report = mean_auc_over_batches(log, strategy.value, "test", t_split)
                 test_mask = log.timestamp >= t_split
-                pos = log.score[test_mask & (log.role == "positive")]
-                neg = log.score[test_mask & (log.role == strategy.value)]
+                pos = log.score[test_mask & (log.role == log.names.index("positive"))]
+                neg = log.score[test_mask & (log.role == log.names.index(strategy.value))]
                 assert np.all(neg == 1), "every sampled negative must score 1"
                 oracle = pair_counting_auc(pos, neg)
                 assert report.mean_auc == oracle == p / 2

@@ -543,6 +543,22 @@ class TestMetricsAndPlot:
         bad.write_text("# dataset=x\nevent_ordinal,batch\n")
         assert run("metrics", "--log", bad, "--out", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("strategies,message", [
+        ("HD,HD", "strategies: 'HD' is repeated"),
+        ("positive,HD", "strategies: 'positive' is the positive role"),
+    ])
+    def test_repeated_or_positive_strategy_exits_2_before_writing(
+            self, tmp_path, capsys, strategies, message):
+        log = tmp_path / "scores.csv"
+        log.write_text("# dataset=x\n# t_split=1.0\n# batch_size=1\n"
+                       f"# strategies={strategies}\n# k=1\n# seed=0\n# scorer=model\n"
+                       "event_ordinal,batch,role,source,destination,timestamp,score\n"
+                       "0,0,positive,0,1,1.0,1.0\n0,0,HD,2,3,1.0,0.0\n")
+        out = tmp_path / "m"
+        assert run("metrics", "--log", log, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestManifestAndEnv:
     def test_manifest_lists_outputs_and_config(self, dataset, tmp_path):

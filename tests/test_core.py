@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_ingest, build_history, events_of, format_rows, random_history
+from conftest import (
+    Pipe,
+    brute_force_ingest,
+    build_history,
+    events_of,
+    format_rows,
+    random_history,
+)
 from dlpeval import GraphKind, History, IngestError, ingest_csv
 from dlpeval import core
 
@@ -148,13 +155,6 @@ def _outcome(read, source, **kw):
             h.num_sources, h.src.dtype, h.t.dtype)
 
 
-class _Pipe(io.StringIO):
-    """A text stream that cannot seek, as a pipe."""
-
-    def seekable(self):
-        return False
-
-
 class TestIngestMatchesRowOracle:
     """The columnar ingest against the row-by-row oracle on generated CSV
     text, read from a path, bytes, a text handle and a pipe."""
@@ -173,7 +173,7 @@ class TestIngestMatchesRowOracle:
         assert _outcome(ingest_csv, text.encode(), schema=schema, kind=kind) == want
         assert _outcome(ingest_csv, io.StringIO(text, newline=""), schema=schema,
                         kind=kind) == want
-        assert _outcome(ingest_csv, _Pipe(text, newline=""), schema=schema, kind=kind) == want
+        assert _outcome(ingest_csv, Pipe(text, newline=""), schema=schema, kind=kind) == want
 
     def test_bytes_split_lines_at_a_bare_cr_as_a_path_does(self, tmp_path):
         data = b"s,d,t\ra,b,1\rc,d,2\r"
@@ -402,3 +402,18 @@ class TestWriteRows:
         buf = io.StringIO()
         core._write_rows(buf, "{},{!r}\n", [np.zeros(0, np.int64), np.zeros(0)])
         assert buf.getvalue() == ""
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(st.one_of(st.just(""), st.sampled_from(["é", "€", "日本", "a,b"]),
+                                    st.text(max_size=3)), min_size=1, max_size=5),
+           rows=st.one_of(st.integers(0, 12), st.just(core._CHUNK + 1)),
+           seed=st.integers(0, 2 ** 32 - 1), field=st.sampled_from(["{}", "{!r}"]),
+           dtype=st.sampled_from([np.int8, np.int64]))
+    def test_codes_and_names_column(self, names, rows, seed, field, dtype):
+        # each row holds its code's name, as str.format prints that name
+        codes = np.random.default_rng(seed).integers(0, len(names), rows).astype(dtype)
+        other = np.arange(rows)
+        buf = io.StringIO()
+        core._write_rows(buf, f"{field}|{{}}\n", [(codes, tuple(names)), other])
+        assert buf.getvalue() == "".join(
+            f"{field.format(names[c])}|{i}\n" for c, i in zip(codes.tolist(), other.tolist()))

@@ -131,17 +131,18 @@ class TestMeanAucOverBatches:
            period=st.sampled_from(["all", "test"]), t_split=st.integers(0, 12))
     def test_matches_pair_counting_per_batch(self, log, strategy, period, t_split):
         keep = (log.timestamp >= t_split) if period == "test" else np.ones(len(log), bool)
+        pos_code, neg_code = log.names.index(POSITIVE_ROLE), log.names.index(strategy)
         want, skipped = [], 0
-        for b in np.unique(log.batch[keep & np.isin(log.role, [POSITIVE_ROLE, strategy])]):
+        for b in np.unique(log.batch[keep & np.isin(log.role, [pos_code, neg_code])]):
             sel = keep & (log.batch == b)
-            pos = log.score[sel & (log.role == POSITIVE_ROLE)]
-            neg = log.score[sel & (log.role == strategy)]
+            pos = log.score[sel & (log.role == pos_code)]
+            neg = log.score[sel & (log.role == neg_code)]
             if len(pos) and len(neg):
-                times = log.timestamp[sel & np.isin(log.role, [POSITIVE_ROLE, strategy])]
+                times = log.timestamp[sel & np.isin(log.role, [pos_code, neg_code])]
                 want.append((int(b), times.min(), times.max(), pair_counting_auc(pos, neg)))
             else:
                 skipped += 1
-        if strategy not in log.role or not want:
+        if neg_code not in log.role or not want:
             with pytest.raises(ValueError):
                 mean_auc_over_batches(log, strategy, period, float(t_split))
             return
@@ -224,9 +225,9 @@ class TestMarTimeSeries:
         t0, t1 = log.timestamp.min(), log.timestamp.max()
         sums = np.zeros((3, bins))
         counts = np.zeros((3, bins), dtype=np.int64)
-        for role, t, rank in zip(log.role.tolist(), log.timestamp.tolist(), ranks):
+        for code, t, rank in zip(log.role.tolist(), log.timestamp.tolist(), ranks):
             b = min(int((t - t0) / (t1 - t0) * bins), bins - 1) if t1 > t0 else 0
-            r = (POSITIVE_ROLE, "A", "B").index(role)
+            r = (POSITIVE_ROLE, "A", "B").index(log.names[code])
             sums[r, b] += rank
             counts[r, b] += 1
         series = mar_time_series(log, bins)

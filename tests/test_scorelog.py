@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    Pipe,
     log_from_records,
     random_history,
     sample_and_score,
@@ -60,6 +61,15 @@ class TestRoundTrip:
             log2, meta2 = read_score_log(source)
             assert log2 == log
             assert meta2 == meta
+
+    def test_bare_cr_file_reads_like_lf(self, tmp_path):
+        # body lines end where header lines do: at a bare CR too
+        log, meta = _eval_log(), _meta()
+        cr = written_log(log, meta).replace("\n", "\r").encode("utf-8")
+        path = tmp_path / "scores.csv"
+        path.write_bytes(cr)
+        for source in (path, cr):
+            assert read_score_log(source) == (log, meta)
 
     def test_empty_log_is_header_only_and_valid(self):
         log = log_from_records([], ("OE", "OD"))
@@ -118,6 +128,39 @@ class TestRoundTripProperty:
         assert written_log(log2, meta2) == text
 
 
+# role names that survive the header and the body: Latin-1, none of the
+# header's separators, no padding that the header would strip
+_ROLE_NAME = st.text(st.characters(max_codepoint=255, exclude_characters=",\r\n"),
+                     min_size=1, max_size=4).filter(lambda s: s == s.strip() != POSITIVE_ROLE)
+
+
+@st.composite
+def coded_logs(draw):
+    """A log of 0-6 events over 0-4 random role names, each event a positive
+    and any negatives, with its header."""
+    strategies = tuple(draw(st.lists(_ROLE_NAME, max_size=4,
+                                     unique_by=lambda s: s.rstrip("\0"))))
+    records = []
+    for o in range(draw(st.integers(0, 6))):
+        negatives = draw(st.lists(st.sampled_from(strategies), max_size=3)) if strategies else []
+        for role in [POSITIVE_ROLE] + negatives:
+            records.append((o, o, role, draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 9)),
+                            float(o), draw(st.floats(allow_nan=False, allow_infinity=False))))
+    return log_from_records(records, strategies), _meta(strategies=strategies)
+
+
+class TestCodedRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(coded=coded_logs())
+    def test_write_then_read_is_identity(self, coded):
+        log, meta = coded
+        text = written_log(log, meta)
+        assert text == score_log_text(log, meta)
+        log2, meta2 = read_score_log(io.StringIO(text))
+        assert log2 == log and meta2 == meta
+        assert log2.role.dtype == np.int8 and log2.names == log.names
+
+
 class TestWriteValidation:
     def test_undeclared_strategy_rejected_at_write(self):
         log = _eval_log()
@@ -133,13 +176,23 @@ class TestWriteValidation:
         with pytest.raises(ScoreLogError, match="timestamp"):
             written_log(log, _meta(strategies=("OE",)))
 
-    @pytest.mark.parametrize("case", ["invalid", "undeclared role"])
+    @pytest.mark.parametrize("case", ["invalid", "undeclared role", "repeated strategy",
+                                      "positive strategy", "code past names", "role names"])
     def test_rejected_log_leaves_dest_untouched(self, tmp_path, case):
+        meta = _meta(strategies=("OE",))
         if case == "invalid":
             log = log_from_records([(0, 0, "OE", 2, 3, 1.0, 0.0)], ("OE",))  # no positive
+        elif case in ("code past names", "role names"):
+            log = log_from_records([(0, 0, POSITIVE_ROLE, 0, 1, 1.0, 1.0),
+                                    (0, 0, "OE", 2, 3, 1.0, 0.0)], ("OE",))
+            log.role = np.array([0, 2], np.int8) if case == "code past names" else np.array(
+                [POSITIVE_ROLE, "OE"])
+        elif case == "undeclared role":
+            log = _eval_log()
         else:
             log = _eval_log()
-        meta = _meta(strategies=("OE",))
+            meta = _meta(strategies=("OE", "OD", "OE" if case == "repeated strategy"
+                                     else POSITIVE_ROLE))
         with pytest.raises(ScoreLogError):
             write_score_log(log, meta, tmp_path / "new.csv")
         assert not (tmp_path / "new.csv").exists()
@@ -270,6 +323,45 @@ class TestReadValidation:
         with pytest.raises(ScoreLogError,
                            match=r"undeclared roles present: \[.*'OEXXXXXXXXXX'\)?\]"):
             read_score_log(io.StringIO(text))
+
+    @pytest.mark.parametrize("role,named", [
+        ("HD\x00", "HD"),  # a str_ column drops trailing NULs, and so does the message
+        ("€", "€"), ("é", "é"), ("", ""),
+        ("positiveX", "positiveX"),  # one wider than the widest name
+    ])
+    def test_undeclared_role_is_named(self, role, named):
+        text = self._text(["0,0,positive,0,1,1.0,1.0", f"0,0,{role},2,3,1.0,0.0"])
+        with pytest.raises(ScoreLogError) as info:
+            read_score_log(io.StringIO(text))
+        assert str(info.value) == f"undeclared roles present: [{np.str_(named)!r}]"
+
+    def test_role_with_trailing_nul_reads_as_declared_name(self):
+        text = self._text(["0,0,positive,0,1,1.0,1.0", "0,0,OE\x00,2,3,1.0,0.0"])
+        log, _ = read_score_log(io.StringIO(text))
+        assert [log.names[c] for c in log.role] == [POSITIVE_ROLE, "OE"]
+
+    @pytest.mark.parametrize("strategies,message", [
+        ("HD,HD", "strategies: 'HD' is repeated"),
+        ("positive,HD", "strategies: 'positive' is the positive role"),
+        ("HD,HD\x00", "strategies: 'HD\\x00' is repeated"),
+        ("OE,€", "strategies: '€' is not Latin-1 text"),
+        pytest.param(",".join(f"S{i}" for i in range(128)),
+                     "strategies: 128 names, more than 127", id="128 names"),
+    ])
+    def test_strategies_that_cannot_name_codes_rejected(self, strategies, message):
+        text = self._text(["0,0,positive,0,1,1.0,1.0", "0,0,HD,2,3,1.0,0.0"], strategies)
+        with pytest.raises(ScoreLogError) as info:
+            read_score_log(io.StringIO(text))
+        assert str(info.value) == message
+
+    def test_pipe_reads_like_a_file(self):
+        rows = ["0,0,positive,0,1,1.0,1.0", "0,0,OE,2,3,1.0,0.0"]
+        assert read_score_log(Pipe(self._text(rows))) == read_score_log(
+            io.StringIO(self._text(rows)))
+        for bad, message in (("0,0,OE,2,3,1.0,oops", "line 10: unparseable field"),
+                             ("0,0,IE,2,3,1.0,0.0", "undeclared roles present")):
+            with pytest.raises(ScoreLogError, match=message):
+                read_score_log(Pipe(self._text(rows[:1] + [bad])))
 
     def test_header_only_log_reads_without_warning(self):
         with warnings.catch_warnings():

@@ -86,7 +86,7 @@ class TestHarness:
             h, 9.0, ScorerKind.EDGEBANK, [NegativeStrategy.OE],
             batch_size=8, seed=0,
         )
-        pos_scores = log.score[log.role == POSITIVE_ROLE]
+        pos_scores = log.score[log.role == log.names.index(POSITIVE_ROLE)]
         assert np.all(pos_scores[:8] == 0)  # first batch: unseen edge
         assert np.all(pos_scores[8:] == 0)  # (2,3) also first seen in its own batch
 
@@ -165,7 +165,7 @@ class TestHarness:
                 [NegativeStrategy.OE], batch_size=2, seed=0, on_empty="skip",
             )
         log.validate()
-        kept = log.mask(log.role == POSITIVE_ROLE)
+        kept = log.mask(log.role == log.names.index(POSITIVE_ROLE))
         assert [(int(s), int(d)) for s, d in zip(kept.source, kept.destination)] == \
                [(2, 3), (2, 3)]
         assert kept.event_ordinal.tolist() == [0, 1]
@@ -208,7 +208,7 @@ class TestHarness:
         for strategy in strategies:
             u, v, ok = sample_negatives(idx, strategy, np.arange(len(h)), 2, seed)
             assert ok.all()
-            sel = log.role == strategy.value
+            sel = log.role == log.names.index(strategy.value)
             assert np.array_equal(log.source[sel], u.ravel())
             assert np.array_equal(log.destination[sel], v.ravel())
 
