@@ -19,7 +19,7 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-_SEPARATOR = "\n  "  # what render puts between two parts
+_SEPARATOR = "\n  "  # what write puts between two parts
 
 
 class SvgDocument:
@@ -36,12 +36,10 @@ class SvgDocument:
         )
 
     def circles(self, cx, cy, r, fill="#000000", opacity: float | None = None):
-        """One circle per point of the ``cx`` and ``cy`` columns, all in one
-        part; ``fill`` is one color, a column of colors or a ``(codes,
-        colors)`` column."""
+        """One circle per point of the ``cx`` and ``cy`` columns, a part per
+        chunk of rows that the text kernel renders; ``fill`` is one color, a
+        column of colors or a ``(codes, colors)`` column."""
         cx, cy = np.asarray(cx, dtype=np.float64), np.asarray(cy, dtype=np.float64)
-        if len(cx) == 0:
-            return
         columns = [cx, cy]
         if isinstance(fill, str):  # one color is literal text of the row format
             fill = fill.replace("{", "{{").replace("}", "}}")
@@ -51,8 +49,7 @@ class SvgDocument:
         opacity_attr = f' fill-opacity="{fmt(opacity)}"' if opacity is not None else ""
         row = (f'<circle cx="{{:compact}}" cy="{{:compact}}" r="{fmt(r)}" '
                f'fill="{fill}"{opacity_attr}/>{_SEPARATOR}')
-        text = "".join(_format_rows(row, columns))
-        self._parts.append(text[:-len(_SEPARATOR)])
+        self._parts.extend(text[:-len(_SEPARATOR)] for text in _format_rows(row, columns))
 
     def rect(self, x, y, w, h, fill="none", stroke: str | None = None, stroke_width=1.0):
         stroke_attr = (
@@ -84,17 +81,15 @@ class SvgDocument:
             f'fill="{fill}"{transform}>{escape(content)}</text>'
         )
 
-    def render(self) -> str:
-        body = "\n".join(f"  {p}" for p in self._parts)
-        return (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{fmt(self.width)}" height="{fmt(self.height)}" '
-            f'viewBox="0 0 {fmt(self.width)} {fmt(self.height)}">\n'
-            f"{body}\n"
-            "</svg>\n"
-        )
-
     def write(self, path) -> None:
+        """Write the document to ``path`` part by part, each after an indent
+        on a line of its own."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.render())
+            fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                     f'<svg xmlns="http://www.w3.org/2000/svg" '
+                     f'width="{fmt(self.width)}" height="{fmt(self.height)}" '
+                     f'viewBox="0 0 {fmt(self.width)} {fmt(self.height)}">\n')
+            for i, part in enumerate(self._parts):
+                fh.write(_SEPARATOR if i else _SEPARATOR[1:])
+                fh.write(part)
+            fh.write("\n</svg>\n")

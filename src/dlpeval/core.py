@@ -10,6 +10,7 @@ those ids.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -506,34 +507,67 @@ def ingest_csv(
     appearance in the sorted stream (bipartite kinds get disjoint id
     ranges: sources first, then destinations offset past them).
 
-    The rows are parsed as columns in one pass. Only when that parse
-    refuses a row, or a row breaks a rule, are the rows walked one by one
-    as ``csv`` reads them: the walk raises the first bad row's error with
-    its line, or, where the columnar parse refused a row that ``csv``
-    accepts (a text handle that does not split lines at a bare CR), reads
-    the stream itself.
+    The rows are parsed as columns in one pass, each label as ``_WIDTH``
+    bytes of Latin-1 text and each timestamp by numpy, and the labels are
+    numbered by one sort of those bytes as integers; only the distinct
+    labels become Python strings. ``loadtxt`` cuts a longer label and drops
+    trailing NULs without a word, so a stream that holds a NUL or does not
+    decode, a label that fills the width, or text outside Latin-1 is parsed
+    again with each label a Python string, numbered by a dict, and each
+    timestamp read by ``float``. Only when that parse refuses a row too, or
+    a row breaks a rule, are the rows walked one by one as ``csv`` reads
+    them: the walk raises the first bad row's error with its line, or,
+    where the columnar parse refused a row that ``csv`` accepts (a text
+    handle that does not split lines at a bare CR), reads the stream itself.
     """
     if schema not in ("minimal", "jodie"):
         raise ValueError(f"unknown schema {schema!r}")
     with _open_for_read(source) as fh:
         lines = fh if fh.seekable() else list(fh)  # a pipe is read once
         start = fh.tell() if lines is fh else None
-        rows = _parse_rows(lines, schema)
-        h = None if rows is None else _remap(rows, kind)
-        if h is None:
+
+        def body():
+            """The stream's lines, read again from their start."""
             if start is not None:
                 fh.seek(start)
-            h = _remap(_walk_rows(lines, schema, kind), kind)
+            return lines
+
+        rows = _parse_rows(body(), schema, _BYTES_ROW) if _bytes_parse_fits(body()) else None
+        if rows is None:
+            rows = _parse_rows(body(), schema, _ROW)
+        h = None if rows is None else _remap(rows, kind)
+        if h is None:
+            h = _remap(_walk_rows(body(), schema, kind), kind)
     return h
 
 
-# one input row: its source and destination label fields and its timestamp
+# one input row: its source and destination label fields and its timestamp,
+# with the labels as Python strings or as fixed-width Latin-1 bytes
 _ROW = np.dtype([("u", object), ("v", object), ("t", np.float64)])
+_WIDTH = 16  # bytes of a label field in _BYTES_ROW, two uint64 words
+_BYTES_ROW = np.dtype([("u", f"S{_WIDTH}"), ("v", f"S{_WIDTH}"), ("t", np.float64)])
+# the last byte of each label field of a _BYTES_ROW, not NUL when the label fills it
+_LAST_BYTES = [_BYTES_ROW.fields[c][1] + _WIDTH - 1 for c in "uv"]
 
 
-def _parse_rows(lines: Iterable[str], schema: str) -> np.ndarray | None:
-    """The rows after the header as one ``_ROW`` array, split into fields
-    as ``csv`` splits them, or None when the columnar parse refuses one."""
+def _bytes_parse_fits(lines: Iterable[str]) -> bool:
+    """Whether the text may take the bytes parse: it holds no NUL, which
+    loadtxt drops from the end of a label, and it decodes; a decoding error
+    is left to the row walk, which raises it as it reads the line. The text
+    is read in blocks from a file handle, or line by line from a list."""
+    if hasattr(lines, "read"):
+        lines = iter(functools.partial(lines.read, 1 << 20), "")
+    try:
+        return not any("\0" in text for text in lines)
+    except UnicodeDecodeError:
+        return False
+
+
+def _parse_rows(lines: Iterable[str], schema: str, dtype: np.dtype) -> np.ndarray | None:
+    """The rows after the header as one ``dtype`` array, split into fields
+    as ``csv`` splits them, or None when the columnar parse refuses one.
+    For ``_BYTES_ROW``, a label outside Latin-1 is refused, and so is one
+    that fills ``_WIDTH`` bytes: it may have been cut."""
     lines = iter(lines)
     try:
         next(csv.reader(lines))  # header
@@ -542,11 +576,17 @@ def _parse_rows(lines: Iterable[str], schema: str) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a stream of no rows
-            return np.loadtxt(lines, dtype=_ROW, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1, converters={2: float},
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1,
+                              converters=None if dtype is _BYTES_ROW else {2: float},
                               usecols=(0, 1, 2) if schema == "jodie" else None)
     except ValueError:
         return None
+    if dtype is _BYTES_ROW:
+        record_bytes = rows.view(np.uint8).reshape(len(rows), dtype.itemsize)
+        if record_bytes[:, _LAST_BYTES].any():
+            return None
+    return rows
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:
@@ -592,15 +632,15 @@ def _remap(rows: np.ndarray, kind: GraphKind) -> History | None:
         return None
     order = np.argsort(t, kind="stable")
     if kind.bipartite:
-        src, src_labels = _first_appearance_ids(rows["u"][order].tolist())
-        dst, dst_labels = _first_appearance_ids(rows["v"][order].tolist())
+        src, src_labels = _first_appearance_ids(rows["u"][order])
+        dst, dst_labels = _first_appearance_ids(rows["v"][order])
         num_sources = len(src_labels)
         dst += num_sources
         labels = src_labels + dst_labels
     else:
-        fields = [None] * (2 * len(rows))
-        fields[0::2] = rows["u"][order].tolist()  # each event's source,
-        fields[1::2] = rows["v"][order].tolist()  # then its destination
+        fields = np.empty(2 * len(rows), dtype=rows.dtype["u"])
+        fields[0::2] = rows["u"][order]  # each event's source,
+        fields[1::2] = rows["v"][order]  # then its destination
         ids, labels = _first_appearance_ids(fields)
         src, dst = ids.reshape(-1, 2).T.copy()
         num_sources = None
@@ -611,19 +651,44 @@ def _remap(rows: np.ndarray, kind: GraphKind) -> History | None:
     return History(src, dst, t[order], kind, len(labels), num_sources, labels)
 
 
-def _first_appearance_ids(fields: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+def _first_appearance_ids(fields: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """The dense id of each raw label field, numbered by first appearance of
     its stripped text, and the stripped labels in id order. Only the
-    distinct raw fields are stripped; those that strip alike merge."""
-    raw: dict[str, int] = {}
-    # one dict pass maps each field to the position of the first field with
-    # its text; the dict holds each distinct text and that position, in order
-    first = np.fromiter(map(raw.setdefault, fields, itertools.count()),
-                        dtype=np.int64, count=len(fields))
-    stripped = list(map(str.strip, raw))
+    distinct raw fields are decoded and stripped; those that strip alike
+    merge."""
+    first = _first_positions(fields)
+    firsts = np.flatnonzero(first == np.arange(len(first)))
+    texts = fields[firsts].tolist()
+    if fields.dtype.kind == "S":
+        texts = [text.decode("latin-1") for text in texts]
+    stripped = list(map(str.strip, texts))
     labels = dict.fromkeys(stripped)
     ids_at_first = np.empty(len(fields), dtype=np.int64)  # read at first positions only
-    ids_at_first[np.fromiter(raw.values(), dtype=np.int64, count=len(raw))] = np.fromiter(
-        map(dict(zip(labels, itertools.count())).__getitem__, stripped),
-        dtype=np.int64, count=len(stripped))
+    ids_at_first[firsts] = np.fromiter(map(dict(zip(labels, itertools.count())).__getitem__,
+                                           stripped), dtype=np.int64, count=len(stripped))
     return ids_at_first[first], tuple(labels)
+
+
+def _first_positions(fields: np.ndarray) -> np.ndarray:
+    """The position of the first field equal to each of ``fields``. Bytes
+    fields are grouped by sorting the uint64 words they fill, the first
+    word alone when no field reaches the second; Python strings by one
+    dict pass."""
+    if fields.dtype.kind != "S":
+        raw: dict[str, int] = {}
+        return np.fromiter(map(raw.setdefault, fields.tolist(), itertools.count()),
+                           dtype=np.int64, count=len(fields))
+    words = fields.view(np.uint64).reshape(len(fields), -1)
+    if words[:, 1:].any():
+        order = np.lexsort(words.T[::-1])
+        ordered = words[order]
+    else:  # sorting the words again is faster than gathering them by order
+        order = np.argsort(words[:, 0])
+        ordered = np.sort(words[:, 0])[:, None]
+    new = np.ones(len(fields), dtype=bool)  # where a run of equal fields starts
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    first = np.empty(len(fields), dtype=np.int64)
+    first[order] = np.repeat(np.minimum.reduceat(order, starts),
+                             np.diff(starts, append=len(fields)))
+    return first

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from unittest import mock
 
 import numpy as np
@@ -93,22 +94,34 @@ class TestIngest:
 
 
 # Generated CSV text. Labels are letters with padding whitespace (so " a"
-# and "a" merge after strip) and the characters CSV quoting has to carry.
-# A clean stream draws only well-formed rows; a dirty one may also draw
-# rows of the wrong arity, raw unquoted fields and bad timestamps.
-_PAD = st.sampled_from(["", "", " ", "\t"])
+# and "a" merge after strip) and the characters CSV quoting has to carry;
+# some are as long as the fixed-width label field of the bytes parse, one
+# byte either side, some hold a NUL, text outside ASCII or outside Latin-1,
+# and some are padded with whitespace that str.strip removes but
+# bytes.strip keeps. A clean stream draws only well-formed rows; a dirty
+# one may also draw rows of the wrong arity, raw unquoted fields and bad
+# timestamps.
+_PAD = st.sampled_from(["", "", " ", "\t", "\xa0", "\x85"])
 _SPECIAL = st.text(alphabet=',"\r\n', max_size=2)
-_TIMES = ["1", "2", "2", "0", "-0", " 2 ", "1_000", "3.5", "1e3", "0.1"]
-_BAD_TIMES = ["-1", "nan", "inf", "oops", ""]
+# csv reads a NUL from Python 3.11 on; before, the row oracle refuses it
+_RARE = st.sampled_from(["é", "€"] + (["\x00"] * 2 if sys.version_info >= (3, 11) else []))
+_SIZES = [1, 2, 3] * 9 + [core._WIDTH - 1, core._WIDTH, core._WIDTH + 1]
+_TIMES = ["1", "2", "2", "0", "-0", " 2 ", "1_000", "3.5", "1e3", "0.1",
+          " 2", "+1", ".5", "1.", "1E3"]
+_BAD_TIMES = ["-1", "nan", "inf", "oops", "", "0x10", "Infinity"]
 _NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
 def _label(draw, clean):
-    core = draw(st.text(alphabet="ab", min_size=1 if clean else 0, max_size=3))
+    size = draw(st.sampled_from(_SIZES + ([] if clean else [0, 0, 0])))
+    text = draw(st.text(alphabet="ab", min_size=size, max_size=size))
     if draw(st.integers(0, 3)) == 0:
-        core += draw(_SPECIAL)
-    return draw(_PAD) + core + draw(_PAD)
+        text += draw(_SPECIAL)
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.one_of(st.just(len(text)), st.integers(0, len(text))))
+        text = text[:at] + draw(_RARE) + text[at:]
+    return draw(_PAD) + text + draw(_PAD)
 
 
 @st.composite
@@ -194,6 +207,47 @@ class TestIngestMatchesRowOracle:
             _ingest(text)
         assert str(caught.value) == message
         assert _outcome(brute_force_ingest, io.StringIO(text)) == ("IngestError", message)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("s,d,t\n" + "a" * (core._WIDTH + 1) + ",b,1\n" + "a" * core._WIDTH + ",b,2\n",
+                     id="overlong"),
+        pytest.param("s,d,t\na\0,b,1\na,c,2\nb\0c,a,3\n", id="nul",
+                     marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                              reason="csv refuses NUL before 3.11")),
+        pytest.param("s,d,t\n\xa0a,b,1\nb\x85,a,2\n", id="unicode-padding"),
+        pytest.param("s,d,t\né,b,1\n€,é,2\n", id="not-latin-1"),
+    ])
+    def test_labels_the_bytes_parse_cannot_hold(self, text):
+        # a label cut to the field width, a NUL that loadtxt drops, padding
+        # that bytes.strip keeps, and text outside Latin-1
+        assert _outcome(ingest_csv, io.StringIO(text)) == \
+            _outcome(brute_force_ingest, io.StringIO(text))
+
+    def test_undecodable_text_fails_as_the_row_walk_reads_it(self, tmp_path):
+        # the error names the bad byte's place in the block being decoded,
+        # so it comes from the same reads as the oracle's
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"s,d,t\n" + b"".join(b"n%d,m%d,1\n" % (i, i) for i in range(2000))
+                         + b"\xff,c,2\n")
+        with pytest.raises(UnicodeDecodeError) as got:
+            ingest_csv(path)
+        with pytest.raises(UnicodeDecodeError) as want:
+            brute_force_ingest(path)
+        assert str(got.value) == str(want.value)
+
+    def test_loadtxt_bytes_fields_as_the_bytes_parse_expects(self):
+        # the bytes parse relies on these; a numpy that parses otherwise
+        # fails here, not in a later id mismatch
+        def parse(text):
+            return np.loadtxt(io.StringIO(text), dtype=core._BYTES_ROW, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1)
+
+        width = core._WIDTH
+        long = "a" * (width - 1) + "bcd"
+        assert parse(f'{long},"x\0",1\n')[["u", "v"]].tolist() == [(long[:width].encode(), b"x")]
+        assert parse("\0x\0, é\xa0,1\n")[["u", "v"]].tolist() == [(b"\0x", b" \xe9\xa0")]
+        with pytest.raises(ValueError):
+            parse("€,b,1\n")
 
     def test_padded_labels_merge_in_first_appearance_order(self):
         text = 's,d,t\n" b",a,2\nb ,c,3\n"a""q",b,1\n\n\tc\t,"a""q",2\n'
