@@ -310,27 +310,26 @@ def cmd_sample(args):
     return resolved, ["negatives.csv"], run
 
 
-def _read_external_logs(paths: list[str], h: History):
-    """Read every score log, checking that each agrees with the first on
-    ``t_split`` and ``strategies`` and that its positives are events of
-    ``h``. Errors name the offending file. Returns the logs and their
-    headers."""
-    logs, metas = [], []
+def _external_logs(paths: list[str], h: History):
+    """Each score log with its header, read in turn, checked that it agrees
+    with the first on ``t_split`` and ``strategies`` and that its positives
+    are events of ``h``. Errors name the offending file."""
+    first = None
     for path in paths:
         try:
             log, meta = read_score_log(path)
+            first = first or meta
             for key in ("t_split", "strategies"):
-                if metas and getattr(meta, key) != getattr(metas[0], key):
+                if getattr(meta, key) != getattr(first, key):
                     raise ScoreLogError(
                         f"{key}={getattr(meta, key)!r} differs from "
-                        f"{key}={getattr(metas[0], key)!r} in {paths[0]}"
+                        f"{key}={getattr(first, key)!r} in {paths[0]}"
                     )
             check_positives(log, h)
         except ScoreLogError as exc:
             raise ScoreLogError(f"{path}: {exc}") from None
-        logs.append(log)
-        metas.append(meta)
-    return logs, metas
+        yield log, meta
+        del log  # before the next log is read
 
 
 def cmd_eval(args):
@@ -345,16 +344,11 @@ def cmd_eval(args):
     if args.scorer == "external":
         if not args.logs:
             raise ValueError("--scorer external requires --logs")
-        logs, metas = _read_external_logs(args.logs, h)
-        t_split = metas[0].t_split
+        logs = _external_logs(args.logs, h)
         # the logs, not the command line, say how they were sampled and
         # scored: their headers replace the sampling options in the config
         for option in ("k", "seed", "batch_size", "on_empty"):
             delattr(args, option)
-        resolved = {"log_headers": [
-            {"scorer": m.scorer, "k": m.k, "seed": m.seed, "batch_size": m.batch_size}
-            for m in metas
-        ]}
     else:
         strategies = _parse_strategies(args.strategies, h.kind)
         sampled, run = _sample(args, h, t_split, strategies)
@@ -370,16 +364,33 @@ def cmd_eval(args):
             )
         write_score_log(log, meta, out / "scores.csv")
         outputs.append("scores.csv")
-        logs = [log]
-        resolved = {}
+        logs = [(log, meta)]
 
-    strategy_names = list(logs[0].strategies)
-    per_log_reports = []
-    for j, log in enumerate(logs):
-        reports = [mean_auc_over_batches(log, s, args.period, t_split)
-                   for s in strategy_names]
-        per_log_reports.append(reports)
-        suffix = f"_seed{j}" if len(logs) > 1 else ""
+    # Each log is reduced to its AUC reports, and the first also to its MAR
+    # series, before the next is read. A metric's ValueError waits until
+    # every log is read, so that a later log's read or check error wins; it
+    # is kept without its traceback, whose frames hold the log.
+    metas, per_log_reports, series = [], [], None
+    for log, meta in logs:
+        if not metas:
+            t_split, strategy_names = meta.t_split, list(log.strategies)
+        metas.append(meta)
+        try:
+            per_log_reports.append([mean_auc_over_batches(log, s, args.period, t_split)
+                                    for s in strategy_names])
+        except ValueError as exc:
+            per_log_reports.append(exc.with_traceback(None))
+        if series is None:
+            try:
+                series = mar_time_series(log, bins=args.bins)
+            except ValueError as exc:
+                series = exc.with_traceback(None)
+        del log
+
+    for j, reports in enumerate(per_log_reports):
+        if isinstance(reports, ValueError):
+            raise reports
+        suffix = f"_seed{j}" if len(per_log_reports) > 1 else ""
         write_auc_csv(reports, out / f"auc{suffix}.csv")
         outputs.append(f"auc{suffix}.csv")
 
@@ -395,11 +406,16 @@ def cmd_eval(args):
         _write_rows(fh, "{},{!r},{!r},{}\n", _table_columns(summary_rows, 4))
     outputs.append("auc_summary.csv")
 
-    series = mar_time_series(logs[0], bins=args.bins)
+    if isinstance(series, ValueError):
+        raise series
     write_mar_csv(series, out / "mar.csv")
     svg = mar_plot(series, t_split, out / "mar.svg")
     outputs += ["mar.csv", "mar.svg"]
     print(f"wrote {out / 'mar.csv'} and {svg}")
+    resolved = {"log_headers": [
+        {"scorer": m.scorer, "k": m.k, "seed": m.seed, "batch_size": m.batch_size}
+        for m in metas
+    ]} if args.scorer == "external" else {}
     resolved |= {"t_split": t_split, "strategies": strategy_names, "logs": args.logs or []}
     return resolved, outputs, run
 

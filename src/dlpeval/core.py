@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import re
 import warnings
 from contextlib import nullcontext
@@ -510,11 +511,14 @@ def ingest_csv(
     The rows are parsed as columns in one pass, each label as ``_WIDTH``
     bytes of Latin-1 text and each timestamp by numpy, and the labels are
     numbered by one sort of those bytes as integers; only the distinct
-    labels become Python strings. ``loadtxt`` cuts a longer label and drops
-    trailing NULs without a word, so a stream that holds a NUL or does not
-    decode, a label that fills the width, or text outside Latin-1 is parsed
-    again with each label a Python string, numbered by a dict, and each
-    timestamp read by ``float``. Only when that parse refuses a row too, or
+    labels become Python strings. A file named by its path is read by numpy
+    itself, in chunks (``_loadtxt``), unless its text holds a CR, which
+    numpy would read as a LF inside a quoted label; other sources are read
+    line by line. ``loadtxt`` cuts a longer label and drops trailing NULs
+    without a word, so a stream that holds a NUL or does not decode, a
+    label that fills the width, or text outside Latin-1 is parsed again
+    with each label a Python string, numbered by a dict, and each timestamp
+    read by ``float``. Only when that parse refuses a row too, or
     a row breaks a rule, are the rows walked one by one as ``csv`` reads
     them: the walk raises the first bad row's error with its line, or,
     where the columnar parse refused a row that ``csv`` accepts (a text
@@ -532,9 +536,13 @@ def ingest_csv(
                 fh.seek(start)
             return lines
 
-        rows = _parse_rows(body(), schema, _BYTES_ROW) if _bytes_parse_fits(body()) else None
+        fits, no_cr = _scan_text(body())
+        # numpy reads a file it opens itself with universal newlines, which
+        # would turn a quoted CR into a LF
+        file = source if no_cr else None
+        rows = _parse_rows(file, body(), schema, _BYTES_ROW) if fits else None
         if rows is None:
-            rows = _parse_rows(body(), schema, _ROW)
+            rows = _parse_rows(file, body(), schema, _ROW)
         h = None if rows is None else _remap(rows, kind)
         if h is None:
             h = _remap(_walk_rows(body(), schema, kind), kind)
@@ -550,36 +558,45 @@ _BYTES_ROW = np.dtype([("u", f"S{_WIDTH}"), ("v", f"S{_WIDTH}"), ("t", np.float6
 _LAST_BYTES = [_BYTES_ROW.fields[c][1] + _WIDTH - 1 for c in "uv"]
 
 
-def _bytes_parse_fits(lines: Iterable[str]) -> bool:
-    """Whether the text may take the bytes parse: it holds no NUL, which
-    loadtxt drops from the end of a label, and it decodes; a decoding error
-    is left to the row walk, which raises it as it reads the line. The text
-    is read in blocks from a file handle, or line by line from a list."""
+def _scan_text(lines: Iterable[str]) -> tuple[bool, bool]:
+    """Whether the text may take the bytes parse, and whether it holds no
+    CR. It may take the bytes parse when it holds no NUL, which loadtxt
+    drops from the end of a label, and it decodes. Text that does not
+    decode gives neither; its error is left to the row walk, which raises
+    it as it reads the line. The text is read in blocks from a file handle,
+    or line by line from a list."""
     if hasattr(lines, "read"):
         lines = iter(functools.partial(lines.read, 1 << 20), "")
+    nul = cr = False
     try:
-        return not any("\0" in text for text in lines)
+        for text in lines:
+            nul, cr = nul or "\0" in text, cr or "\r" in text
     except UnicodeDecodeError:
-        return False
+        return False, False
+    return not nul, not cr
 
 
-def _parse_rows(lines: Iterable[str], schema: str, dtype: np.dtype) -> np.ndarray | None:
+def _parse_rows(file: str | Path | None, lines: Iterable[str], schema: str,
+                dtype: np.dtype) -> np.ndarray | None:
     """The rows after the header as one ``dtype`` array, split into fields
     as ``csv`` splits them, or None when the columnar parse refuses one.
-    For ``_BYTES_ROW``, a label outside Latin-1 is refused, and so is one
-    that fills ``_WIDTH`` bytes: it may have been cut."""
-    lines = iter(lines)
+    ``lines`` reads the stream, and ``file`` names it if numpy may read it
+    itself (see ``_loadtxt``). For ``_BYTES_ROW``, a label outside Latin-1
+    is refused, and so is one that fills ``_WIDTH`` bytes: it may have been
+    cut."""
+    lines = iter(lines)  # a handle is its own iterator
+    header = csv.reader(lines)
     try:
-        next(csv.reader(lines))  # header
+        next(header)
     except StopIteration:
         raise IngestError("empty stream: no header") from None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a stream of no rows
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1,
-                              converters=None if dtype is _BYTES_ROW else {2: float},
-                              usecols=(0, 1, 2) if schema == "jodie" else None)
+            rows = _loadtxt(file, lines, header.line_num, dtype=dtype, delimiter=",",
+                            quotechar='"', comments=None, ndmin=1,
+                            converters=None if dtype is _BYTES_ROW else {2: float},
+                            usecols=(0, 1, 2) if schema == "jodie" else None)
     except ValueError:
         return None
     if dtype is _BYTES_ROW:
@@ -587,6 +604,26 @@ def _parse_rows(lines: Iterable[str], schema: str, dtype: np.dtype) -> np.ndarra
         if record_bytes[:, _LAST_BYTES].any():
             return None
     return rows
+
+
+# the suffixes by which numpy picks a decompressor for a file it opens
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _loadtxt(file, lines: Iterable[str], header_lines: int, **kwargs) -> np.ndarray:
+    """``np.loadtxt(lines, **kwargs)``, where ``lines`` reads the text of
+    ``file`` after its first ``header_lines`` physical lines. When ``file``
+    is a path, ``lines`` its seekable handle (not a pipe read into a list)
+    and the name has no suffix that numpy decompresses by, numpy opens the
+    file itself and skips those lines: its C reader then reads the file in
+    chunks, not one ``str`` per line through the handle. It opens the file
+    with universal newlines, so a caller whose fields may hold a CR passes
+    no ``file``; and by its absolute path, which no URL scheme can start."""
+    if (isinstance(file, (str, Path)) and hasattr(lines, "seek")
+            and os.path.splitext(file)[1] not in _COMPRESSED):
+        return np.loadtxt(os.path.abspath(file), skiprows=header_lines, encoding="utf-8",
+                          **kwargs)
+    return np.loadtxt(lines, **kwargs)
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:

@@ -7,10 +7,14 @@ scorers where ties are pervasive. Ranks within one event's comparison group
 (its positive plus all sampled negatives) are fractional: rank 1 is the
 highest score and ties receive the average of the positions they occupy.
 
-One kernel ranks all groups at once. A batch's AUC is the rank-sum
-(Mann-Whitney) statistic of its positives' ranks (Hanley and McNeil, 1982);
-MAR sums ranks per (role, time bin). Ranks are half-integers, so every such
-sum is exact in float64 whatever its order.
+One kernel ranks all groups at once, by one stable sort of complex keys
+(group, score). A batch's AUC is the rank-sum (Mann-Whitney) statistic of
+its positives' ranks (Hanley and McNeil, 1982); MAR sums ranks per (role,
+time bin). Ranks are half-integers, so every such sum is exact in float64
+whatever its order. A NaN score has no place in that sort among many
+groups, so ``mean_auc_over_batches`` and ``mar_time_series`` refuse it;
+``fractional_ranks`` and ``batch_auc`` rank one group and rank a NaN above
+every score.
 """
 
 from __future__ import annotations
@@ -27,8 +31,17 @@ from .scorelog import POSITIVE_CODE, ScoredEventLog
 
 def _descending_ranks(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
     """1-based fractional ranks within each group: rank 1 for the group's
-    highest score, ties averaged over the positions they occupy."""
-    order = np.lexsort((scores, group))
+    highest score, ties averaged over the positions they occupy.
+
+    One stable sort of complex keys, the group as the real part and the
+    score as the imaginary part, orders by group and then by score. Group
+    ids must be below 2**53, where float64 holds them exactly. numpy sorts a
+    NaN imaginary part after every other key, so a NaN score is ranked in
+    its group only when there is one group."""
+    key = np.empty(len(scores), dtype=np.complex128)
+    key.real, key.imag = group, scores
+    order = np.argsort(key, kind="stable")
+    del key
     s, g = scores[order], group[order]
     new_group = np.ones(len(s), dtype=bool)
     new_group[1:] = g[1:] != g[:-1]
@@ -44,6 +57,12 @@ def _descending_ranks(scores: np.ndarray, group: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(s))
     ranks[order] = np.repeat(run_rank, run_end - run_start)
     return ranks
+
+
+def _check_no_nan(scores: np.ndarray) -> None:
+    """Raise ValueError on a NaN score, which has no rank among many groups."""
+    if np.isnan(scores).any():
+        raise ValueError("NaN score present: scores must be ordered to be ranked")
 
 
 def fractional_ranks(scores: Sequence[float]) -> np.ndarray:
@@ -104,7 +123,8 @@ def mean_auc_over_batches(
 
     ``period`` restricts records by timestamp: test keeps t >= t_split,
     train keeps t < t_split, all keeps everything. Batches lacking either
-    class inside the period are excluded and counted as skipped.
+    class inside the period are excluded and counted as skipped. A NaN
+    score among the records kept raises ValueError.
     """
     is_neg = log.role == (log.names.index(strategy) if strategy in log.strategies else -1)
     if not is_neg.any():
@@ -118,6 +138,7 @@ def mean_auc_over_batches(
         in_period = log.timestamp >= t_split if period == "test" else log.timestamp < t_split
         keep &= in_period
     sub = log.mask(keep)
+    _check_no_nan(sub.score)
 
     batches, inverse = np.unique(sub.batch, return_inverse=True)
     n = len(batches)
@@ -164,12 +185,14 @@ def mar_time_series(log: ScoredEventLog, bins: int = 50) -> MARSeries:
 
     Bins are equal-width over [first event, last event], closed on the
     left, with the last bin closed on both ends. Every record of one event
-    shares the event's timestamp and therefore its bin.
+    shares the event's timestamp and therefore its bin. A NaN score raises
+    ValueError.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if len(log) == 0:
         raise ValueError("cannot bin an empty log")
+    _check_no_nan(log.score)
     roles = log.names
 
     t0, t1 = float(log.timestamp.min()), float(log.timestamp.max())

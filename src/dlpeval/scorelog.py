@@ -10,9 +10,11 @@ digits, which round-trips 64-bit floats exactly.
 
 Both directions work on columns: the writer streams chunks of rows through
 the text kernel, and the reader parses the body once into typed columns,
-walking its lines only to name the line of an error. In memory a record's
-role is an ``int8`` code into the log's ``names``: the positive role, then
-the declared strategies.
+walking its lines only to name the line of an error. A log file named by its
+path is parsed by numpy's C reader straight from the file, in chunks, after
+the header's lines; a handle, bytes or a pipe is parsed line by line. In
+memory a record's role is an ``int8`` code into the log's ``names``: the
+positive role, then the declared strategies.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, NoReturn, TextIO
 
 import numpy as np
 
-from .core import History, _open_for_read, _open_for_write, _write_rows
+from .core import History, _loadtxt, _open_for_read, _open_for_write, _write_rows
 from .errors import ScoreLogError
 
 POSITIVE_ROLE = "positive"
@@ -227,7 +229,7 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
                 fh.seek(start)
             return lines
 
-        columns = _parse_records(lines, (POSITIVE_ROLE,) + meta.strategies)
+        columns = _parse_records(source, lines, lineno, (POSITIVE_ROLE,) + meta.strategies)
         if columns is None:
             _raise_record_error(body, lineno, meta.strategies)
 
@@ -236,19 +238,24 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
     return log, meta
 
 
-def _parse_records(lines: Iterable[str], names: tuple[str, ...]) -> dict | None:
-    """The records in ``lines`` as ``ScoredEventLog`` columns, blank lines
+def _parse_records(source, lines: Iterable[str], header_lines: int,
+                   names: tuple[str, ...]) -> dict | None:
+    """The records in ``lines``, the text of ``source`` after its first
+    ``header_lines`` lines, as ``ScoredEventLog`` columns, blank lines
     skipped, each role coded by its index in ``names``; None when a record
     is malformed, has a non-finite score or a role not in ``names``.
 
     Roles are parsed as fixed-width Latin-1 bytes one wider than the longest
-    name, so that a longer role is cut to a width no name has."""
+    name, so that a longer role is cut to a width no name has. A log has no
+    quoting, so a CR only ends a line, and numpy may read a log file itself
+    (``core._loadtxt``)."""
     encoded = [name.encode("latin-1") for name in names]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a log of no records
-            records = np.loadtxt(lines, dtype=_record(f"S{max(map(len, encoded)) + 1}"),
-                                 delimiter=",", comments=None, ndmin=1)
+            records = _loadtxt(source, lines, header_lines,
+                               dtype=_record(f"S{max(map(len, encoded)) + 1}"),
+                               delimiter=",", comments=None, ndmin=1)
     except ValueError:  # a malformed record, or a role outside Latin-1
         return None
     role = np.full(len(records), -1, dtype=np.int8)

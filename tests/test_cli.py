@@ -294,6 +294,39 @@ class TestSampleAndEval:
         err = capsys.readouterr().err
         assert "bad.csv" in err and "positive" in err
 
+    @pytest.mark.parametrize("second", ["missing", "bad positive", "good"])
+    def test_external_read_error_of_a_later_log_wins_over_a_metric_error(
+            self, dataset, edgebank_log, tmp_path, capsys, second):
+        # the first log declares a strategy it never samples, so its AUC
+        # fails; a read or check error of the second log is still the one
+        # reported, as when every log was read before any metric
+        def declare_rnd(lines):
+            return ["# strategies=OE,RND\n" if l.startswith("# strategies=") else l
+                    for l in lines]
+
+        def move_positive(lines):
+            lines = declare_rnd(lines)
+            i = self._first_positive(lines)
+            parts = lines[i].split(",")
+            parts[4] = "999"
+            lines[i] = ",".join(parts)
+            return lines
+
+        first = self._edited(edgebank_log, tmp_path, "first.csv", declare_rnd)
+        other = {"missing": tmp_path / "missing.csv",
+                 "bad positive": self._edited(edgebank_log, tmp_path, "second.csv",
+                                              move_positive),
+                 "good": first}[second]
+        out = tmp_path / "ext"
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", first, other, "--out", out) == 2
+        err = capsys.readouterr().err
+        if second == "good":
+            assert err == "error: strategy 'RND' not present in log\n"
+        else:
+            assert str(other) in err and "RND" not in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_external_undirected_positive_either_orientation(self, dataset, tmp_path):
         base = tmp_path / "base"
         assert run("eval", dataset, "--undirected", "--scorer", "edgebank",

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import io
 import sys
 from unittest import mock
@@ -194,6 +195,13 @@ class TestIngestMatchesRowOracle:
         path.write_bytes(data)
         assert ingest_csv(data).labels == ingest_csv(path).labels == ("a", "b", "c", "d")
 
+    @pytest.mark.parametrize("label", ["a\rb", "a\r\nb", "a\r\rb"])
+    def test_quoted_cr_in_a_label_read_from_a_path_is_kept(self, tmp_path, label):
+        # numpy would read a CR as a LF if it opened the file itself
+        path = tmp_path / "cr.csv"
+        path.write_text(f's,d,t\n"{label}",c,1\nc,d,2\n', encoding="utf-8", newline="")
+        assert ingest_csv(path).labels == (label, "c", "d")
+
     @pytest.mark.parametrize("text, message", [
         ("s,d,t\na,b,1\na,b\n", "line 3: expected 3 columns, got 2"),
         ("s,d,t\na,b,1\n\n , b,2\n", "line 4: empty node label"),
@@ -248,6 +256,33 @@ class TestIngestMatchesRowOracle:
         assert parse("\0x\0, é\xa0,1\n")[["u", "v"]].tolist() == [(b"\0x", b" \xe9\xa0")]
         with pytest.raises(ValueError):
             parse("€,b,1\n")
+
+    def test_numpy_reads_paths_and_sorts_complex_keys_as_expected(self, tmp_path):
+        # core._loadtxt and metrics._descending_ranks rely on these; a numpy
+        # that reads or sorts otherwise fails here, not in a later mismatch
+        def parse(path, **kw):
+            return np.loadtxt(str(path), dtype=object, delimiter=",", quotechar='"',
+                              comments=None, ndmin=2, encoding="utf-8", **kw).tolist()
+
+        path = tmp_path / "rows.csv"
+        # skiprows counts physical lines: a quoted field's two, and a blank one
+        path.write_text('"h\nx",y\n\nc,1\r\nd,2\n', encoding="utf-8", newline="")
+        assert parse(path, skiprows=3) == [["c", "1"], ["d", "2"]]
+        # a file numpy opens has universal newlines: a quoted CR reads as LF
+        path.write_text('"a\rb",1\n"c\r\nd",2\n', encoding="utf-8", newline="")
+        assert parse(path) == [["a\nb", "1"], ["c\nd", "2"]]
+        # and a .gz name is decompressed
+        gz = tmp_path / "rows.csv.gz"
+        gz.write_bytes(gzip.compress(b"e,3\n"))
+        assert parse(gz) == [["e", "3"]]
+
+        # a stable complex sort orders by real part, then imaginary part,
+        # keeps ties (-0.0 and 0.0 among them) in place, and puts a NaN
+        # imaginary part after every other key, whatever the real part
+        nan, inf = float("nan"), float("inf")
+        key = np.array([complex(1, 0.5), complex(0, nan), complex(0, 2), complex(1, -inf),
+                        complex(0, 2), complex(-1, nan), complex(0, 0.0), complex(0, -0.0)])
+        assert np.argsort(key, kind="stable").tolist() == [6, 7, 2, 4, 3, 0, 5, 1]
 
     def test_padded_labels_merge_in_first_appearance_order(self):
         text = 's,d,t\n" b",a,2\nb ,c,3\n"a""q",b,1\n\n\tc\t,"a""q",2\n'

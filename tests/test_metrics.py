@@ -10,7 +10,7 @@ from conftest import (
     worked_example_log,
 )
 from dlpeval import batch_auc, mar_time_series, mean_auc_over_batches
-from dlpeval.metrics import fractional_ranks, write_auc_csv, write_mar_csv
+from dlpeval.metrics import _descending_ranks, fractional_ranks, write_auc_csv, write_mar_csv
 from dlpeval.scorelog import POSITIVE_ROLE
 
 
@@ -178,6 +178,48 @@ class TestRanks:
             ranks = fractional_ranks(scores)
             assert ranks.sum() == pytest.approx(n * (n + 1) / 2)
             assert ranks.min() >= 1.0 and ranks.max() <= n
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           ids=st.sampled_from([[0, 1, 2], [0, 2 ** 40, 2 ** 53 - 1], list(range(8))]),
+           values=st.sampled_from([
+               [0.0, 1.0],  # heavy ties
+               [-0.0, 0.0, 5e-324, -5e-324, float("inf"), -float("inf"), 1.0],
+               [0.1, 0.2, 1 / 3, 2.5e-310, 1e308, -1e308]]))
+    def test_group_ranks_match_brute_force(self, data, ids, values):
+        # groups interleaved, not sorted, and ids up to 2**53 - 1
+        n = data.draw(st.integers(0, 40))
+        group = np.array(data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)),
+                         dtype=np.int64)
+        scores = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)),
+                          dtype=np.float64)
+        assert _descending_ranks(scores, group).tolist() == \
+            brute_force_ranks(scores.tolist(), group.tolist())
+
+    def test_nan_ranks_in_one_group_are_kept(self):
+        # a NaN sorts after every score, so it takes the best ranks, one each
+        nan = float("nan")
+        assert fractional_ranks([1.0, nan, 0.5, nan, 1.0]).tolist() == [3.5, 2.0, 5.0, 1.0, 3.5]
+        assert batch_auc([0.9, nan], [0.5, nan, 0.1]) == 2 / 3
+        assert batch_auc([nan], [0.5]) == 1.0 and batch_auc([0.5], [nan]) == 0.0
+
+
+class TestNanScores:
+    """Among many groups a NaN score has no place in its group's order, so
+    the log metrics refuse it; ``ScoredEventLog.validate`` already does."""
+
+    def _log(self):
+        return make_log([(0.9, {"NS": [float("nan")]}), (0.2, {"NS": [0.1]})], ("NS",),
+                        batch_of=lambda o: o)
+
+    def test_mean_auc_over_batches_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN score"):
+            mean_auc_over_batches(self._log(), "NS", "all")
+
+    def test_mar_time_series_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN score"):
+            mar_time_series(self._log(), bins=2)
 
 
 class TestMarTimeSeries:

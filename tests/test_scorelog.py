@@ -1,4 +1,6 @@
 import io
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    LOG_COLUMNS,
     Pipe,
     log_from_records,
     random_history,
@@ -393,3 +396,90 @@ class TestReadValidation:
         plain, _ = read_score_log(io.StringIO(self._text(rows)))
         spaced, _ = read_score_log(io.StringIO(self._text(["", rows[0], "", "", rows[1], ""])))
         assert spaced == plain and len(plain) == 2
+
+
+# Generated score-log files. Most are valid logs; some records carry a role
+# with a NUL, an undeclared role, a bad number, a non-finite score or the
+# wrong arity, and some files hold a byte that does not decode. Lines end in
+# LF, CRLF or a bare CR, and blank lines fall among the header and the body.
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+_ROLES = st.sampled_from(["OE"] * 4 + ["OD"] * 4 + ["OE\0", "O\0D", "\0", "HD", "é"])
+_SCORES = st.sampled_from(["0.5", "1", "-0", "0", "5e-324", "0.33333333333333331",
+                           "1e308"] * 3 + ["nan", "inf", "oops", "1_0", ""])
+
+
+@st.composite
+def _log_file(draw):
+    """The bytes of a score-log file."""
+    lines = ["# dataset=x", "# t_split=1.5", "# batch_size=2", "# strategies=OE,OD",
+             "# k=1", "# seed=0", "# scorer=edgebank",
+             "event_ordinal,batch,role,source,destination,timestamp,score"]
+    for o in range(draw(st.integers(0, 5))):
+        for role in ["positive"] + draw(st.lists(_ROLES, max_size=3)):
+            fields = [str(o), str(o // 2), role, str(draw(st.integers(0, 9))),
+                      str(draw(st.integers(0, 9))), f"{o / 2!r}", draw(_SCORES)]
+            if draw(st.integers(0, 15)) == 0:
+                fields = fields[:draw(st.integers(1, 8))] + ["1"] * draw(st.integers(0, 1))
+            lines.append(",".join(fields))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = "".join(line + draw(_NEWLINES) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _read_outcome(source):
+    """What reading ``source`` gives: the log's columns, bit for bit, and its
+    header, or the error raised. A decoding error is told by its reason and
+    bad bytes: its position depends on how much was decoded at once."""
+    try:
+        log, meta = read_score_log(source)
+    except ScoreLogError as exc:
+        return "ScoreLogError", str(exc), exc.line
+    except UnicodeDecodeError as exc:
+        return "UnicodeDecodeError", exc.reason, exc.object[exc.start:exc.end]
+    return meta, [(column.dtype.str, column.tobytes())
+                  for column in (getattr(log, name) for name in LOG_COLUMNS)]
+
+
+def _read_through_fifo(path, data):
+    """``_read_outcome`` of a FIFO at ``path`` that a thread writes ``data`` to."""
+    os.mkfifo(path)
+    try:
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            return _read_outcome(path)
+        finally:
+            writer.join()
+    finally:
+        path.unlink()
+
+
+class TestReadMatchesAcrossSources:
+    """numpy reads a log file by its path itself; every other source is read
+    line by line. Both give the same log or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_log_file())
+    def test_same_log_or_same_error(self, tmp_path_factory, data):
+        want = _read_outcome(data)
+        base = tmp_path_factory.getbasetemp()
+        for name in ("scores.csv", "scores.csv.gz"):  # numpy decompresses a .gz name
+            (base / name).write_bytes(data)
+            assert _read_outcome(base / name) == want
+            assert _read_outcome(str(base / name)) == want
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+        else:
+            assert _read_outcome(io.StringIO(text, newline="")) == want
+            assert _read_outcome(Pipe(text, newline="")) == want
+        if hasattr(os, "mkfifo"):
+            assert _read_through_fifo(base / "scores.fifo", data) == want
