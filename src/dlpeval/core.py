@@ -50,7 +50,7 @@ class History:
     """Chronologically ordered, immutable stream of interaction events.
 
     Events are sorted non-decreasing by timestamp; ties keep input order.
-    """
+    ``edges()`` is the one cached index of the events' canonical edges."""
 
     __slots__ = (
         "src",
@@ -60,7 +60,7 @@ class History:
         "num_nodes",
         "num_sources",
         "labels",
-        "_event_edge_keys",
+        "_edges",
         "_occurrences",
     )
 
@@ -82,8 +82,8 @@ class History:
         self.num_nodes = num_nodes
         self.num_sources = num_sources
         self.labels = labels
-        self._event_edge_keys: np.ndarray | None = None
-        self._occurrences: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._edges: tuple[np.ndarray, np.ndarray] | None = None
+        self._occurrences: np.ndarray | None = None
 
     @classmethod
     def from_arrays(
@@ -149,7 +149,7 @@ class History:
 
     def edge_keys(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Canonical edges of endpoint columns, each packed into one int."""
-        a, b = u, v
+        a, b = np.asarray(u), np.asarray(v)
         if not self.kind.directed:
             a, b = np.minimum(u, v), np.maximum(u, v)
         return a * np.int64(self.num_nodes) + b
@@ -160,40 +160,45 @@ class History:
         over ``num_nodes`` nodes."""
         return np.divmod(keys, num_nodes)
 
-    def event_edge_keys(self) -> np.ndarray:
-        """Per-event canonical edge key, cached."""
-        if self._event_edge_keys is None:
-            self._event_edge_keys = self.edge_keys(self.src, self.dst)
-        return self._event_edge_keys
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct canonical edge keys of the events and each
+        event's index into them, cached: the one sort of the event edges."""
+        if self._edges is None:
+            self._edges = np.unique(self.edge_keys(self.src, self.dst), return_inverse=True)
+        return self._edges
+
+    def find_edges(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The order that sorts the queries (u[r], v[r]) by canonical edge,
+        and in that order each query's index into ``edges()``, or -1 where no
+        event holds it. Ids outside [0, num_nodes) are never found. Sorted
+        queries search many times faster than random ones."""
+        in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.num_nodes)
+        key = np.where(in_range, self.edge_keys(u, v), -1)
+        order = np.argsort(key)
+        key, edges = key[order], self.edges()[0]
+        at = np.searchsorted(edges, key)
+        return order, np.where(np.searchsorted(edges, key, side="right") > at, at, -1)
 
     def occurs(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Whether each (u[r], v[r]) is a true event at exactly time t[r]: the
         same canonical edge at that timestamp. Ids outside the stream never
         are."""
-        if self._occurrences is None:
-            times, edges = _distinct(self.t), _distinct(self.event_edge_keys())
-            codes = (np.searchsorted(edges, self.event_edge_keys()) * len(times)
-                     + np.searchsorted(times, self.t))
-            self._occurrences = (times, edges, _distinct(codes))
-        times, edges, codes = self._occurrences
-        in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.num_nodes)
-        if len(codes) == 0:
-            return np.zeros(len(in_range), dtype=bool)
-        key = self.edge_keys(np.where(in_range, u, 0), np.where(in_range, v, 0))
-        # callers query in time order, so times are searched as given; edge
-        # keys are random, so they and the codes are searched once sorted
-        t_at = np.minimum(np.searchsorted(times, t), len(times) - 1)
-        on_time = times[t_at] == t
-        order = np.argsort(key)
-        key, t_at = key[order], t_at[order]
-        e_at = np.minimum(np.searchsorted(edges, key), len(edges) - 1)
-        # edge index * distinct timestamps + timestamp index is below
-        # len(self) ** 2, so it cannot overflow
-        code = e_at * len(times) + t_at
+        n = len(self)
+        if self._occurrences is None:  # a timestamp is coded by its first event's position
+            self._occurrences = np.sort(self.edges()[1] * n + np.searchsorted(self.t, self.t))
+        if n == 0:
+            return np.zeros(len(t), dtype=bool)
+        # callers query in time order, so times are searched as given; the
+        # codes are searched in the edge order that find_edges sorts by
+        t_at = np.minimum(np.searchsorted(self.t, t), n - 1)
+        on_time = self.t[t_at] == t
+        order, edge = self.find_edges(u, v)
+        # edge index * n + event position is below n ** 2, so it cannot overflow
+        code, codes = edge * n + t_at[order], self._occurrences
         at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
         found = np.empty(len(order), dtype=bool)
-        found[order] = (edges[e_at] == key) & (codes[at] == code)
-        return in_range & on_time & found
+        found[order] = (edge >= 0) & (codes[at] == code)
+        return on_time & found
 
     # -- export ----------------------------------------------------------
 
@@ -217,11 +222,15 @@ class History:
         return np.array([_csv_field(s) for s in self.labels], dtype=object)
 
 
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, sorted. Sorting first is many times
-    faster than the hash table ``np.unique`` builds for large random keys."""
-    x = np.sort(x)
-    return np.concatenate((x[:1], x[1:][x[1:] != x[:-1]]))
+def first_last(ids: np.ndarray, size: int, per_event: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last event position of each id in [0, size), where
+    ``ids`` holds ``per_event`` ids of each event, in event order. An id
+    that never occurs is first at the event count and last at -1."""
+    position = np.arange(len(ids)) // per_event
+    first, last = np.full(size, len(ids) // per_event), np.full(size, -1)
+    np.minimum.at(first, ids, position)
+    np.maximum.at(last, ids, position)
+    return first, last
 
 
 _CHUNK = 8192  # rows per rendered chunk, which bounds the byte blocks

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .core import History, _open_for_write, _table_columns, _write_rows
+from .core import History, _open_for_write, _table_columns, _write_rows, first_last
 from .errors import DegenerateSplitError
 
 
@@ -100,34 +100,26 @@ def category_codes(births, deaths, t_split: float) -> np.ndarray:
 
 
 def lifetimes(h: History, kind: KeyKind = KeyKind.NODE) -> LifetimeTable:
-    """Birth/death per observed key: nodes with at least one event, or for
-    KeyKind.EDGE every observed canonical edge.
+    """Birth/death per observed key, the times of its first and last event
+    (``core.first_last``): nodes with at least one event, or for
+    KeyKind.EDGE every observed canonical edge (``History.edges``).
 
     Role-restricted kinds only count events where the node appears in that
     role; they are rejected on undirected streams, where roles carry no
-    meaning.
-    """
+    meaning."""
     if len(h) == 0:
         raise ValueError("lifetimes of an empty history")
     if kind is KeyKind.EDGE:
-        keys, inverse = np.unique(h.event_edge_keys(), return_inverse=True)
-        birth = np.full(len(keys), np.inf)
-        death = np.full(len(keys), -np.inf)
-        np.minimum.at(birth, inverse, h.t)
-        np.maximum.at(death, inverse, h.t)
-        return LifetimeTable(keys, birth, death, num_nodes=h.num_nodes)
+        keys, edge_of_event = h.edges()
+        first, last = first_last(edge_of_event, len(keys))
+        return LifetimeTable(keys, h.t[first], h.t[last], num_nodes=h.num_nodes)
     if kind in (KeyKind.SOURCE_NODE, KeyKind.DESTINATION_NODE) and not h.kind.directed:
         raise ValueError(f"{kind.value} lifetimes are undefined on undirected streams")
-    birth = np.full(h.num_nodes, np.inf)
-    death = np.full(h.num_nodes, -np.inf)
-    if kind in (KeyKind.NODE, KeyKind.SOURCE_NODE):
-        np.minimum.at(birth, h.src, h.t)
-        np.maximum.at(death, h.src, h.t)
-    if kind in (KeyKind.NODE, KeyKind.DESTINATION_NODE):
-        np.minimum.at(birth, h.dst, h.t)
-        np.maximum.at(death, h.dst, h.t)
-    ids = np.flatnonzero(np.isfinite(birth))
-    return LifetimeTable(ids, birth[ids], death[ids])
+    roles = {KeyKind.NODE: (h.src, h.dst), KeyKind.SOURCE_NODE: (h.src,),
+             KeyKind.DESTINATION_NODE: (h.dst,)}[kind]
+    first, last = first_last(np.column_stack(roles).ravel(), h.num_nodes, len(roles))
+    ids = np.flatnonzero(last >= 0)
+    return LifetimeTable(ids, h.t[first[ids]], h.t[last[ids]])
 
 
 @dataclass(frozen=True)

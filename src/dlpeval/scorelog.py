@@ -198,40 +198,44 @@ def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | 
 def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog, ScoreLogMeta]:
     """Parse and validate a score-log file."""
     header: dict[str, str] = {}
-    with _open_for_read(source) as fh:
-        lineno = 0
-        while True:
-            raw = fh.readline()
-            if not raw:
-                raise ScoreLogError("missing column row")
-            lineno += 1
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if not line.startswith("#"):
-                break
-            entry = line[1:].strip()
-            if "=" not in entry:
-                raise ScoreLogError(f"malformed header line {line!r}", line=lineno)
-            key, value = entry.split("=", 1)
-            header[key.strip()] = value.strip()
-        if line != _COLUMNS:
-            raise ScoreLogError(
-                f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
-            )
-        meta = _meta_from_header(header)
-        lines = fh if fh.seekable() else list(fh)  # a pipe is read once
-        start = fh.tell() if lines is fh else None
+    try:
+        with _open_for_read(source) as fh:
+            lineno = 0
+            while True:
+                raw = fh.readline()
+                if not raw:
+                    raise ScoreLogError("missing column row")
+                lineno += 1
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                if not line.startswith("#"):
+                    break
+                entry = line[1:].strip()
+                if "=" not in entry:
+                    raise ScoreLogError(f"malformed header line {line!r}", line=lineno)
+                key, value = entry.split("=", 1)
+                header[key.strip()] = value.strip()
+            if line != _COLUMNS:
+                raise ScoreLogError(
+                    f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
+                )
+            meta = _meta_from_header(header)
+            lines = fh if fh.seekable() else list(fh)  # a pipe is read once
+            start = fh.tell() if lines is fh else None
 
-        def body():
-            """The lines after the column row, read again from their start."""
-            if start is not None:
-                fh.seek(start)
-            return lines
+            def body():
+                """The lines after the column row, read again from their start."""
+                if start is not None:
+                    fh.seek(start)
+                return lines
 
-        columns = _parse_records(source, lines, lineno, (POSITIVE_ROLE,) + meta.strategies)
-        if columns is None:
-            _raise_record_error(body, lineno, meta.strategies)
+            columns = _parse_records(source, lines, lineno, (POSITIVE_ROLE,) + meta.strategies)
+            if columns is None:
+                _raise_record_error(body, lineno, meta.strategies)
+    except UnicodeDecodeError as exc:  # not where: that depends on how much was decoded at once
+        bad = exc.object[exc.start:exc.end]
+        raise ScoreLogError(f"not UTF-8 text ({exc.reason}: {bad!r})") from None
 
     log = ScoredEventLog(**columns, strategies=meta.strategies)
     log.validate()

@@ -3,19 +3,19 @@
 Both heuristics are pure functions of the stream: a record is scored against
 the events that come before its batch. Preferential attachment fires when
 both endpoints occur in such an event, edge memory (EdgeBank) when the exact
-(canonical) edge does. The harness consumes the stream in chronological
+(canonical) edge does; both read first event positions from
+``core.first_last``. The harness consumes the stream in chronological
 mini-batches, so every positive and all of its per-strategy negatives see
 the stream as it stood *before* the batch. The run covers the whole stream,
 train and test period alike, so rank-over-time series span the full
-timeline.
-"""
+timeline."""
 
 from __future__ import annotations
 
 import enum
 import numpy as np
 
-from .core import History
+from .core import History, first_last
 from .sampling import SampledStream
 from .scorelog import ScoredEventLog
 
@@ -23,17 +23,6 @@ from .scorelog import ScoredEventLog
 class ScorerKind(enum.Enum):
     PREFERENTIAL_ATTACHMENT = "pa"
     EDGEBANK = "edgebank"
-
-
-def _first_event(keys: np.ndarray, per_event: int, query: np.ndarray) -> np.ndarray:
-    """Index of the first event whose ``per_event`` consecutive entries of
-    ``keys`` include each query key; the event count when none does."""
-    n = len(keys) // per_event
-    uniq, first = np.unique(keys, return_index=True)
-    if len(uniq) == 0:
-        return np.full(len(query), n, dtype=np.int64)
-    at = np.minimum(np.searchsorted(uniq, query), len(uniq) - 1)
-    return np.where(uniq[at] == query, first[at] // per_event, n)
 
 
 def heuristic_scores(
@@ -45,19 +34,25 @@ def heuristic_scores(
 ) -> np.ndarray:
     """Score of each record (u[r], v[r]) against the events [0, before[r]).
 
-    EdgeBank scores 1 iff the record's canonical edge occurs among those
-    events, preferential attachment iff both of its endpoints do; every
-    other record scores 0.
-    """
+    EdgeBank scores 1 iff the record's canonical edge is first seen among
+    those events, preferential attachment iff both of its endpoints are;
+    every other record, one with an id outside the stream included, scores
+    0."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
+    if len(h) == 0:
+        return np.zeros(len(u))
     if scorer is ScorerKind.EDGEBANK:
-        seen_at = _first_event(h.event_edge_keys(), 1, h.edge_keys(u, v))
+        first = first_last(h.edges()[1], len(h.edges()[0]))[0]
+        order, edge = h.find_edges(u, v)
+        seen = np.empty(len(u), dtype=bool)
+        seen[order] = (edge >= 0) & (first[edge] < before[order])
     else:
-        endpoints = np.column_stack([h.src, h.dst]).ravel()  # event i: 2i, 2i+1
-        seen_at = _first_event(endpoints, 2, np.concatenate([u, v]))
-        seen_at = seen_at.reshape(2, -1).max(axis=0)
-    return (seen_at < before).astype(np.float64)
+        first = first_last(np.column_stack([h.src, h.dst]).ravel(), h.num_nodes, 2)[0]
+        in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < h.num_nodes)
+        seen_at = np.maximum(first[np.where(in_range, u, 0)], first[np.where(in_range, v, 0)])
+        seen = in_range & (seen_at < np.minimum(before, len(h)))  # len(h): never seen
+    return seen.astype(np.float64)
 
 
 def run_streaming_eval(

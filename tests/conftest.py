@@ -314,15 +314,9 @@ def sample_and_score(h: History, t_split: float, scorer, strategies, k_per_strat
 
 
 def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.ndarray:
-    """Score of every log record by replaying the raw event list up to the
-    first event of the record's batch: ``edgebank`` scores 1 iff the
-    record's (canonical) edge occurs in that prefix, ``pa`` iff both of its
-    endpoints do."""
+    """Score of every log record against the events before the first event
+    of the record's batch, by ``brute_force_scores``."""
     events = events_of(h)
-
-    def canon(u, v):
-        return (u, v) if h.kind.directed else (min(u, v), max(u, v))
-
     # kept events appear in stream order: find each ordinal's position
     position, i = {}, 0
     for r in np.flatnonzero(log.role == log.names.index("positive")):
@@ -331,17 +325,30 @@ def prefix_replay_scores(h: History, log, scorer: str, batch_size: int) -> np.nd
             i += 1
         position[int(log.event_ordinal[r])] = i
         i += 1
+    before = [position[o] // batch_size * batch_size for o in log.event_ordinal.tolist()]
+    return np.asarray(brute_force_scores(h, scorer, log.source.tolist(),
+                                         log.destination.tolist(), before))
+
+
+def brute_force_scores(h: History, scorer: str, u, v, before) -> list[float]:
+    """Score of each query (u[r], v[r]) by replaying the raw event list up
+    to event before[r]: ``edgebank`` scores 1 iff the query's (canonical)
+    edge occurs in that prefix, ``pa`` iff both of its endpoints do."""
+    events = events_of(h)
+
+    def canon(a, b):
+        return (a, b) if h.kind.directed else (min(a, b), max(a, b))
+
     scores = []
-    for r in range(len(log)):
-        prefix = events[:position[int(log.event_ordinal[r])] // batch_size * batch_size]
-        u, v = int(log.source[r]), int(log.destination[r])
+    for a, b, n in zip(u, v, before):
+        prefix = events[:n]
         if scorer == "edgebank":
-            seen = canon(u, v) in {canon(a, b) for a, b, _ in prefix}
+            seen = canon(a, b) in {canon(s, d) for s, d, _ in prefix}
         else:
-            nodes = {a for a, _, _ in prefix} | {b for _, b, _ in prefix}
-            seen = u in nodes and v in nodes
+            nodes = {s for s, _, _ in prefix} | {d for _, d, _ in prefix}
+            seen = a in nodes and b in nodes
         scores.append(float(seen))
-    return np.asarray(scores)
+    return scores
 
 
 def legal_negatives(h: History, t_split: float, strategy, i: int) -> set:

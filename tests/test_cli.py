@@ -294,7 +294,7 @@ class TestSampleAndEval:
         err = capsys.readouterr().err
         assert "bad.csv" in err and "positive" in err
 
-    @pytest.mark.parametrize("second", ["missing", "bad positive", "good"])
+    @pytest.mark.parametrize("second", ["missing", "bad positive", "undecodable", "good"])
     def test_external_read_error_of_a_later_log_wins_over_a_metric_error(
             self, dataset, edgebank_log, tmp_path, capsys, second):
         # the first log declares a strategy it never samples, so its AUC
@@ -313,7 +313,10 @@ class TestSampleAndEval:
             return lines
 
         first = self._edited(edgebank_log, tmp_path, "first.csv", declare_rnd)
+        undecodable = tmp_path / "undecodable.csv"
+        undecodable.write_bytes(edgebank_log.read_bytes() + b"\xff")
         other = {"missing": tmp_path / "missing.csv",
+                 "undecodable": undecodable,
                  "bad positive": self._edited(edgebank_log, tmp_path, "second.csv",
                                               move_positive),
                  "good": first}[second]
@@ -325,6 +328,8 @@ class TestSampleAndEval:
             assert err == "error: strategy 'RND' not present in log\n"
         else:
             assert str(other) in err and "RND" not in err
+        if second == "undecodable":
+            assert err == f"error: {other}: not UTF-8 text (invalid start byte: b'\\xff')\n"
         assert not out.exists() or not list(out.iterdir())
 
     def test_external_undirected_positive_either_orientation(self, dataset, tmp_path):

@@ -166,7 +166,7 @@ class TestPartitionReport:
         assert report.counts[KeyKind.NODE].total == \
                len(np.unique(np.concatenate([h.src, h.dst])))
         assert report.counts[KeyKind.EDGE].total == \
-               len(np.unique(h.event_edge_keys()))
+               len(np.unique(h.edge_keys(h.src, h.dst)))
 
     def test_category_exhaustiveness_and_edge_dominance(self):
         rng = np.random.default_rng(9)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    brute_force_scores,
     build_history,
     prefix_replay_scores,
     random_history,
@@ -62,6 +63,25 @@ class TestScores:
             series = [scores(h, scorer, query, before)[0] for before in range(len(h) + 1)]
             assert series == sorted(series)
             assert series[-1] == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), directed=st.booleans())
+    def test_match_brute_force_prefix_oracle(self, data, directed):
+        # ids just outside [0, num_nodes) score 0: packed into one edge key
+        # unchecked, (0, num_nodes) would be the key of the edge (1, 0); a
+        # prefix past the last event holds every event and no more
+        n = data.draw(st.integers(1, 5))
+        node = st.integers(0, n - 1)
+        events = data.draw(st.lists(st.tuples(node, node, st.integers(0, 9)), max_size=12))
+        h = build_history(events, GraphKind(directed=directed, allow_self_loops=True),
+                          num_nodes=n)
+        ids = st.integers(-2, n + 2)
+        queries = data.draw(st.lists(st.tuples(ids, ids, st.integers(0, len(h) + 2)),
+                                     max_size=20))
+        u, v, before = np.array(queries, dtype=np.int64).reshape(-1, 3).T
+        for scorer in ("pa", "edgebank"):
+            assert (heuristic_scores(h, ScorerKind(scorer), u, v, before).tolist()
+                    == brute_force_scores(h, scorer, u.tolist(), v.tolist(), before.tolist()))
 
 
 class TestHarness:
