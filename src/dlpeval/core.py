@@ -204,10 +204,13 @@ class History:
 
     def export_csv(self, dest: str | Path | TextIO) -> None:
         """Write the stream as minimal-schema CSV with original labels."""
-        labels = self._label_fields()
+        ends = [self.src, self.dst]
+        if self.labels is not None:  # code columns: each label is rendered once
+            fields = self._label_fields()
+            ends = [(self.src, fields), (self.dst, fields)]
         with _open_for_write(dest) as fh:
             fh.write(",".join(MINIMAL_HEADER) + "\n")
-            _write_rows(fh, "{},{},{!r}\n", [labels[self.src], labels[self.dst], self.t])
+            _write_rows(fh, "{},{},{!r}\n", [*ends, self.t])
 
     def export_label_map(self, dest: str | Path | TextIO) -> None:
         """Write the dense-id to original-label map as ``id,label`` CSV."""
@@ -351,24 +354,15 @@ def _fast_or_python(x: np.ndarray, fast: np.ndarray, block: np.ndarray | None,
 
 
 def _python_block(values: np.ndarray, python) -> np.ndarray:
-    """The block of ``python`` over ``values``, called once per distinct
-    value. Floats are told apart by their bits (``-0.0`` is not ``0.0``);
-    values that compare equal but may print apart, such as ``1`` and
-    ``1.0`` in an object column, are each printed."""
+    """The block of ``python`` over ``values``: numbers are printed once
+    per distinct value, told apart by their bits (``-0.0`` is not
+    ``0.0``), every other value once per row. A large column of text is
+    passed as a ``(codes, names)`` column instead."""
     items, kind = values.tolist(), values.dtype.kind
-    if kind in "fiub" and values.dtype.itemsize <= 8:
-        bits = values.view(f"u{values.itemsize}") if kind == "f" else values
-        _, firsts, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    elif kind in "US" or kind == "O" and set(map(type, items)) == {str}:
-        first: dict = {}
-        at = np.fromiter(map(first.setdefault, items, itertools.count()),
-                         dtype=np.int64, count=len(items))
-        firsts = np.fromiter(first.values(), dtype=np.int64, count=len(first))
-        row_of = np.empty(len(items), dtype=np.int64)
-        row_of[firsts] = np.arange(len(firsts))
-        inverse = row_of[at]
-    else:
+    if kind not in "fiub" or values.dtype.itemsize > 8:
         return _text_block(list(map(python, items)))
+    bits = values.view(f"u{values.itemsize}") if kind == "f" else values
+    _, firsts, inverse = np.unique(bits, return_index=True, return_inverse=True)
     if len(firsts) == len(items):
         return _text_block(list(map(python, items)))
     return _text_block(list(map(python, map(items.__getitem__, firsts.tolist()))))[inverse.ravel()]
@@ -503,6 +497,52 @@ def _open_for_read(source: str | Path | TextIO):
     return nullcontext(source)
 
 
+# the suffixes by which numpy picks a decompressor for a file it opens
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+class _Text:
+    """The text of an open handle from where it stands, read as often as
+    asked: a seekable handle again from that place, a pipe from the list of
+    lines it is read into once. ``source`` is what the handle was opened
+    from and ``skipped`` the physical lines before that place.
+
+    numpy may open the file itself when ``source`` is a path, the handle
+    seeks (not a FIFO) and the name has no suffix that numpy decompresses
+    by: its C reader then reads the file in chunks, not one ``str`` per
+    line. It opens the file with universal newlines, so a reader whose
+    fields may hold a CR passes ``by_path=False``; and by its absolute
+    path, which no URL scheme can start."""
+
+    def __init__(self, fh: TextIO, source, skipped: int = 0):
+        self._fh, self._skipped = fh, skipped
+        self._start = fh.tell() if fh.seekable() else None
+        self._lines = fh if self._start is not None else list(fh)
+        self._path = None
+        if (self._start is not None and isinstance(source, (str, Path))
+                and os.path.splitext(source)[1] not in _COMPRESSED):
+            self._path = os.path.abspath(source)
+
+    def lines(self) -> Iterable[str]:
+        """The lines, read again from their start."""
+        if self._start is not None:
+            self._fh.seek(self._start)
+        return self._lines
+
+    def loadtxt(self, skip: int = 0, by_path: bool = True, **kwargs) -> np.ndarray | None:
+        """``np.loadtxt`` of the lines after the first ``skip``, by the
+        path when numpy may open it, or None where numpy refuses them."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # text of no rows
+                if by_path and self._path is not None:
+                    return np.loadtxt(self._path, skiprows=self._skipped + skip,
+                                      encoding="utf-8", **kwargs)
+                return np.loadtxt(itertools.islice(self.lines(), skip, None), **kwargs)
+        except ValueError:
+            return None
+
+
 def ingest_csv(
     source: str | Path | TextIO | bytes,
     schema: str = "minimal",
@@ -520,41 +560,40 @@ def ingest_csv(
     The rows are parsed as columns in one pass, each label as ``_WIDTH``
     bytes of Latin-1 text and each timestamp by numpy, and the labels are
     numbered by one sort of those bytes as integers; only the distinct
-    labels become Python strings. A file named by its path is read by numpy
-    itself, in chunks (``_loadtxt``), unless its text holds a CR, which
-    numpy would read as a LF inside a quoted label; other sources are read
-    line by line. ``loadtxt`` cuts a longer label and drops trailing NULs
-    without a word, so a stream that holds a NUL or does not decode, a
-    label that fills the width, or text outside Latin-1 is parsed again
-    with each label a Python string, numbered by a dict, and each timestamp
-    read by ``float``. Only when that parse refuses a row too, or
-    a row breaks a rule, are the rows walked one by one as ``csv`` reads
-    them: the walk raises the first bad row's error with its line, or,
-    where the columnar parse refused a row that ``csv`` accepts (a text
-    handle that does not split lines at a bare CR), reads the stream itself.
+    labels become Python strings. The text is read through ``_Text``: by
+    numpy from the file itself unless the text holds a CR, which numpy
+    would read as a LF inside a quoted label. ``loadtxt`` cuts a longer
+    label and drops trailing NULs without a word, so a stream that holds a
+    NUL or does not decode, a label that fills the width, or text outside
+    Latin-1 is parsed again with each label a Python string, numbered by a
+    dict. Only when that parse refuses a row too (numpy refuses some
+    timestamps that ``float`` reads), or a row breaks a rule, are the rows
+    walked one by one as ``csv`` reads them: the walk raises the first bad
+    row's error with its line, or, where the columnar parse refused a row
+    that ``csv`` accepts (such as ``1_0``, or any row of a text handle that
+    does not split lines at a bare CR), reads the stream itself.
     """
     if schema not in ("minimal", "jodie"):
         raise ValueError(f"unknown schema {schema!r}")
     with _open_for_read(source) as fh:
-        lines = fh if fh.seekable() else list(fh)  # a pipe is read once
-        start = fh.tell() if lines is fh else None
-
-        def body():
-            """The stream's lines, read again from their start."""
-            if start is not None:
-                fh.seek(start)
-            return lines
-
-        fits, no_cr = _scan_text(body())
-        # numpy reads a file it opens itself with universal newlines, which
-        # would turn a quoted CR into a LF
-        file = source if no_cr else None
-        rows = _parse_rows(file, body(), schema, _BYTES_ROW) if fits else None
+        text = _Text(fh, source)
+        fits, no_cr = _scan_text(text.lines())
+        header = csv.reader(text.lines())
+        if next(header, None) is None:
+            raise IngestError("empty stream: no header")
+        parse = functools.partial(
+            text.loadtxt, skip=header.line_num, by_path=no_cr, delimiter=",", quotechar='"',
+            comments=None, ndmin=1, usecols=(0, 1, 2) if schema == "jodie" else None)
+        rows = parse(dtype=_BYTES_ROW) if fits else None
+        if rows is not None:
+            record_bytes = rows.view(np.uint8).reshape(len(rows), _BYTES_ROW.itemsize)
+            if record_bytes[:, _LAST_BYTES].any():  # a label that may have been cut
+                rows = None
         if rows is None:
-            rows = _parse_rows(file, body(), schema, _ROW)
+            rows = parse(dtype=_ROW)
         h = None if rows is None else _remap(rows, kind)
         if h is None:
-            h = _remap(_walk_rows(body(), schema, kind), kind)
+            h = _remap(_walk_rows(text.lines(), schema, kind), kind)
     return h
 
 
@@ -583,56 +622,6 @@ def _scan_text(lines: Iterable[str]) -> tuple[bool, bool]:
     except UnicodeDecodeError:
         return False, False
     return not nul, not cr
-
-
-def _parse_rows(file: str | Path | None, lines: Iterable[str], schema: str,
-                dtype: np.dtype) -> np.ndarray | None:
-    """The rows after the header as one ``dtype`` array, split into fields
-    as ``csv`` splits them, or None when the columnar parse refuses one.
-    ``lines`` reads the stream, and ``file`` names it if numpy may read it
-    itself (see ``_loadtxt``). For ``_BYTES_ROW``, a label outside Latin-1
-    is refused, and so is one that fills ``_WIDTH`` bytes: it may have been
-    cut."""
-    lines = iter(lines)  # a handle is its own iterator
-    header = csv.reader(lines)
-    try:
-        next(header)
-    except StopIteration:
-        raise IngestError("empty stream: no header") from None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a stream of no rows
-            rows = _loadtxt(file, lines, header.line_num, dtype=dtype, delimiter=",",
-                            quotechar='"', comments=None, ndmin=1,
-                            converters=None if dtype is _BYTES_ROW else {2: float},
-                            usecols=(0, 1, 2) if schema == "jodie" else None)
-    except ValueError:
-        return None
-    if dtype is _BYTES_ROW:
-        record_bytes = rows.view(np.uint8).reshape(len(rows), dtype.itemsize)
-        if record_bytes[:, _LAST_BYTES].any():
-            return None
-    return rows
-
-
-# the suffixes by which numpy picks a decompressor for a file it opens
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _loadtxt(file, lines: Iterable[str], header_lines: int, **kwargs) -> np.ndarray:
-    """``np.loadtxt(lines, **kwargs)``, where ``lines`` reads the text of
-    ``file`` after its first ``header_lines`` physical lines. When ``file``
-    is a path, ``lines`` its seekable handle (not a pipe read into a list)
-    and the name has no suffix that numpy decompresses by, numpy opens the
-    file itself and skips those lines: its C reader then reads the file in
-    chunks, not one ``str`` per line through the handle. It opens the file
-    with universal newlines, so a caller whose fields may hold a CR passes
-    no ``file``; and by its absolute path, which no URL scheme can start."""
-    if (isinstance(file, (str, Path)) and hasattr(lines, "seek")
-            and os.path.splitext(file)[1] not in _COMPRESSED):
-        return np.loadtxt(os.path.abspath(file), skiprows=header_lines, encoding="utf-8",
-                          **kwargs)
-    return np.loadtxt(lines, **kwargs)
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:

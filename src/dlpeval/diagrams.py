@@ -18,7 +18,8 @@ from ._svg import SvgDocument
 from .core import History, _write_rows
 from .errors import DlpEvalError
 from .metrics import MARSeries
-from .partition import LifetimeTable, SweepPoint, TemporalCategory, category_codes
+from .partition import (CATEGORY_BY_INITIAL, LifetimeTable, SweepPoint, TemporalCategory,
+                        category_codes)
 from .scorelog import POSITIVE_ROLE
 
 PALETTE = {
@@ -92,12 +93,8 @@ def _tick_label(v: float) -> str:
 def _role_color(role: str, i: int) -> str:
     if role == POSITIVE_ROLE:
         return "#000000"
-    by_category = {
-        "H": PALETTE[TemporalCategory.HISTORICAL],
-        "O": PALETTE[TemporalCategory.OVERLAP],
-        "I": PALETTE[TemporalCategory.INDUCTIVE],
-    }
-    return by_category.get(role[:1], _LINE_CYCLE[i % len(_LINE_CYCLE)])
+    category = CATEGORY_BY_INITIAL.get(role[:1])
+    return _LINE_CYCLE[i % len(_LINE_CYCLE)] if category is None else PALETTE[category]
 
 
 def _stratified_sample(codes: np.ndarray, max_points: int, seed: int) -> np.ndarray:

@@ -184,7 +184,8 @@ def mar_time_series(log: ScoredEventLog, bins: int = 50) -> MARSeries:
     """Mean average rank per role per time bin over the log's time span.
 
     Bins are equal-width over [first event, last event], closed on the
-    left, with the last bin closed on both ends. Every record of one event
+    left, with the last bin closed on both ends: a record on an edge counts
+    in the bin that starts there. Every record of one event
     shares the event's timestamp and therefore its bin. A NaN score raises
     ValueError.
     """
@@ -197,10 +198,11 @@ def mar_time_series(log: ScoredEventLog, bins: int = 50) -> MARSeries:
 
     t0, t1 = float(log.timestamp.min()), float(log.timestamp.max())
     edges = np.linspace(t0, t1, bins + 1)
-    span = (t1 - t0) or 1.0  # a single timestamp puts every record in bin 0
 
     ranks = _descending_ranks(log.score, log.event_ordinal)
-    b = np.minimum(((log.timestamp - t0) / span * bins).astype(np.int64), bins - 1)
+    # as np.histogram bins: a record on an interior edge counts in the bin
+    # that starts there; a single timestamp puts every record in bin 0
+    b = np.searchsorted(edges[1:-1] if t1 > t0 else edges[:0], log.timestamp, side="right")
     cell = log.role.astype(np.int64) * bins + b
     size = len(roles) * bins
     sums = np.bincount(cell, weights=ranks, minlength=size).reshape(len(roles), bins)

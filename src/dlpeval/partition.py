@@ -27,6 +27,10 @@ class TemporalCategory(enum.Enum):
     INDUCTIVE = "inductive"
 
 
+# the category a strategy or role name stands for by its first letter
+CATEGORY_BY_INITIAL = {c.value[0].upper(): c for c in TemporalCategory}
+
+
 class KeyKind(enum.Enum):
     NODE = "node"
     EDGE = "edge"

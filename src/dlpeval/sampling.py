@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import History, _open_for_write, _write_rows
 from .errors import EmptyCandidateSetError
-from .partition import KeyKind, TemporalCategory, category_codes, lifetimes
+from .partition import CATEGORY_BY_INITIAL, KeyKind, TemporalCategory, category_codes, lifetimes
 
 MAX_ATTEMPTS = 1000  # rejected candidates after which a draw gives up
 
@@ -49,40 +49,17 @@ class NegativeStrategy(enum.Enum):
 
     @property
     def category(self) -> TemporalCategory | None:
-        """Temporal category this strategy samples from (None for RND)."""
-        return _STRATEGY_CATEGORY[self]
+        """Temporal category this strategy samples from, by the first letter
+        of its name (None for RND)."""
+        return CATEGORY_BY_INITIAL.get(self.value[0])
 
     @property
     def replaces(self) -> str:
-        """Which part of the positive is swapped: source, destination or edge."""
-        return _STRATEGY_TARGET[self]
-
-
-_STRATEGY_CATEGORY = {
-    NegativeStrategy.HS: TemporalCategory.HISTORICAL,
-    NegativeStrategy.OS: TemporalCategory.OVERLAP,
-    NegativeStrategy.IS: TemporalCategory.INDUCTIVE,
-    NegativeStrategy.HD: TemporalCategory.HISTORICAL,
-    NegativeStrategy.OD: TemporalCategory.OVERLAP,
-    NegativeStrategy.ID: TemporalCategory.INDUCTIVE,
-    NegativeStrategy.HE: TemporalCategory.HISTORICAL,
-    NegativeStrategy.OE: TemporalCategory.OVERLAP,
-    NegativeStrategy.IE: TemporalCategory.INDUCTIVE,
-    NegativeStrategy.RND: None,
-}
-
-_STRATEGY_TARGET = {
-    NegativeStrategy.HS: "source",
-    NegativeStrategy.OS: "source",
-    NegativeStrategy.IS: "source",
-    NegativeStrategy.HD: "destination",
-    NegativeStrategy.OD: "destination",
-    NegativeStrategy.ID: "destination",
-    NegativeStrategy.HE: "edge",
-    NegativeStrategy.OE: "edge",
-    NegativeStrategy.IE: "edge",
-    NegativeStrategy.RND: "destination",
-}
+        """Which part of the positive is swapped, by the second letter of
+        its name: source, destination or edge. RND swaps the destination."""
+        if self is NegativeStrategy.RND:
+            return "destination"
+        return {"S": "source", "D": "destination", "E": "edge"}[self.value[1]]
 
 
 @dataclass(frozen=True)

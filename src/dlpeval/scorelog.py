@@ -10,24 +10,25 @@ digits, which round-trips 64-bit floats exactly.
 
 Both directions work on columns: the writer streams chunks of rows through
 the text kernel, and the reader parses the body once into typed columns,
-walking its lines only to name the line of an error. A log file named by its
-path is parsed by numpy's C reader straight from the file, in chunks, after
-the header's lines; a handle, bytes or a pipe is parsed line by line. In
-memory a record's role is an ``int8`` code into the log's ``names``: the
-positive role, then the declared strategies.
+walking its lines only to name the line of an error. The body after the
+header is read through ``core._Text``: a log file named by its path is
+parsed by numpy's C reader straight from the file, in chunks; a handle,
+bytes or a pipe is parsed line by line, a pipe read once into memory so
+that an error can be walked to its line. In memory a record's role is an
+``int8`` code into the log's ``names``: the positive role, then the
+declared strategies.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, TextIO
+from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .core import History, _loadtxt, _open_for_read, _open_for_write, _write_rows
+from .core import History, _open_for_read, _open_for_write, _Text, _write_rows
 from .errors import ScoreLogError
 
 POSITIVE_ROLE = "positive"
@@ -221,16 +222,8 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
                     f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
                 )
             meta = _meta_from_header(header)
-            lines = fh if fh.seekable() else list(fh)  # a pipe is read once
-            start = fh.tell() if lines is fh else None
-
-            def body():
-                """The lines after the column row, read again from their start."""
-                if start is not None:
-                    fh.seek(start)
-                return lines
-
-            columns = _parse_records(source, lines, lineno, (POSITIVE_ROLE,) + meta.strategies)
+            body = _Text(fh, source, skipped=lineno)
+            columns = _parse_records(body, (POSITIVE_ROLE,) + meta.strategies)
             if columns is None:
                 _raise_record_error(body, lineno, meta.strategies)
     except UnicodeDecodeError as exc:  # not where: that depends on how much was decoded at once
@@ -242,25 +235,19 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
     return log, meta
 
 
-def _parse_records(source, lines: Iterable[str], header_lines: int,
-                   names: tuple[str, ...]) -> dict | None:
-    """The records in ``lines``, the text of ``source`` after its first
-    ``header_lines`` lines, as ``ScoredEventLog`` columns, blank lines
-    skipped, each role coded by its index in ``names``; None when a record
-    is malformed, has a non-finite score or a role not in ``names``.
+def _parse_records(body: _Text, names: tuple[str, ...]) -> dict | None:
+    """The records of the log's ``body`` as ``ScoredEventLog`` columns,
+    blank lines skipped, each role coded by its index in ``names``; None
+    when a record is malformed (a role outside Latin-1 among them), has a
+    non-finite score or a role not in ``names``.
 
     Roles are parsed as fixed-width Latin-1 bytes one wider than the longest
     name, so that a longer role is cut to a width no name has. A log has no
-    quoting, so a CR only ends a line, and numpy may read a log file itself
-    (``core._loadtxt``)."""
+    quoting, so a CR only ends a line, and numpy may read a log file itself."""
     encoded = [name.encode("latin-1") for name in names]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a log of no records
-            records = _loadtxt(source, lines, header_lines,
-                               dtype=_record(f"S{max(map(len, encoded)) + 1}"),
-                               delimiter=",", comments=None, ndmin=1)
-    except ValueError:  # a malformed record, or a role outside Latin-1
+    records = body.loadtxt(dtype=_record(f"S{max(map(len, encoded)) + 1}"),
+                           delimiter=",", comments=None, ndmin=1)
+    if records is None:
         return None
     role = np.full(len(records), -1, dtype=np.int8)
     for code, name in enumerate(encoded):
@@ -271,14 +258,13 @@ def _parse_records(source, lines: Iterable[str], header_lines: int,
             for name in _RECORD.names}
 
 
-def _raise_record_error(body: Callable[[], Iterable[str]], column_row: int,
-                        strategies: tuple[str, ...]) -> NoReturn:
+def _raise_record_error(body: _Text, column_row: int, strategies: tuple[str, ...]) -> NoReturn:
     """Raise the error of records that ``_parse_records`` refused, given the
-    lines after the column row (line ``column_row``): the first bad line's,
-    found by walking the lines when the records do not parse with their
-    roles as text, else one naming the undeclared roles."""
+    log's body after the column row (line ``column_row``): the first bad
+    line's, found by walking the lines when the records do not parse with
+    their roles as text, else one naming the undeclared roles."""
     try:
-        records = np.loadtxt(body(), dtype=_record(object), delimiter=",",
+        records = np.loadtxt(body.lines(), dtype=_record(object), delimiter=",",
                              comments=None, ndmin=1)
         if np.all(np.isfinite(records["score"])):
             # named as a str_ column names them: without trailing NULs
@@ -288,7 +274,7 @@ def _raise_record_error(body: Callable[[], Iterable[str]], column_row: int,
         error = "non-finite score"
     except ValueError as exc:
         error = exc  # rejected by the columnar parse only, e.g. "1_0"
-    for lineno, raw in enumerate(body(), start=column_row + 1):
+    for lineno, raw in enumerate(body.lines(), start=column_row + 1):
         line = raw.rstrip("\r\n")
         if not line:
             continue

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -33,6 +35,20 @@ class Pipe(io.StringIO):
 
     def seekable(self):
         return False
+
+
+def read_through_fifo(read, path, data: bytes):
+    """``read(path)`` of a FIFO at ``path`` that a thread writes ``data`` to."""
+    os.mkfifo(path)
+    try:
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            return read(path)
+        finally:
+            writer.join()
+    finally:
+        path.unlink()
 
 
 def build_history(events, kind=GraphKind(), num_nodes=None, num_sources=None) -> History:

@@ -1,6 +1,8 @@
 import csv
+import functools
 import gzip
 import io
+import os
 import sys
 from unittest import mock
 
@@ -15,6 +17,7 @@ from conftest import (
     events_of,
     format_rows,
     random_history,
+    read_through_fifo,
 )
 from dlpeval import GraphKind, History, IngestError, ingest_csv
 from dlpeval import core
@@ -171,7 +174,9 @@ def _outcome(read, source, **kw):
 
 class TestIngestMatchesRowOracle:
     """The columnar ingest against the row-by-row oracle on generated CSV
-    text, read from a path, bytes, a text handle and a pipe."""
+    text, read from a path (numpy opens the file itself unless its name ends
+    in a compressed suffix, it is a FIFO or its text holds a CR), bytes, a
+    text handle and a pipe."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=_csv_text(),
@@ -180,10 +185,18 @@ class TestIngestMatchesRowOracle:
                                  GraphKind(allow_self_loops=True),
                                  GraphKind(bipartite=True)]))
     def test_same_stream_or_same_error(self, tmp_path_factory, text, schema, kind):
-        path = tmp_path_factory.getbasetemp() / "ingest.csv"
+        base = tmp_path_factory.getbasetemp()
+        path = base / "ingest.csv"
         path.write_text(text, encoding="utf-8", newline="")
         want = _outcome(brute_force_ingest, path, schema=schema, kind=kind)
-        assert _outcome(ingest_csv, path, schema=schema, kind=kind) == want
+        # plain text under a .gz name, which numpy would decompress
+        gz = base / "ingest.csv.gz"
+        gz.write_text(text, encoding="utf-8", newline="")
+        for source in (path, str(path), gz, str(gz)):
+            assert _outcome(ingest_csv, source, schema=schema, kind=kind) == want
+        if hasattr(os, "mkfifo"):
+            read = functools.partial(_outcome, ingest_csv, schema=schema, kind=kind)
+            assert read_through_fifo(read, base / "ingest.fifo", text.encode()) == want
         assert _outcome(ingest_csv, text.encode(), schema=schema, kind=kind) == want
         assert _outcome(ingest_csv, io.StringIO(text, newline=""), schema=schema,
                         kind=kind) == want
@@ -258,7 +271,7 @@ class TestIngestMatchesRowOracle:
             parse("€,b,1\n")
 
     def test_numpy_reads_paths_and_sorts_complex_keys_as_expected(self, tmp_path):
-        # core._loadtxt and metrics._descending_ranks rely on these; a numpy
+        # core._Text and metrics._descending_ranks rely on these; a numpy
         # that reads or sorts otherwise fails here, not in a later mismatch
         def parse(path, **kw):
             return np.loadtxt(str(path), dtype=object, delimiter=",", quotechar='"',

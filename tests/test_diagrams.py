@@ -22,7 +22,7 @@ from conftest import (
 )
 from dlpeval import GraphKind, KeyKind, LifetimeTable, lifetimes, mar_time_series, surprise_sweep
 from dlpeval._svg import SvgDocument, escape
-from dlpeval.diagrams import PALETTE, bd_diagram, mar_plot, surprise_curve
+from dlpeval.diagrams import PALETTE, _role_color, bd_diagram, mar_plot, surprise_curve
 from dlpeval.errors import DlpEvalError
 from dlpeval.partition import SweepPoint, TemporalCategory
 
@@ -302,6 +302,17 @@ class TestMarPlot:
         svg = mar_plot(series, t_split=5.0, svg_path=tmp_path / "mar.svg")
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == \
             "7b74085598dfa71d4198b6d4f46a20773944d29746a352056454798cf90bbd2b"
+
+    @pytest.mark.parametrize("role, i, color", [
+        ("positive", 0, "#000000"),
+        ("HX", 1, "#007AA6"),  # the first letter names the category
+        ("OD", 2, "#FF9933"),
+        ("ID", 0, "#008000"),
+        ("RND", 3, "#C02942"),  # no category: the line cycle by role index
+        ("model-b", 10, "#7851A9"),
+    ])
+    def test_role_colors(self, role, i, color):
+        assert _role_color(role, i) == color
 
     def test_all_missing_is_an_error(self, tmp_path):
         series = mar_time_series(worked_example_log(), bins=1)

@@ -247,6 +247,14 @@ class TestMarTimeSeries:
         series = mar_time_series(log, bins=2)
         assert series.counts[0].tolist() == [1, 2]  # t=1 in bin 1, t=2 clamped in
 
+    def test_record_on_an_edge_counts_in_the_bin_it_starts(self):
+        # truncating (t - t0) / span * bins would put 957692574 in bin 28
+        times = [948649446.0, 957692574.0, 964241046.0]
+        log = make_log([(0.9, {"NS": [0.1]})] * 3, ("NS",), t_of=times.__getitem__)
+        series = mar_time_series(log, bins=50)
+        assert series.bin_edges[29] == times[1]
+        assert np.flatnonzero(series.counts[0]).tolist() == [0, 29, 49]
+
     def test_group_ranks_lie_in_group_size_range(self):
         rng = np.random.default_rng(5)
         groups = []
@@ -264,11 +272,13 @@ class TestMarTimeSeries:
     def test_matches_brute_force_ranks(self, log, bins):
         # every record's rank within its event, summed per (role, bin)
         ranks = brute_force_ranks(log.score.tolist(), log.event_ordinal.tolist())
+        # in the last bin whose left edge is at or before the record
         t0, t1 = log.timestamp.min(), log.timestamp.max()
+        edges = np.linspace(t0, t1, bins + 1).tolist()
         sums = np.zeros((3, bins))
         counts = np.zeros((3, bins), dtype=np.int64)
         for code, t, rank in zip(log.role.tolist(), log.timestamp.tolist(), ranks):
-            b = min(int((t - t0) / (t1 - t0) * bins), bins - 1) if t1 > t0 else 0
+            b = max(i for i in range(bins) if edges[i] <= t) if t1 > t0 else 0
             r = (POSITIVE_ROLE, "A", "B").index(log.names[code])
             sums[r, b] += rank
             counts[r, b] += 1

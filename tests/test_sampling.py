@@ -21,6 +21,7 @@ from dlpeval import (
     GraphKind,
     KeyKind,
     NegativeStrategy,
+    TemporalCategory,
     build_candidate_index,
     lifetimes,
     sample_negatives,
@@ -37,6 +38,24 @@ def draws(idx, strategy, i, k, seed):
     has no legal one."""
     u, v, ok = sample_negatives(idx, strategy, [i], k, seed)
     return list(zip(u[0].tolist(), v[0].tolist())) if ok[0] else None
+
+
+@pytest.mark.parametrize("name, category, replaces", [
+    ("HS", TemporalCategory.HISTORICAL, "source"),
+    ("OS", TemporalCategory.OVERLAP, "source"),
+    ("IS", TemporalCategory.INDUCTIVE, "source"),
+    ("HD", TemporalCategory.HISTORICAL, "destination"),
+    ("OD", TemporalCategory.OVERLAP, "destination"),
+    ("ID", TemporalCategory.INDUCTIVE, "destination"),
+    ("HE", TemporalCategory.HISTORICAL, "edge"),
+    ("OE", TemporalCategory.OVERLAP, "edge"),
+    ("IE", TemporalCategory.INDUCTIVE, "edge"),
+    ("RND", None, "destination"),
+])
+def test_strategy_taxonomy(name, category, replaces):
+    # the sampling tests take s.category and s.replaces as their oracle
+    strategy = NegativeStrategy(name)
+    assert (strategy.category, strategy.replaces) == (category, replaces)
 
 
 class TestCandidateIndex:

@@ -1,6 +1,5 @@
 import io
 import os
-import threading
 import warnings
 
 import numpy as np
@@ -12,6 +11,7 @@ from conftest import (
     Pipe,
     log_from_records,
     random_history,
+    read_through_fifo,
     sample_and_score,
     score_log_text,
     written_log,
@@ -447,20 +447,6 @@ def _read_outcome(source):
                   for column in (getattr(log, name) for name in LOG_COLUMNS)]
 
 
-def _read_through_fifo(path, data):
-    """``_read_outcome`` of a FIFO at ``path`` that a thread writes ``data`` to."""
-    os.mkfifo(path)
-    try:
-        writer = threading.Thread(target=path.write_bytes, args=(data,))
-        writer.start()
-        try:
-            return _read_outcome(path)
-        finally:
-            writer.join()
-    finally:
-        path.unlink()
-
-
 class TestReadMatchesAcrossSources:
     """numpy reads a log file by its path itself; every other source is read
     line by line. Both give the same log or the same error."""
@@ -482,4 +468,4 @@ class TestReadMatchesAcrossSources:
             assert _read_outcome(io.StringIO(text, newline="")) == want
             assert _read_outcome(Pipe(text, newline="")) == want
         if hasattr(os, "mkfifo"):
-            assert _read_through_fifo(base / "scores.fifo", data) == want
+            assert read_through_fifo(_read_outcome, base / "scores.fifo", data) == want
