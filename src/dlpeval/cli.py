@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .core import GraphKind, History, _open_for_write, _table_columns, _write_rows, ingest_csv
-from .diagrams import bd_diagram, mar_plot, surprise_curve
 from .errors import DlpEvalError, EmptyCandidateSetError, ScoreLogError
 from .metrics import (
     mar_time_series,
@@ -36,6 +35,7 @@ from .metrics import (
 )
 from .partition import (
     KeyKind,
+    check_ratio,
     compute_cutoff,
     lifetimes,
     partition_report,
@@ -58,6 +58,8 @@ from .scorelog import (
     write_score_log,
 )
 from .scorers import ScorerKind, run_streaming_eval
+# after the layers whose results it draws, so that modules load in dependency order
+from .diagrams import bd_diagram, mar_plot, surprise_curve
 
 logger = logging.getLogger("dlpeval")
 
@@ -154,8 +156,9 @@ def _parse_strategies(text: str, kind: GraphKind) -> list[NegativeStrategy]:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite ``--t-split``, a count option below 1 and fewer
-    than two ``--ratios`` before the command reads its input."""
+    """Reject a non-finite ``--t-split``, a count option below 1, fewer
+    than two ``--ratios`` and a ratio outside (0, 1) before the command
+    reads its input."""
     t_split = getattr(args, "t_split", None)
     if t_split is not None and not math.isfinite(t_split):
         raise ValueError(f"--t-split must be finite, got {t_split}")
@@ -163,9 +166,14 @@ def _check_numbers(args) -> None:
         if getattr(args, name, 1) < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1, "
                              f"got {getattr(args, name)}")
-    ratios = getattr(args, "ratios", None)
-    if ratios is not None and len(_ratios(ratios)) < 2:
-        raise ValueError(f"--ratios needs at least 2 ratios, got {ratios!r}")
+    if getattr(args, "ratios", None) is not None:
+        if len(_ratios(args.ratios)) < 2:
+            raise ValueError(f"--ratios needs at least 2 ratios, got {args.ratios!r}")
+        for ratio in _ratios(args.ratios):
+            check_ratio(ratio, "--ratios")
+    for name in ("test_ratio", "mark_ratio"):
+        if hasattr(args, name):
+            check_ratio(getattr(args, name), f"--{name.replace('_', '-')}")
 
 
 def _ratios(text: str) -> list[float]:
@@ -282,8 +290,11 @@ def cmd_bd(args):
 
 
 def cmd_sweep(args):
-    h = _load_history(args)
     ratios = _ratios(args.ratios)
+    if all(abs(r - args.mark_ratio) > 1e-9 for r in ratios):
+        logger.warning("--mark-ratio %g is none of the --ratios; the curve "
+                       "marks no point", args.mark_ratio)
+    h = _load_history(args)
     points = surprise_sweep(h, ratios)
     out = _out_dir(args)
     name = Path(args.dataset).stem
@@ -479,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="surprise indices across split ratios")
     _add_dataset_args(p); _add_out_arg(p)
-    p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5",
-                   help="comma-separated test ratios (default 0.1..0.5)")
+    p.add_argument("--ratios", default=f"0.1,{DEFAULT_TEST_RATIO},0.2,0.3,0.4,0.5",
+                   help="comma-separated test ratios (default 0.1,0.15,0.2,...,0.5)")
     p.add_argument("--mark-ratio", type=float, default=DEFAULT_TEST_RATIO,
                    help="ratio marked with a star on the curve")
     p.set_defaults(func=cmd_sweep)

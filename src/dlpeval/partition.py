@@ -68,6 +68,12 @@ class SweepPoint(NamedTuple):
     edge_surprise: float | None
 
 
+def check_ratio(ratio: float, name: str = "test_ratio") -> None:
+    """Raise ``ValueError`` unless ``ratio`` lies in (0, 1); NaN does not."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {ratio}")
+
+
 def compute_cutoff(h: History, test_ratio: float) -> float:
     """Cutoff timestamp placing the last ``test_ratio`` share of events in test.
 
@@ -79,8 +85,7 @@ def compute_cutoff(h: History, test_ratio: float) -> float:
     n = len(h)
     if n == 0:
         raise DegenerateSplitError("cannot split an empty history")
-    if not (0.0 < test_ratio < 1.0):
-        raise ValueError(f"test_ratio must be in (0, 1), got {test_ratio}")
+    check_ratio(test_ratio)
     k = int(math.floor((1.0 - test_ratio) * n + 1e-9))
     k = min(k, n - 1)
     t_split = float(h.t[k])

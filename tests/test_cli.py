@@ -133,6 +133,22 @@ class TestBdAndSweep:
         assert "--ratios" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_default_sweep_marks_the_default_test_ratio(self, dataset, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING"):
+            assert run("sweep", dataset, "--out", out) == 0
+        assert not caplog.records
+        svg = (out / "surprise_curve.svg").read_text()
+        assert svg.count(">*</text>") == 1
+
+    def test_mark_ratio_outside_the_ratios_warns_once(self, dataset, tmp_path, caplog):
+        with caplog.at_level("WARNING"):
+            assert run("sweep", dataset, "--ratios", "0.2,0.3", "--mark-ratio", "0.25",
+                       "--out", tmp_path / "out") == 0
+        assert len(caplog.records) == 1
+        assert "--mark-ratio" in caplog.text
+        assert ">*</text>" not in (tmp_path / "out" / "surprise_curve.svg").read_text()
+
     def test_sweep_outputs(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("sweep", dataset, "--ratios", "0.2,0.3,0.4", "--out", out) == 0
@@ -366,11 +382,17 @@ class TestSampleAndEval:
     @pytest.mark.parametrize("command,option,value", [
         ("stats", "--t-split", "nan"), ("stats", "--t-split", "inf"),
         ("sample", "--t-split", "-inf"), ("sample", "--k", "0"),
-        ("eval", "--bins", "0"), ("eval", "--k", "-1"), ("eval", "--batch-size", "0")])
-    def test_bad_numeric_option_exits_2_before_any_work(self, dataset, tmp_path, capsys,
+        ("eval", "--bins", "0"), ("eval", "--k", "-1"), ("eval", "--batch-size", "0"),
+        ("stats", "--test-ratio", "1.5"), ("split", "--test-ratio", "0"),
+        ("bd", "--test-ratio", "nan"), ("sample", "--test-ratio", "-0.1"),
+        ("eval", "--test-ratio", "1"), ("eval", "--test-ratio", "nan"),
+        ("sweep", "--ratios", "0.1,nan"), ("sweep", "--ratios", "0.1,1.5"),
+        ("sweep", "--mark-ratio", "1"), ("sweep", "--mark-ratio", "nan")])
+    def test_bad_numeric_option_exits_2_before_any_work(self, tmp_path, capsys,
                                                          command, option, value):
+        # the input does not exist, so the option must be rejected before it is read
         out = tmp_path / "out"
-        assert run(command, dataset, f"{option}={value}", "--out", out) == 2
+        assert run(command, tmp_path / "missing.csv", f"{option}={value}", "--out", out) == 2
         assert option in capsys.readouterr().err
         assert not out.exists()
 
