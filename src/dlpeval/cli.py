@@ -14,6 +14,7 @@ the default output directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -550,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyCandidateSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_FAILURE
-    except (DlpEvalError, FileNotFoundError, ValueError) as exc:
+    except (DlpEvalError, OSError, ValueError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_OK

@@ -507,12 +507,14 @@ class _Text:
     lines it is read into once. ``source`` is what the handle was opened
     from and ``skipped`` the physical lines before that place.
 
-    numpy may open the file itself when ``source`` is a path, the handle
-    seeks (not a FIFO) and the name has no suffix that numpy decompresses
-    by: its C reader then reads the file in chunks, not one ``str`` per
-    line. It opens the file with universal newlines, so a reader whose
-    fields may hold a CR passes ``by_path=False``; and by its absolute
-    path, which no URL scheme can start."""
+    ``loadtxt`` hands numpy the text's UTF-8 bytes, each read as one
+    Latin-1 character, so that a bytes field holds a field's UTF-8 bytes
+    whatever its text. numpy may open the file itself when ``source`` is a
+    path, the handle seeks (not a FIFO) and the name has no suffix that
+    numpy decompresses by: its C reader then reads the file in chunks, not
+    one ``str`` per line. It opens the file with universal newlines, so a
+    reader whose fields may hold a CR passes ``by_path=False``; and by its
+    absolute path, which no URL scheme can start."""
 
     def __init__(self, fh: TextIO, source, skipped: int = 0):
         self._fh, self._skipped = fh, skipped
@@ -522,6 +524,7 @@ class _Text:
         if (self._start is not None and isinstance(source, (str, Path))
                 and os.path.splitext(source)[1] not in _COMPRESSED):
             self._path = os.path.abspath(source)
+        self._decodes = False  # whether the text has been read through once
 
     def lines(self) -> Iterable[str]:
         """The lines, read again from their start."""
@@ -529,16 +532,34 @@ class _Text:
             self._fh.seek(self._start)
         return self._lines
 
+    def blocks(self) -> Iterator[str]:
+        """The text in blocks of about 1 MB, read again from its start;
+        once they are all read, the text is known to decode."""
+        lines = self.lines()
+        if self._start is not None:
+            yield from iter(functools.partial(lines.read, 1 << 20), "")
+        else:  # a pipe's lines, a chunk of them at a time
+            for at in range(0, len(lines), _CHUNK):
+                yield "".join(lines[at:at + _CHUNK])
+        self._decodes = True
+
     def loadtxt(self, skip: int = 0, by_path: bool = True, **kwargs) -> np.ndarray | None:
-        """``np.loadtxt`` of the lines after the first ``skip``, by the
-        path when numpy may open it, or None where numpy refuses them."""
+        """``np.loadtxt`` of the UTF-8 bytes of the lines after the first
+        ``skip``, by the path when numpy may open it, or None where numpy
+        refuses them. A Latin-1 read never fails to decode, so the text is
+        decoded once before numpy reads it by the path: text that is not
+        UTF-8 is refused, as it is from a handle."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # text of no rows
                 if by_path and self._path is not None:
+                    if not self._decodes:
+                        for _ in self.blocks():
+                            pass
                     return np.loadtxt(self._path, skiprows=self._skipped + skip,
-                                      encoding="utf-8", **kwargs)
-                return np.loadtxt(itertools.islice(self.lines(), skip, None), **kwargs)
+                                      encoding="latin-1", **kwargs)
+                return np.loadtxt(map(str.encode, itertools.islice(self.lines(), skip, None)),
+                                  encoding="latin-1", **kwargs)
         except ValueError:
             return None
 
@@ -557,71 +578,72 @@ def ingest_csv(
     appearance in the sorted stream (bipartite kinds get disjoint id
     ranges: sources first, then destinations offset past them).
 
-    The rows are parsed as columns in one pass, each label as ``_WIDTH``
-    bytes of Latin-1 text and each timestamp by numpy, and the labels are
-    numbered by one sort of those bytes as integers; only the distinct
-    labels become Python strings. The text is read through ``_Text``: by
-    numpy from the file itself unless the text holds a CR, which numpy
-    would read as a LF inside a quoted label. ``loadtxt`` cuts a longer
-    label and drops trailing NULs without a word, so a stream that holds a
-    NUL or does not decode, a label that fills the width, or text outside
-    Latin-1 is parsed again with each label a Python string, numbered by a
-    dict. Only when that parse refuses a row too (numpy refuses some
-    timestamps that ``float`` reads), or a row breaks a rule, are the rows
-    walked one by one as ``csv`` reads them: the walk raises the first bad
-    row's error with its line, or, where the columnar parse refused a row
-    that ``csv`` accepts (such as ``1_0``, or any row of a text handle that
+    One scan of the text picks the label width (``_scan_text``). The rows
+    are then parsed as columns in one pass, each label as that many UTF-8
+    bytes and each timestamp by numpy, and the labels are numbered by one
+    sort of those bytes as integers; only the distinct labels become
+    Python strings. The text is read through ``_Text``: by numpy from the
+    file itself unless the text holds a CR, which numpy would read as a LF
+    inside a quoted label. Text that gives no width (a field past
+    ``_MAX_WIDTH`` bytes, a NUL, or text that does not decode), a label
+    that still fills the width (its quoted commas hid its length from the
+    scan), a row numpy refuses or a row that breaks a rule sends the
+    stream to the row walk: its rows are read one by one as ``csv`` reads
+    them, each label a Python string numbered by a dict. The walk raises
+    the first bad row's error with its line, or, where numpy refused a row
+    that ``csv`` and ``float`` accept (a timestamp such as ``1_0`` or one
+    padded with non-ASCII whitespace, or any row of a text handle that
     does not split lines at a bare CR), reads the stream itself.
     """
     if schema not in ("minimal", "jodie"):
         raise ValueError(f"unknown schema {schema!r}")
     with _open_for_read(source) as fh:
         text = _Text(fh, source)
-        fits, no_cr = _scan_text(text.lines())
+        width, no_cr = _scan_text(text.blocks())
         header = csv.reader(text.lines())
         if next(header, None) is None:
             raise IngestError("empty stream: no header")
-        parse = functools.partial(
-            text.loadtxt, skip=header.line_num, by_path=no_cr, delimiter=",", quotechar='"',
-            comments=None, ndmin=1, usecols=(0, 1, 2) if schema == "jodie" else None)
-        rows = parse(dtype=_BYTES_ROW) if fits else None
-        if rows is not None:
-            record_bytes = rows.view(np.uint8).reshape(len(rows), _BYTES_ROW.itemsize)
-            if record_bytes[:, _LAST_BYTES].any():  # a label that may have been cut
-                rows = None
-        if rows is None:
-            rows = parse(dtype=_ROW)
+        rows = None
+        if width is not None:
+            rows = text.loadtxt(
+                skip=header.line_num, by_path=no_cr, delimiter=",", quotechar='"', comments=None,
+                dtype=[("u", f"S{width}"), ("v", f"S{width}"), ("t", np.float64)], ndmin=1,
+                usecols=(0, 1, 2) if schema == "jodie" else None)
         h = None if rows is None else _remap(rows, kind)
         if h is None:
             h = _remap(_walk_rows(text.lines(), schema, kind), kind)
     return h
 
 
-# one input row: its source and destination label fields and its timestamp,
-# with the labels as Python strings or as fixed-width Latin-1 bytes
+# one row of the row walk: its source and destination labels as Python
+# strings, and its timestamp
 _ROW = np.dtype([("u", object), ("v", object), ("t", np.float64)])
-_WIDTH = 16  # bytes of a label field in _BYTES_ROW, two uint64 words
-_BYTES_ROW = np.dtype([("u", f"S{_WIDTH}"), ("v", f"S{_WIDTH}"), ("t", np.float64)])
-# the last byte of each label field of a _BYTES_ROW, not NUL when the label fills it
-_LAST_BYTES = [_BYTES_ROW.fields[c][1] + _WIDTH - 1 for c in "uv"]
+_MAX_WIDTH = 64  # bytes of the widest label field of the columnar parse
 
 
-def _scan_text(lines: Iterable[str]) -> tuple[bool, bool]:
-    """Whether the text may take the bytes parse, and whether it holds no
-    CR. It may take the bytes parse when it holds no NUL, which loadtxt
-    drops from the end of a label, and it decodes. Text that does not
-    decode gives neither; its error is left to the row walk, which raises
-    it as it reads the line. The text is read in blocks from a file handle,
-    or line by line from a list."""
-    if hasattr(lines, "read"):
-        lines = iter(functools.partial(lines.read, 1 << 20), "")
+def _scan_text(blocks: Iterable[str]) -> tuple[int | None, bool]:
+    """The label width of the columnar parse, and whether the text holds no
+    CR. The width is the longest run of UTF-8 bytes between commas and
+    line ends, plus one, rounded up to whole uint64 words: a label fits
+    with a NUL after it, unless quoting hid its length from the scan. It
+    is None past ``_MAX_WIDTH``, where fixed-width columns would cost more
+    than Python strings, and for text that holds a NUL, which loadtxt drops
+    from the end of a label, or does not decode. Text that does not decode
+    gives neither; its error is left to the row walk, which raises it as it
+    reads the line."""
+    longest = run = 0  # the longest run, and the one still open where a block ends
     nul = cr = False
     try:
-        for text in lines:
+        for text in blocks:
             nul, cr = nul or "\0" in text, cr or "\r" in text
-    except UnicodeDecodeError:
-        return False, False
-    return not nul, not cr
+            data = np.frombuffer(text.encode(), np.uint8)
+            ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")) | (data == ord("\r")))
+            runs = np.diff(ends, prepend=-1 - run, append=len(data)) - 1
+            longest, run = max(longest, int(runs.max())), int(runs[-1])
+    except UnicodeError:  # a handle's text may also hold a lone surrogate
+        return None, False
+    width = (longest + 8) // 8 * 8
+    return (None if nul or width > _MAX_WIDTH else width), not cr
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:
@@ -689,13 +711,15 @@ def _remap(rows: np.ndarray, kind: GraphKind) -> History | None:
 def _first_appearance_ids(fields: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """The dense id of each raw label field, numbered by first appearance of
     its stripped text, and the stripped labels in id order. Only the
-    distinct raw fields are decoded and stripped; those that strip alike
-    merge."""
+    distinct raw fields are decoded (bytes as UTF-8) and stripped; those
+    that strip alike merge. A bytes field that fills its width may hold a
+    cut label: it reads as empty, a label no stream may hold, so that
+    ``_remap`` sends the rows to the walk."""
     first = _first_positions(fields)
     firsts = np.flatnonzero(first == np.arange(len(first)))
     texts = fields[firsts].tolist()
     if fields.dtype.kind == "S":
-        texts = [text.decode("latin-1") for text in texts]
+        texts = [text.decode() if len(text) < fields.itemsize else "" for text in texts]
     stripped = list(map(str.strip, texts))
     labels = dict.fromkeys(stripped)
     ids_at_first = np.empty(len(fields), dtype=np.int64)  # read at first positions only

@@ -10,13 +10,13 @@ digits, which round-trips 64-bit floats exactly.
 
 Both directions work on columns: the writer streams chunks of rows through
 the text kernel, and the reader parses the body once into typed columns,
-walking its lines only to name the line of an error. The body after the
-header is read through ``core._Text``: a log file named by its path is
-parsed by numpy's C reader straight from the file, in chunks; a handle,
-bytes or a pipe is parsed line by line, a pipe read once into memory so
-that an error can be walked to its line. In memory a record's role is an
-``int8`` code into the log's ``names``: the positive role, then the
-declared strategies.
+each role as its UTF-8 bytes, walking its lines only to name the line of an
+error. The body after the header is read through ``core._Text``: a log
+file named by its path is parsed by numpy's C reader straight from the
+file, in chunks, once the text is known to decode; a handle, bytes or a
+pipe is parsed line by line, a pipe read once into memory so that an error
+can be walked to its line. In memory a record's role is an ``int8`` code
+into the log's ``names``: the positive role, then the declared strategies.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -223,9 +223,8 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
                 )
             meta = _meta_from_header(header)
             body = _Text(fh, source, skipped=lineno)
-            columns = _parse_records(body, (POSITIVE_ROLE,) + meta.strategies)
-            if columns is None:
-                _raise_record_error(body, lineno, meta.strategies)
+            names = (POSITIVE_ROLE,) + meta.strategies
+            columns = _parse_records(body, names) or _text_records(body, lineno, names)
     except UnicodeDecodeError as exc:  # not where: that depends on how much was decoded at once
         bad = exc.object[exc.start:exc.end]
         raise ScoreLogError(f"not UTF-8 text ({exc.reason}: {bad!r})") from None
@@ -238,38 +237,51 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
 def _parse_records(body: _Text, names: tuple[str, ...]) -> dict | None:
     """The records of the log's ``body`` as ``ScoredEventLog`` columns,
     blank lines skipped, each role coded by its index in ``names``; None
-    when a record is malformed (a role outside Latin-1 among them), has a
-    non-finite score or a role not in ``names``.
+    when a record is malformed (a number padded with non-ASCII whitespace
+    among them), has a non-finite score or a role not in ``names``.
 
-    Roles are parsed as fixed-width Latin-1 bytes one wider than the longest
-    name, so that a longer role is cut to a width no name has. A log has no
-    quoting, so a CR only ends a line, and numpy may read a log file itself."""
-    encoded = [name.encode("latin-1") for name in names]
+    Roles are parsed as fixed-width UTF-8 bytes one wider than the longest
+    name, so that a longer role is cut to a width no name has, and matched
+    by their UTF-8 bytes. A log has no quoting, so a CR only ends a line,
+    and numpy may read a log file itself."""
+    encoded = tuple(name.encode() for name in names)
     records = body.loadtxt(dtype=_record(f"S{max(map(len, encoded)) + 1}"),
                            delimiter=",", comments=None, ndmin=1)
-    if records is None:
+    return None if records is None else _columns(records, records["role"], encoded)
+
+
+def _columns(records: np.ndarray, role: np.ndarray, names: tuple) -> dict | None:
+    """``records`` as ``ScoredEventLog`` columns, each of their ``role``
+    values coded by its index in ``names``; None when a role is not in
+    ``names`` or a score is not finite."""
+    code = np.full(len(records), -1, dtype=np.int8)
+    for c, name in enumerate(names):
+        code[role == name] = c
+    if np.any(code < 0) or not np.all(np.isfinite(records["score"])):
         return None
-    role = np.full(len(records), -1, dtype=np.int8)
-    for code, name in enumerate(encoded):
-        role[records["role"] == name] = code
-    if np.any(role < 0) or not np.all(np.isfinite(records["score"])):
-        return None
-    return {name: role if name == "role" else np.ascontiguousarray(records[name])
+    return {name: code if name == "role" else np.ascontiguousarray(records[name])
             for name in _RECORD.names}
 
 
-def _raise_record_error(body: _Text, column_row: int, strategies: tuple[str, ...]) -> NoReturn:
-    """Raise the error of records that ``_parse_records`` refused, given the
-    log's body after the column row (line ``column_row``): the first bad
-    line's, found by walking the lines when the records do not parse with
-    their roles as text, else one naming the undeclared roles."""
+def _text_records(body: _Text, column_row: int, names: tuple[str, ...]) -> dict:
+    """The records that ``_parse_records`` refused, parsed again from the
+    lines of the log's body after the column row (line ``column_row``) with
+    each role as text. They are returned when every role is in ``names``
+    and every score finite: numpy reads a number padded with non-ASCII
+    whitespace from its text, though not from its bytes. Else the error is
+    raised: one naming the undeclared roles, or the first bad line's, found
+    by walking the lines when the records do not parse with their roles as
+    text."""
     try:
         records = np.loadtxt(body.lines(), dtype=_record(object), delimiter=",",
                              comments=None, ndmin=1)
+        # named as a str_ column names them: without trailing NULs
+        role = records["role"].astype(np.str_)
+        columns = _columns(records, role, names)
+        if columns is not None:
+            return columns
         if np.all(np.isfinite(records["score"])):
-            # named as a str_ column names them: without trailing NULs
-            role = records["role"].astype(np.str_)
-            unknown = sorted(set(role[~np.isin(role, [POSITIVE_ROLE, *strategies])]))
+            unknown = sorted(set(role[~np.isin(role, names)]))
             raise ScoreLogError(f"undeclared roles present: {unknown}")
         error = "non-finite score"
     except ValueError as exc:

@@ -35,6 +35,20 @@ class TestStats:
         assert run("stats", tmp_path / "nope.csv") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["field-limit", "stats-dir", "metrics-dir"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, case):
+        # a label past csv's field limit, and a directory where a file is read
+        path = tmp_path / "long.csv"
+        path.write_text("s,d,t\n" + "a" * 200000 + ",b,1\nb,c,oops\n")
+        argv, message = {
+            "field-limit": (["stats", path], "error: field larger than field limit (131072)\n"),
+            "stats-dir": (["stats", tmp_path], "error: [Errno 21] Is a directory: "),
+            "metrics-dir": (["metrics", "--log", tmp_path], "error: [Errno 21] Is a directory: "),
+        }[case]
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
     def test_writes_partition_csv_and_prints_table(self, scenario_csv, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("stats", scenario_csv, "--t-split", "10", "--out", out) == 0

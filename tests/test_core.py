@@ -99,18 +99,20 @@ class TestIngest:
 
 # Generated CSV text. Labels are letters with padding whitespace (so " a"
 # and "a" merge after strip) and the characters CSV quoting has to carry;
-# some are as long as the fixed-width label field of the bytes parse, one
-# byte either side, some hold a NUL, text outside ASCII or outside Latin-1,
-# and some are padded with whitespace that str.strip removes but
-# bytes.strip keeps. A clean stream draws only well-formed rows; a dirty
-# one may also draw rows of the wrong arity, raw unquoted fields and bad
-# timestamps.
+# some are as long as the label widths the scan can pick, one byte either
+# side of 8, 16 and the cap, some hold a NUL, text outside ASCII or outside
+# Latin-1, or a character whose UTF-8 bytes hold 0x85 or 0xA0, which a
+# Latin-1 read must neither split a line at nor strip, and some are padded
+# with whitespace that str.strip removes but bytes.strip keeps. A clean
+# stream draws only well-formed rows; a dirty one may also draw rows of the
+# wrong arity, raw unquoted fields and bad timestamps.
 _PAD = st.sampled_from(["", "", " ", "\t", "\xa0", "\x85"])
 _SPECIAL = st.text(alphabet=',"\r\n', max_size=2)
 # csv reads a NUL from Python 3.11 on; before, the row oracle refuses it
-_RARE = st.sampled_from(["é", "€"] + (["\x00"] * 2 if sys.version_info >= (3, 11) else []))
-_SIZES = [1, 2, 3] * 9 + [core._WIDTH - 1, core._WIDTH, core._WIDTH + 1]
-_TIMES = ["1", "2", "2", "0", "-0", " 2 ", "1_000", "3.5", "1e3", "0.1",
+_RARE = st.sampled_from(["é", "€", "Å", "à", "…"]
+                        + (["\x00"] * 2 if sys.version_info >= (3, 11) else []))
+_SIZES = [1, 2, 3] * 9 + [7, 8, 9, 15, 16, 17] + [core._MAX_WIDTH + d for d in (-1, 0, 1)]
+_TIMES = ["1", "2", "2", "0", "-0", " 2 ", "1_000", "3.5", "1e3", "0.1", "\xa02",
           " 2", "+1", ".5", "1.", "1E3"]
 _BAD_TIMES = ["-1", "nan", "inf", "oops", "", "0x10", "Infinity"]
 _NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
@@ -230,19 +232,53 @@ class TestIngestMatchesRowOracle:
         assert _outcome(brute_force_ingest, io.StringIO(text)) == ("IngestError", message)
 
     @pytest.mark.parametrize("text", [
-        pytest.param("s,d,t\n" + "a" * (core._WIDTH + 1) + ",b,1\n" + "a" * core._WIDTH + ",b,2\n",
-                     id="overlong"),
+        pytest.param("s,d,t\n" + "a" * 17 + ",b,1\n" + "a" * 16 + ",b,2\n", id="overlong"),
         pytest.param("s,d,t\na\0,b,1\na,c,2\nb\0c,a,3\n", id="nul",
                      marks=pytest.mark.skipif(sys.version_info < (3, 11),
                                               reason="csv refuses NUL before 3.11")),
         pytest.param("s,d,t\n\xa0a,b,1\nb\x85,a,2\n", id="unicode-padding"),
         pytest.param("s,d,t\né,b,1\n€,é,2\n", id="not-latin-1"),
+        pytest.param("s,d,t\n" + "a" * 40 + ",b,1\nb," + "é" * 20 + ",2\n", id="40-bytes"),
+        pytest.param("s,d,t\n" + "a" * core._MAX_WIDTH + ",b,1\nb,c,2\n", id="past-the-cap"),
+        pytest.param('s,d,t\n"' + ",".join(["a" * 9] * 5) + '",b,1\nb,c,2\n', id="quoted-commas"),
+        pytest.param("s,d,t\n" + "a" * 131073 + ",b,1\n", id="past-the-csv-field-limit"),
+        pytest.param("s,d,t\n\ud800,b,1\n", id="lone-surrogate"),
     ])
     def test_labels_the_bytes_parse_cannot_hold(self, text):
-        # a label cut to the field width, a NUL that loadtxt drops, padding
-        # that bytes.strip keeps, and text outside Latin-1
+        # labels of 16 and 17 bytes, a NUL that loadtxt drops, padding that
+        # bytes.strip keeps, text outside Latin-1, a label of 40 bytes, one
+        # past the cap, one whose quoted commas hide its length from the
+        # scan, so that it fills the width, one past csv's field limit,
+        # which fails as the oracle fails it, and a handle's lone surrogate,
+        # which has no UTF-8 bytes
         assert _outcome(ingest_csv, io.StringIO(text)) == \
             _outcome(brute_force_ingest, io.StringIO(text))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_labels_under_the_cap_take_the_columnar_parse(self, tmp_path, newline):
+        # text outside Latin-1, bytes 0x85 and 0xA0, and a label one byte
+        # under the cap, from a path, a handle and a pipe: one parse each,
+        # and no walk
+        labels = ["é€", "Å" * 4, "à…", "a" * (core._MAX_WIDTH - 1)]
+        rows = [f"{u},{v},{t}" for t, (u, v) in enumerate(zip(labels, labels[1:]))]
+        text = newline.join(["s,d,t"] + rows) + newline
+        path = tmp_path / "utf8.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(core, "_walk_rows", side_effect=AssertionError("walked")), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            for source in (path, io.StringIO(text, newline=""), Pipe(text, newline="")):
+                assert ingest_csv(source).labels == tuple(labels)
+        assert loadtxt.call_count == 3
+
+    @pytest.mark.parametrize("blocks, width", [
+        (["s,d,t\n"], 8), (["a" * 7 + ",b\n"], 8), (["a" * 8 + ",b\n"], 16),
+        (["é" * 4 + "\r\n"], 16), (["aaaa", "aaaa,b"], 16), (["a" * 40, "a" * 23 + "\n"], 64),
+        (["a" * 40, "a" * 24], None), (["a\0,b\n"], None),
+    ])
+    def test_scan_picks_the_width_across_blocks(self, blocks, width):
+        # the longest run of UTF-8 bytes, a run cut by a block end counted
+        # whole, plus one, rounded up to 8, and None past the cap
+        assert core._scan_text(blocks)[0] == width
 
     def test_undecodable_text_fails_as_the_row_walk_reads_it(self, tmp_path):
         # the error names the bad byte's place in the block being decoded,
@@ -256,26 +292,34 @@ class TestIngestMatchesRowOracle:
             brute_force_ingest(path)
         assert str(got.value) == str(want.value)
 
-    def test_loadtxt_bytes_fields_as_the_bytes_parse_expects(self):
-        # the bytes parse relies on these; a numpy that parses otherwise
+    def test_loadtxt_bytes_fields_as_the_bytes_parse_expects(self, tmp_path):
+        # the columnar parse relies on these; a numpy that parses otherwise
         # fails here, not in a later id mismatch
-        def parse(text):
-            return np.loadtxt(io.StringIO(text), dtype=core._BYTES_ROW, delimiter=",",
-                              quotechar='"', comments=None, ndmin=1)
+        def parse(source):
+            return np.loadtxt(source, dtype=[("u", "S8"), ("v", "S8"), ("t", np.float64)],
+                              delimiter=",", quotechar='"', comments=None, ndmin=1,
+                              encoding="latin-1")[["u", "v"]].tolist()
 
-        width = core._WIDTH
-        long = "a" * (width - 1) + "bcd"
-        assert parse(f'{long},"x\0",1\n')[["u", "v"]].tolist() == [(long[:width].encode(), b"x")]
-        assert parse("\0x\0, é\xa0,1\n")[["u", "v"]].tolist() == [(b"\0x", b" \xe9\xa0")]
-        with pytest.raises(ValueError):
-            parse("€,b,1\n")
+        # a path read as Latin-1 and the UTF-8 bytes of lines both give each
+        # field's UTF-8 bytes; a 0x85 or 0xA0 byte neither ends a line nor
+        # is stripped
+        text = "é,…,1\nÅ,à,2\n\x85a\xa0,\xa0,3\n"
+        path = tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = [(b"\xc3\xa9", b"\xe2\x80\xa6"), (b"\xc3\x85", b"\xc3\xa0"),
+                (b"\xc2\x85a\xc2\xa0", b"\xc2\xa0")]
+        assert parse(str(path)) == parse(map(str.encode, io.StringIO(text, newline=""))) == want
+        # a longer field is cut silently, a trailing NUL dropped
+        long = "a" * 7 + "bcd"
+        assert parse([f'{long},"x\0",1\n'.encode()]) == [(long[:8].encode(), b"x")]
+        assert parse([b"\0x\0, \xc3\xa9,1\n"]) == [(b"\0x", b" \xc3\xa9")]
 
     def test_numpy_reads_paths_and_sorts_complex_keys_as_expected(self, tmp_path):
         # core._Text and metrics._descending_ranks rely on these; a numpy
         # that reads or sorts otherwise fails here, not in a later mismatch
         def parse(path, **kw):
             return np.loadtxt(str(path), dtype=object, delimiter=",", quotechar='"',
-                              comments=None, ndmin=2, encoding="utf-8", **kw).tolist()
+                              comments=None, ndmin=2, encoding="latin-1", **kw).tolist()
 
         path = tmp_path / "rows.csv"
         # skiprows counts physical lines: a quoted field's two, and a blank one

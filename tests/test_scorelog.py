@@ -343,6 +343,28 @@ class TestReadValidation:
         log, _ = read_score_log(io.StringIO(text))
         assert [log.names[c] for c in log.role] == [POSITIVE_ROLE, "OE"]
 
+    @pytest.mark.parametrize("padded", ["1\xa0", "　1", "1\x85"])
+    def test_number_padded_with_unicode_whitespace_reads_from_every_source(
+            self, tmp_path, padded):
+        # numpy takes such a number from its text, though not from its bytes
+        text = self._text(["0,0,positive,0,1,1.0,1.0", f"0,0,OE,2,{padded},1.0,0.0"])
+        path = tmp_path / "scores.csv"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, io.StringIO(text), Pipe(text)):
+            log, _ = read_score_log(source)
+            assert log.destination.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("byte", [b"\xa0", b"\x85"])
+    def test_lone_latin_1_whitespace_byte_is_not_utf8(self, tmp_path, byte):
+        # read as Latin-1, the byte would pass for whitespace after the last
+        # score, which lies past the first block a text handle decodes
+        path = tmp_path / "scores.csv"
+        rows = [f"{o},0,positive,0,1,1.0,1.0" for o in range(1000)]
+        path.write_bytes(self._text(rows).encode()[:-1] + byte + b"\n")
+        with pytest.raises(ScoreLogError) as info:
+            read_score_log(path)
+        assert str(info.value) == f"not UTF-8 text (invalid start byte: {byte!r})"
+
     @pytest.mark.parametrize("strategies,message", [
         ("HD,HD", "strategies: 'HD' is repeated"),
         ("positive,HD", "strategies: 'positive' is the positive role"),
