@@ -147,8 +147,7 @@ def _parse_strategies(text: str, kind: GraphKind) -> list[NegativeStrategy]:
         except ValueError:
             valid = ",".join(s.value for s in NegativeStrategy)
             raise ValueError(f"unknown strategy {name!r} (valid: {valid})") from None
-    if kind.bipartite and any(s.replaces == "source" for s in out
-                              if s is not NegativeStrategy.RND):
+    if kind.bipartite and any(s.replaces == "source" for s in out):
         logger.warning(
             "source-replacement strategies on a bipartite stream swap the "
             "user side; make sure that is intended"
@@ -266,6 +265,8 @@ def cmd_bd(args):
     t_split = _resolve_cutoff(args, h)
     name = Path(args.dataset).stem
     keys = [k.strip() for k in args.keys.split(",") if k.strip()]
+    if not keys and not args.facet_roles:
+        raise ValueError("no key kinds given")
     # (file stem, panels), every key kind checked before any diagram is drawn
     diagrams = []
     for key in keys:
@@ -345,6 +346,10 @@ def _external_logs(paths: list[str], h: History):
 
 
 def cmd_eval(args):
+    if args.scorer == "external" and not args.logs:
+        raise ValueError("--scorer external requires --logs")
+    if args.logs and args.scorer != "external":
+        raise ValueError(f"--logs needs --scorer external, got {args.scorer}")
     h = _load_history(args)
     # external logs carry their own cutoff: none is computed for them
     t_split = None if args.scorer == "external" else _resolve_cutoff(args, h)
@@ -354,8 +359,6 @@ def cmd_eval(args):
     run = None
 
     if args.scorer == "external":
-        if not args.logs:
-            raise ValueError("--scorer external requires --logs")
         logs = _external_logs(args.logs, h)
         # the logs, not the command line, say how they were sampled and
         # scored: their headers replace the sampling options in the config

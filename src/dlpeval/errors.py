@@ -2,21 +2,20 @@
 
 
 class DlpEvalError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class IngestError(DlpEvalError):
-    """Malformed or inconsistent input data.
-
-    ``line`` is the 1-based line number in the source file when the error
-    can be pinned to one, else None.
+    ``line`` is the 1-based line number in the input when the error can be
+    pinned to one, else None.
     """
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+class IngestError(DlpEvalError):
+    """Malformed or inconsistent input data; ``line`` is the line of the
+    source file at fault, when one is."""
 
 
 class DegenerateSplitError(DlpEvalError):
@@ -28,13 +27,5 @@ class EmptyCandidateSetError(DlpEvalError):
 
 
 class ScoreLogError(DlpEvalError):
-    """Invalid score-log content, on read or write.
-
-    ``line`` is the 1-based line number for row-level problems, else None.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Invalid score-log content, on read or write; ``line`` is the line of
+    a bad record or header line, when one is."""

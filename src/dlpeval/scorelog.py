@@ -10,13 +10,15 @@ digits, which round-trips 64-bit floats exactly.
 
 Both directions work on columns: the writer streams chunks of rows through
 the text kernel, and the reader parses the body once into typed columns,
-each role as its UTF-8 bytes, walking its lines only to name the line of an
-error. The body after the header is read through ``core._Text``: a log
-file named by its path is parsed by numpy's C reader straight from the
-file, in chunks, once the text is known to decode; a handle, bytes or a
-pipe is parsed line by line, a pipe read once into memory so that an error
-can be walked to its line. In memory a record's role is an ``int8`` code
-into the log's ``names``: the positive role, then the declared strategies.
+each role as its UTF-8 bytes. A body that numpy refuses, or whose columns
+break a rule, is read by one walk of its lines instead, which gives the
+same columns or names the line of the first bad record. The body after the
+header is read through ``core._Text``: a log file named by its path is
+parsed by numpy's C reader straight from the file, in chunks, once the text
+is known to decode; a handle, bytes or a pipe is parsed line by line, a
+pipe read once into memory so that the walk can read it again. In memory a
+record's role is an ``int8`` code into the log's ``names``: the positive
+role, then the declared strategies.
 """
 
 from __future__ import annotations
@@ -37,18 +39,15 @@ POSITIVE_CODE = 0  # the positive role's code: it is first in every log's names
 _MAX_STRATEGIES = np.iinfo(np.int8).max
 
 
-def _record(role) -> np.dtype:
-    """One score-log record with its role as ``role``; the field names, in
-    order, form the column row."""
-    return np.dtype([
-        ("event_ordinal", np.int64), ("batch", np.int64), ("role", role),
-        ("source", np.int64), ("destination", np.int64),
-        ("timestamp", np.float64), ("score", np.float64),
-    ])
-
-
-_RECORD = _record(np.int8)
+# one score-log record in memory; the field names, in order, form the column row
+_RECORD = np.dtype([
+    ("event_ordinal", np.int64), ("batch", np.int64), ("role", np.int8),
+    ("source", np.int64), ("destination", np.int64),
+    ("timestamp", np.float64), ("score", np.float64),
+])
 _COLUMNS = ",".join(_RECORD.names)
+# how the line walk reads each field of a record; the role, None here, is coded
+_PARSERS = (int, int, None, int, int, float, float)
 
 
 @dataclass
@@ -123,11 +122,9 @@ class ScoredEventLog:
         # all records of one ordinal share the positive's timestamp
         t_of = np.empty(n_events)
         t_of[self.event_ordinal[pos]] = self.timestamp[pos]
-        if np.any(self.timestamp != t_of[self.event_ordinal]):
-            bad = int(np.flatnonzero(self.timestamp != t_of[self.event_ordinal])[0])
-            raise ScoreLogError(
-                f"record {bad}: negative timestamp differs from its positive's"
-            )
+        bad = np.flatnonzero(self.timestamp != t_of[self.event_ordinal])
+        if len(bad):
+            raise ScoreLogError(f"record {bad[0]}: negative timestamp differs from its positive's")
         if np.any(np.diff(t_of) < 0):
             raise ScoreLogError("event timestamps are not chronological")
         b_of = np.empty(n_events, dtype=np.int64)
@@ -197,7 +194,9 @@ def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | 
 
 
 def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog, ScoreLogMeta]:
-    """Parse and validate a score-log file."""
+    """Parse and validate a score-log file: its header, then its body by
+    ``_parse_records``, or by ``_walk_records`` where that parse refuses
+    it. A bad header or body line raises a ScoreLogError with its line."""
     header: dict[str, str] = {}
     try:
         with _open_for_read(source) as fh:
@@ -224,7 +223,7 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
             meta = _meta_from_header(header)
             body = _Text(fh, source, skipped=lineno)
             names = (POSITIVE_ROLE,) + meta.strategies
-            columns = _parse_records(body, names) or _text_records(body, lineno, names)
+            columns = _parse_records(body, names) or _walk_records(body, lineno, names)
     except UnicodeDecodeError as exc:  # not where: that depends on how much was decoded at once
         bad = exc.object[exc.start:exc.end]
         raise ScoreLogError(f"not UTF-8 text ({exc.reason}: {bad!r})") from None
@@ -236,56 +235,40 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
 
 def _parse_records(body: _Text, names: tuple[str, ...]) -> dict | None:
     """The records of the log's ``body`` as ``ScoredEventLog`` columns,
-    blank lines skipped, each role coded by its index in ``names``; None
-    when a record is malformed (a number padded with non-ASCII whitespace
-    among them), has a non-finite score or a role not in ``names``.
+    parsed by numpy in one pass, blank lines skipped, each role coded by its
+    index in ``names``; None when numpy refuses a record (a number padded
+    with non-ASCII whitespace among them), a score is not finite or a role
+    is not in ``names``: the line walk then reads the body.
 
     Roles are parsed as fixed-width UTF-8 bytes one wider than the longest
     name, so that a longer role is cut to a width no name has, and matched
     by their UTF-8 bytes. A log has no quoting, so a CR only ends a line,
     and numpy may read a log file itself."""
     encoded = tuple(name.encode() for name in names)
-    records = body.loadtxt(dtype=_record(f"S{max(map(len, encoded)) + 1}"),
-                           delimiter=",", comments=None, ndmin=1)
-    return None if records is None else _columns(records, records["role"], encoded)
-
-
-def _columns(records: np.ndarray, role: np.ndarray, names: tuple) -> dict | None:
-    """``records`` as ``ScoredEventLog`` columns, each of their ``role``
-    values coded by its index in ``names``; None when a role is not in
-    ``names`` or a score is not finite."""
+    role = f"S{max(map(len, encoded)) + 1}"
+    dtype = [(name, role if name == "role" else _RECORD[name]) for name in _RECORD.names]
+    records = body.loadtxt(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    if records is None:
+        return None
     code = np.full(len(records), -1, dtype=np.int8)
-    for c, name in enumerate(names):
-        code[role == name] = c
+    for c, name in enumerate(encoded):
+        code[records["role"] == name] = c
     if np.any(code < 0) or not np.all(np.isfinite(records["score"])):
         return None
     return {name: code if name == "role" else np.ascontiguousarray(records[name])
             for name in _RECORD.names}
 
 
-def _text_records(body: _Text, column_row: int, names: tuple[str, ...]) -> dict:
-    """The records that ``_parse_records`` refused, parsed again from the
-    lines of the log's body after the column row (line ``column_row``) with
-    each role as text. They are returned when every role is in ``names``
-    and every score finite: numpy reads a number padded with non-ASCII
-    whitespace from its text, though not from its bytes. Else the error is
-    raised: one naming the undeclared roles, or the first bad line's, found
-    by walking the lines when the records do not parse with their roles as
-    text."""
-    try:
-        records = np.loadtxt(body.lines(), dtype=_record(object), delimiter=",",
-                             comments=None, ndmin=1)
-        # named as a str_ column names them: without trailing NULs
-        role = records["role"].astype(np.str_)
-        columns = _columns(records, role, names)
-        if columns is not None:
-            return columns
-        if np.all(np.isfinite(records["score"])):
-            unknown = sorted(set(role[~np.isin(role, names)]))
-            raise ScoreLogError(f"undeclared roles present: {unknown}")
-        error = "non-finite score"
-    except ValueError as exc:
-        error = exc  # rejected by the columnar parse only, e.g. "1_0"
+def _walk_records(body: _Text, column_row: int, names: tuple[str, ...]) -> dict:
+    """The records of the log's ``body``, read line by line after the column
+    row (line ``column_row``): the reference reader for every body that
+    ``_parse_records`` refused. Each number is read by ``_number``, and each
+    role, with its trailing NULs dropped as a bytes field drops them, coded
+    by its index in ``names``. The first bad line raises its error with its
+    line; after the last line, roles not in ``names`` raise one error that
+    names them all."""
+    codes = {name.rstrip("\0"): c for c, name in enumerate(names)}
+    records, unknown = [], set()
     for lineno, raw in enumerate(body.lines(), start=column_row + 1):
         line = raw.rstrip("\r\n")
         if not line:
@@ -295,16 +278,42 @@ def _text_records(body: _Text, column_row: int, names: tuple[str, ...]) -> dict:
         parts = line.split(",")
         if len(parts) != len(_RECORD.names):
             raise ScoreLogError(f"expected 7 fields, got {len(parts)}", line=lineno)
+        role = parts[2].rstrip("\0")
+        if role not in codes:
+            unknown.add(role)
         try:
-            for i in (0, 1, 3, 4):
-                int(parts[i])
-            float(parts[5])
-            score = float(parts[6])
+            record = tuple([codes.get(role, -1) if parse is None else _number(part, parse)
+                            for part, parse in zip(parts, _PARSERS)])
         except ValueError as exc:
             raise ScoreLogError(f"unparseable field ({exc})", line=lineno) from None
-        if math.isnan(score) or math.isinf(score):
-            raise ScoreLogError(f"non-finite score {parts[6]!r}", line=lineno)
-    raise ScoreLogError(f"unparseable record ({error})")
+        if not math.isfinite(record[-1]):
+            raise ScoreLogError(f"non-finite score {parts[-1]!r}", line=lineno)
+        records.append(record)
+    if unknown:
+        # each named by its numpy str_ repr, the message's fixed form
+        raise ScoreLogError(f"undeclared roles present: {sorted(map(np.str_, unknown))}")
+    records = np.array(records, dtype=_RECORD)
+    return {name: np.ascontiguousarray(records[name]) for name in _RECORD.names}
+
+
+def _number(text: str, parse: type) -> int | float:
+    """``text`` read by ``parse`` (``int`` or ``float``) under the log's
+    rule for numbers: stripped of whitespace as ``str.strip`` strips it, as
+    numpy strips it too, the number must be ASCII text with no ``_`` and,
+    as an integer, fit in int64. Within that rule Python reads what numpy
+    reads. ValueError is raised for text that ``parse`` or the rule
+    refuses."""
+    number = text.strip()
+    if not number.isascii() or "_" in number:
+        raise ValueError(f"{text!r} is not ASCII text with no '_'")
+    try:
+        value = parse(number)  # Python's own strip keeps U+001C..U+001F
+    except ValueError:
+        parse(text)  # raises Python's error for the field as written
+        raise
+    if parse is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{text!r} does not fit in int64")
+    return value
 
 
 def _meta_from_header(header: dict[str, str]) -> ScoreLogMeta:

@@ -139,6 +139,14 @@ class TestBdAndSweep:
         assert "error" in capsys.readouterr().err
         assert not list(out.glob("bd_*"))
 
+    @pytest.mark.parametrize("keys", [",", ""])
+    def test_bd_without_key_kinds_exits_2_before_writing(self, dataset, tmp_path, capsys, keys):
+        # as sample does with no strategies: a run that would draw nothing is refused
+        out = tmp_path / "out"
+        assert run("bd", dataset, f"--keys={keys}", "--out", out) == 2
+        assert capsys.readouterr().err == "error: no key kinds given\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratios", ["0.1", ",,", "0.2,"])
     def test_sweep_with_fewer_than_two_ratios_exits_2_before_any_work(
             self, dataset, tmp_path, capsys, ratios):
@@ -440,6 +448,20 @@ class TestSampleAndEval:
     def test_external_without_logs_exits_2(self, dataset, tmp_path):
         assert run("eval", dataset, "--scorer", "external",
                    "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("options,message", [
+        (("--scorer", "pa", "--logs", "m0.csv"), "--logs needs --scorer external, got pa"),
+        (("--logs", "m0.csv"), "--logs needs --scorer external, got edgebank"),
+        (("--scorer", "external"), "--scorer external requires --logs"),
+    ])
+    def test_logs_without_external_scorer_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                  options, message):
+        # neither the dataset nor the log exists, so the options must be
+        # rejected before either is read
+        out = tmp_path / "out"
+        assert run("eval", tmp_path / "data.csv", *options, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_strategy_exits_2(self, dataset, tmp_path):
         assert run("eval", dataset, "--strategies", "XX",

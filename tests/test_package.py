@@ -64,3 +64,24 @@ def test_cli_loads_every_traced_layer():
                   and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
     loaded = python(f"import json, sys, dlpeval.cli\nprint({LOADED})")
     assert {f"dlpeval.{layer}" for layer in layers} <= set(loaded)
+
+
+def _calls(node: ast.AST, scope: tuple = ()):
+    """Each call under ``node`` with the names of the classes and functions
+    around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _calls(child, inner)
+
+
+def test_numpy_parses_text_in_one_place():
+    # every CSV reader hands its text to numpy through core._Text
+    where = [(path.stem, ".".join(scope))
+             for path in sorted((ROOT / "src" / "dlpeval").glob("*.py"))
+             for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+             if ast.unparse(call.func) in ("np.loadtxt", "numpy.loadtxt")]
+    assert set(where) == {("core", "_Text.loadtxt")}

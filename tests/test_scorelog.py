@@ -1,6 +1,7 @@
 import io
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dlpeval import (
     read_score_log,
     write_score_log,
 )
+from dlpeval import scorelog
 from dlpeval.core import _CHUNK
 from dlpeval.scorelog import POSITIVE_ROLE
 
@@ -399,6 +401,13 @@ class TestReadValidation:
          "line 9: unparseable field (invalid literal for int() with base 10: '5.0')"),
         ("0,0,positive,0,1,1.0,",
          "line 9: unparseable field (could not convert string to float: '')"),
+        # numbers that Python reads but the format refuses
+        ("0,0,positive,0,1,1.0,1_0",
+         "line 9: unparseable field ('1_0' is not ASCII text with no '_')"),
+        ("0,0,positive,0,\u0663,1.0,1.0",
+         "line 9: unparseable field ('\u0663' is not ASCII text with no '_')"),
+        ("0,0,positive,99999999999999999999,1,1.0,1.0",
+         "line 9: unparseable field ('99999999999999999999' does not fit in int64)"),
     ])
     def test_bad_number_reports_its_line(self, row, message):
         text = self._text([row, "0,0,OE,2,3,1.0,0.0"])
@@ -422,12 +431,19 @@ class TestReadValidation:
 
 # Generated score-log files. Most are valid logs; some records carry a role
 # with a NUL, an undeclared role, a bad number, a non-finite score or the
-# wrong arity, and some files hold a byte that does not decode. Lines end in
-# LF, CRLF or a bare CR, and blank lines fall among the header and the body.
+# wrong arity, and some files hold a byte that does not decode. Numbers may
+# be padded with non-ASCII whitespace, which only the line walk reads, or
+# with U+001C, which numpy strips and Python's int and float do not, or be
+# text that Python reads but the format refuses: a ``_``, a non-ASCII digit
+# or an integer past int64. Lines end in LF, CRLF or a bare CR, and blank
+# lines fall among the header and the body.
 _NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 _ROLES = st.sampled_from(["OE"] * 4 + ["OD"] * 4 + ["OE\0", "O\0D", "\0", "HD", "é"])
+_ODD_NUMBERS = ["1\xa0", "\u30001", "\x1c1", "1_0", "\u0663"]
 _SCORES = st.sampled_from(["0.5", "1", "-0", "0", "5e-324", "0.33333333333333331",
-                           "1e308"] * 3 + ["nan", "inf", "oops", "1_0", ""])
+                           "1e308"] * 3 + ["nan", "inf", "oops", ""] + _ODD_NUMBERS)
+_ENDPOINTS = st.sampled_from([str(i) for i in range(10)] * 6
+                             + _ODD_NUMBERS + [str(2 ** 63), str(-2 ** 63)])
 
 
 @st.composite
@@ -438,8 +454,8 @@ def _log_file(draw):
              "event_ordinal,batch,role,source,destination,timestamp,score"]
     for o in range(draw(st.integers(0, 5))):
         for role in ["positive"] + draw(st.lists(_ROLES, max_size=3)):
-            fields = [str(o), str(o // 2), role, str(draw(st.integers(0, 9))),
-                      str(draw(st.integers(0, 9))), f"{o / 2!r}", draw(_SCORES)]
+            fields = [str(o), str(o // 2), role, draw(_ENDPOINTS), draw(_ENDPOINTS),
+                      f"{o / 2!r}", draw(_SCORES)]
             if draw(st.integers(0, 15)) == 0:
                 fields = fields[:draw(st.integers(1, 8))] + ["1"] * draw(st.integers(0, 1))
             lines.append(",".join(fields))
@@ -491,3 +507,16 @@ class TestReadMatchesAcrossSources:
             assert _read_outcome(Pipe(text, newline="")) == want
         if hasattr(os, "mkfifo"):
             assert read_through_fifo(_read_outcome, base / "scores.fifo", data) == want
+
+
+class TestWalkMatchesParse:
+    """The line walk is the reference reader of every body the columnar
+    parse refuses: read by the walk alone, every file gives the same log
+    or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_log_file())
+    def test_walk_alone_reads_alike(self, data):
+        want = _read_outcome(data)
+        with mock.patch.object(scorelog, "_parse_records", return_value=None):
+            assert _read_outcome(data) == want
