@@ -21,11 +21,14 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._fork import forked_in_order
 from .core import GraphKind, History, _open_for_write, _table_columns, _write_rows, ingest_csv
 from .errors import DlpEvalError, EmptyCandidateSetError, ScoreLogError
 from .metrics import (
@@ -53,6 +56,7 @@ from .sampling import (
     write_negatives_csv,
 )
 from .scorelog import (
+    ScoredEventLog,
     ScoreLogMeta,
     check_positives,
     read_score_log,
@@ -323,26 +327,71 @@ def cmd_sample(args):
     return resolved, ["negatives.csv"], run
 
 
-def _external_logs(paths: list[str], h: History):
-    """Each score log with its header, read in turn, checked that it agrees
-    with the first on ``t_split`` and ``strategies`` and that its positives
-    are events of ``h``. Errors name the offending file."""
-    first = None
-    for path in paths:
+def _metrics(log: ScoredEventLog, t_split: float, period: str, bins: int | None,
+             name: str | None = None) -> tuple:
+    """The AUC report of each of the log's strategies and, with ``bins``,
+    its MAR series. A metric's ValueError takes the place of its value,
+    prefixed by the log's file ``name`` when it has one, and is kept
+    without its traceback, whose frames hold the log."""
+    def kept(exc: ValueError) -> ValueError:
+        return ValueError(f"{name}: {exc}") if name else exc.with_traceback(None)
+
+    try:
+        reports = [mean_auc_over_batches(log, s, period, t_split) for s in log.strategies]
+    except ValueError as exc:
+        reports = kept(exc)
+    series = None
+    if bins is not None:
         try:
-            log, meta = read_score_log(path)
-            first = first or meta
+            series = mar_time_series(log, bins=bins)
+        except ValueError as exc:
+            series = kept(exc)
+    return reports, series
+
+
+def _reduce_log(path: str, h: History, period: str, bins: int | None = None) -> tuple:
+    """One external score log reduced: its header, then the error that
+    checking its positives against ``h`` raised, or else its ``_metrics``.
+    A read error is raised. Errors name the file."""
+    try:
+        log, meta = read_score_log(path)
+    except ScoreLogError as exc:
+        raise ScoreLogError(f"{path}: {exc}") from None
+    try:
+        check_positives(log, h)
+    except ScoreLogError as exc:
+        return meta, ScoreLogError(f"{path}: {exc}")
+    return meta, _metrics(log, meta.t_split, period, bins, name=path)
+
+
+def _external_logs(paths: list[str], h: History, period: str, bins: int) -> tuple:
+    """(headers, per-log AUC reports, first log's MAR series) of the score
+    logs at ``paths``, each reduced by ``_reduce_log``: the first in this
+    process, the others at the same time in forked workers where the
+    platform allows. The results are merged in file order, so that errors
+    and their precedence are those of reading one log at a time: for each
+    log, its read error, then a ``t_split`` or ``strategies`` that differs
+    from the first log's, then a positive that is not an event of ``h``,
+    each raised at once. A metric's ValueError is kept in place of the
+    value it did not give."""
+    metas, reduced = [], []
+    later = partial(_reduce_log, h=h, period=period)
+    with forked_in_order(later, paths[1:]) as results:
+        # the workers are forked before this process reads its own log
+        outcomes = chain([_reduce_log(paths[0], h, period, bins)], results)
+        for path, (meta, outcome) in zip(paths, outcomes):
+            first = metas[0] if metas else meta
             for key in ("t_split", "strategies"):
                 if getattr(meta, key) != getattr(first, key):
                     raise ScoreLogError(
-                        f"{key}={getattr(meta, key)!r} differs from "
+                        f"{path}: {key}={getattr(meta, key)!r} differs from "
                         f"{key}={getattr(first, key)!r} in {paths[0]}"
                     )
-            check_positives(log, h)
-        except ScoreLogError as exc:
-            raise ScoreLogError(f"{path}: {exc}") from None
-        yield log, meta
-        del log  # before the next log is read
+            if isinstance(outcome, ScoreLogError):
+                raise outcome
+            metas.append(meta)
+            reduced.append(outcome)
+    return metas, [reports for reports, _ in reduced], reduced[0][1]
 
 
 def cmd_eval(args):
@@ -359,11 +408,11 @@ def cmd_eval(args):
     run = None
 
     if args.scorer == "external":
-        logs = _external_logs(args.logs, h)
         # the logs, not the command line, say how they were sampled and
         # scored: their headers replace the sampling options in the config
         for option in ("k", "seed", "batch_size", "on_empty"):
             delattr(args, option)
+        metas, per_log_reports, series = _external_logs(args.logs, h, args.period, args.bins)
     else:
         strategies = _parse_strategies(args.strategies, h.kind)
         sampled, run = _sample(args, h, t_split, strategies)
@@ -379,29 +428,13 @@ def cmd_eval(args):
             )
         write_score_log(log, meta, out / "scores.csv")
         outputs.append("scores.csv")
-        logs = [(log, meta)]
-
-    # Each log is reduced to its AUC reports, and the first also to its MAR
-    # series, before the next is read. A metric's ValueError waits until
-    # every log is read, so that a later log's read or check error wins; it
-    # is kept without its traceback, whose frames hold the log.
-    metas, per_log_reports, series = [], [], None
-    for log, meta in logs:
-        if not metas:
-            t_split, strategy_names = meta.t_split, list(log.strategies)
-        metas.append(meta)
-        try:
-            per_log_reports.append([mean_auc_over_batches(log, s, args.period, t_split)
-                                    for s in strategy_names])
-        except ValueError as exc:
-            per_log_reports.append(exc.with_traceback(None))
-        if series is None:
-            try:
-                series = mar_time_series(log, bins=args.bins)
-            except ValueError as exc:
-                series = exc.with_traceback(None)
+        reports, series = _metrics(log, t_split, args.period, args.bins)
+        metas, per_log_reports = [meta], [reports]
         del log
+    t_split, strategy_names = metas[0].t_split, list(metas[0].strategies)
 
+    # a metric's ValueError is raised once every log is read, so that a
+    # later log's read or check error wins
     for j, reports in enumerate(per_log_reports):
         if isinstance(reports, ValueError):
             raise reports

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import build_history, random_history, scenario_history
-from dlpeval import GraphKind, __version__, ingest_csv
+from dlpeval import GraphKind, __version__, _fork, cli, ingest_csv
 from dlpeval.cli import main
 
 
@@ -180,6 +186,13 @@ class TestBdAndSweep:
 
 
 class TestSampleAndEval:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        # every worker an external eval forked has been waited for
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_sample_negatives_csv(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert run("sample", dataset, "--strategies", "OE,OD", "--k", "2",
@@ -363,12 +376,140 @@ class TestSampleAndEval:
                    "--logs", first, other, "--out", out) == 2
         err = capsys.readouterr().err
         if second == "good":
-            assert err == "error: strategy 'RND' not present in log\n"
+            assert err == f"error: {first}: strategy 'RND' not present in log\n"
         else:
             assert str(other) in err and "RND" not in err
         if second == "undecodable":
             assert err == f"error: {other}: not UTF-8 text (invalid start byte: b'\\xff')\n"
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_external_logs_reduced_as_one_log_runs(self, dataset, tmp_path, monkeypatch,
+                                                   cpus):
+        # one usable CPU reads every log in process; two fork one worker
+        # at a time, three fork two
+        logs = []
+        for seed in range(3):
+            out = tmp_path / f"base{seed}"
+            assert run("eval", dataset, "--strategies", "OE,RND", "--k", "2",
+                       "--seed", seed, "--batch-size", "37", "--out", out) == 0
+            logs.append(out / "scores.csv")
+        singles = [tmp_path / f"single{j}" for j in range(3)]
+        for log, out in zip(logs, singles):
+            assert run("eval", dataset, "--scorer", "external", "--logs", log,
+                       "--out", out) == 0
+        forks = []
+
+        def fork(fn, item):
+            forks.append(item)
+            return spawn(fn, item)
+
+        spawn = _fork._fork
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_fork, "_fork", fork)
+        out = tmp_path / "three"
+        assert run("eval", dataset, "--scorer", "external", "--logs", *logs,
+                   "--out", out) == 0
+        assert forks == ([str(log) for log in logs[1:]]
+                         if cpus > 1 and _fork.CAN_FORK else [])
+        for j, single in enumerate(singles):
+            assert (out / f"auc_seed{j}.csv").read_bytes() == \
+                (single / "auc.csv").read_bytes()
+        for name in ("mar.csv", "mar.svg"):
+            assert (out / name).read_bytes() == (singles[0] / name).read_bytes()
+        headers = json.loads((out / "manifest.json").read_text())["config"]["log_headers"]
+        assert [h["seed"] for h in headers] == [0, 1, 2]
+
+    def test_external_header_error_wins_over_a_bad_positive(self, dataset, edgebank_log,
+                                                            tmp_path, capsys):
+        def edit(lines):
+            i = self._first_positive(lines)
+            parts = lines[i].split(",")
+            parts[4] = "999"
+            lines[i] = ",".join(parts)
+            return ["# t_split=1.5\n" if l.startswith("# t_split=") else l for l in lines]
+
+        other = self._edited(edgebank_log, tmp_path, "other.csv", edit)
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", edgebank_log, other, "--out", tmp_path / "ext") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {other}: t_split=1.5 differs from t_split=")
+        assert "positive" not in err
+
+    def test_external_metric_error_names_its_log(self, dataset, edgebank_log, tmp_path,
+                                                 capsys):
+        # the second log keeps no OE negative in the test period
+        t_split = float(next(l for l in edgebank_log.read_text().splitlines()
+                             if l.startswith("# t_split=")).split("=")[1])
+        second = self._edited(edgebank_log, tmp_path, "second.csv", lambda lines: [
+            l for l in lines if ",OE," not in l or float(l.split(",")[5]) < t_split])
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", edgebank_log, second, "--out", tmp_path / "ext") == 2
+        assert capsys.readouterr().err == (
+            f"error: {second}: no batch in period 'test' has both positives "
+            "and OE negatives\n")
+        # the own log of a heuristic run has no file to name
+        assert run("eval", dataset, "--t-split", "-1", "--strategies", "RND",
+                   "--period", "train", "--out", tmp_path / "heur") == 2
+        assert capsys.readouterr().err == (
+            "error: no batch in period 'train' has both positives and RND negatives\n")
+
+    @pytest.mark.skipif(not _fork.CAN_FORK, reason="reads every log in process")
+    def test_external_worker_without_a_result_exits_2(self, dataset, edgebank_log,
+                                                      tmp_path, capsys, monkeypatch):
+        second = self._edited(edgebank_log, tmp_path, "second.csv", lambda lines: lines)
+        read = cli.read_score_log
+
+        def read_or_exit(path):
+            if path == str(second):
+                os._exit(3)
+            return read(path)
+
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "read_score_log", read_or_exit)
+        assert run("eval", dataset, "--scorer", "external",
+                   "--logs", edgebank_log, second, "--out", tmp_path / "ext") == 2
+        assert capsys.readouterr().err == (
+            f"error: {second}: its worker exited without a result (exit code 3)\n")
+
+    def test_external_first_log_error_ends_every_worker(self, dataset, edgebank_log,
+                                                        tmp_path, capsys, monkeypatch):
+        # two workers are running when this process fails on its own log;
+        # no_worker_left checks that both were waited for
+        missing = tmp_path / "missing.csv"
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+        assert run("eval", dataset, "--scorer", "external", "--logs", missing,
+                   edgebank_log, edgebank_log, "--out", tmp_path / "ext") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG")
+    def test_external_worker_dies_with_its_parent(self, tmp_path):
+        # the parent is killed while its worker sleeps; the kernel then
+        # kills the worker too
+        pid_file = tmp_path / "worker.pid"
+        code = (
+            "import os, pathlib, signal, time\n"
+            "from dlpeval import _fork\n"
+            "_fork.usable_cpus = lambda: 2\n"
+            f"path = pathlib.Path({str(pid_file)!r})\n"
+            "def work(item):\n"
+            "    path.write_text(str(os.getpid()))\n"
+            "    time.sleep(60)\n"
+            "with _fork.forked_in_order(work, [0]):\n"
+            "    while not path.exists() or not path.read_text():\n"
+            "        time.sleep(0.01)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n")
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert done.returncode == -signal.SIGKILL
+        stat = Path(f"/proc/{pid_file.read_text()}/stat")
+        deadline = time.monotonic() + 10
+        while stat.exists() and stat.read_text().split(")")[-1].split()[0] != "Z" \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not stat.exists() or stat.read_text().split(")")[-1].split()[0] == "Z"
 
     def test_external_undirected_positive_either_orientation(self, dataset, tmp_path):
         base = tmp_path / "base"

@@ -520,3 +520,14 @@ class TestWalkMatchesParse:
         want = _read_outcome(data)
         with mock.patch.object(scorelog, "_parse_records", return_value=None):
             assert _read_outcome(data) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_log_file())
+    def test_walk_reads_alike_without_its_fast_path(self, data):
+        # a line of ASCII text with no '_' is parsed by int/float directly;
+        # read field by field through _number instead, it gives the same
+        # record or the same error
+        with mock.patch.object(scorelog, "_parse_records", return_value=None):
+            want = _read_outcome(data)
+            with mock.patch.object(scorelog, "_fast_record", return_value=None):
+                assert _read_outcome(data) == want
