@@ -583,8 +583,9 @@ def ingest_csv(
     bytes and each timestamp by numpy, and the labels are numbered by one
     sort of those bytes as integers; only the distinct labels become
     Python strings. The text is read through ``_Text``: by numpy from the
-    file itself unless the text holds a CR, which numpy would read as a LF
-    inside a quoted label. Text that gives no width (a field past
+    file itself unless it holds a CR that does not end a CRLF, or a CR and
+    a quote, since numpy would read a CR inside a quoted label as a LF.
+    Text that gives no width (a field past
     ``_MAX_WIDTH`` bytes, a NUL, or text that does not decode), a label
     that still fills the width (its quoted commas hid its length from the
     scan), a row numpy refuses or a row that breaks a rule sends the
@@ -599,14 +600,14 @@ def ingest_csv(
         raise ValueError(f"unknown schema {schema!r}")
     with _open_for_read(source) as fh:
         text = _Text(fh, source)
-        width, no_cr = _scan_text(text.blocks())
+        width, by_path = _scan_text(text.blocks())
         header = csv.reader(text.lines())
         if next(header, None) is None:
             raise IngestError("empty stream: no header")
         rows = None
         if width is not None:
             rows = text.loadtxt(
-                skip=header.line_num, by_path=no_cr, delimiter=",", quotechar='"', comments=None,
+                skip=header.line_num, by_path=by_path, delimiter=",", quotechar='"', comments=None,
                 dtype=[("u", f"S{width}"), ("v", f"S{width}"), ("t", np.float64)], ndmin=1,
                 usecols=(0, 1, 2) if schema == "jodie" else None)
         h = None if rows is None else _remap(rows, kind)
@@ -622,28 +623,36 @@ _MAX_WIDTH = 64  # bytes of the widest label field of the columnar parse
 
 
 def _scan_text(blocks: Iterable[str]) -> tuple[int | None, bool]:
-    """The label width of the columnar parse, and whether the text holds no
-    CR. The width is the longest run of UTF-8 bytes between commas and
-    line ends, plus one, rounded up to whole uint64 words: a label fits
-    with a NUL after it, unless quoting hid its length from the scan. It
-    is None past ``_MAX_WIDTH``, where fixed-width columns would cost more
-    than Python strings, and for text that holds a NUL, which loadtxt drops
-    from the end of a label, or does not decode. Text that does not decode
-    gives neither; its error is left to the row walk, which raises it as it
-    reads the line."""
+    """The label width of the columnar parse, and whether numpy may read
+    the text from its file: when it holds no CR, or when every CR ends a
+    CRLF and it holds no quote, so that numpy's universal newlines read no
+    CR otherwise than ``csv`` does. A lone CR is one that no LF follows,
+    in its block or at the start of the next. The width is the longest run
+    of UTF-8 bytes between commas and line ends, plus one, rounded up to
+    whole uint64 words: a label fits with a NUL after it, unless quoting
+    hid its length from the scan. It is None past ``_MAX_WIDTH``, where
+    fixed-width columns would cost more than Python strings, and for text
+    that holds a NUL, which loadtxt drops from the end of a label, or does
+    not decode. Text that does not decode gives neither; its error is left
+    to the row walk, which raises it as it reads the line."""
     longest = run = 0  # the longest run, and the one still open where a block ends
-    nul = cr = False
+    nul = quote = cr = lone_cr = open_cr = False  # open_cr: the last block read ended in a CR
     try:
         for text in blocks:
-            nul, cr = nul or "\0" in text, cr or "\r" in text
+            nul, quote, cr = nul or "\0" in text, quote or '"' in text, cr or "\r" in text
             data = np.frombuffer(text.encode(), np.uint8)
-            ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")) | (data == ord("\r")))
+            lf, crs = data == ord("\n"), data == ord("\r")
+            if cr:  # a CR is lone where the byte after it is no LF
+                lone_cr = lone_cr or bool(np.any(np.r_[open_cr, crs[:-1]] > lf))
+                open_cr = text.endswith("\r")
+            ends = np.flatnonzero((data == ord(",")) | lf | crs)
             runs = np.diff(ends, prepend=-1 - run, append=len(data)) - 1
             longest, run = max(longest, int(runs.max())), int(runs[-1])
     except UnicodeError:  # a handle's text may also hold a lone surrogate
         return None, False
     width = (longest + 8) // 8 * 8
-    return (None if nul or width > _MAX_WIDTH else width), not cr
+    by_path = not cr or not (lone_cr or open_cr or quote)
+    return (None if nul or width > _MAX_WIDTH else width), by_path
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:

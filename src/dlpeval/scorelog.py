@@ -344,9 +344,12 @@ def _meta_from_header(header: dict[str, str]) -> ScoreLogMeta:
     strategies = tuple(s for s in header["strategies"].split(",") if s)
     _check_strategies(strategies)
     try:
+        t_split = float(header["t_split"])
+        if not math.isfinite(t_split):
+            raise ValueError(f"t_split={header['t_split']} is not finite")
         return ScoreLogMeta(
             dataset=header["dataset"],
-            t_split=float(header["t_split"]),
+            t_split=t_split,
             batch_size=int(header["batch_size"]),
             strategies=strategies,
             k=int(header["k"]),

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -775,6 +777,20 @@ class TestMetricsAndPlot:
         assert run("plot", "--log", score_log, "--out", out) == 0
         assert (out / "mar.svg").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "metrics", "plot"])
+    def test_non_finite_t_split_exits_2(self, dataset, score_log, tmp_path, capsys, command):
+        # a NaN t_split differed from itself, and put every batch outside
+        # the test period
+        log = tmp_path / "n.csv"
+        log.write_text(score_log.read_text().replace(
+            "# t_split=", "# t_split=nan\n# was=", 1))
+        argv = (["eval", dataset, "--scorer", "external", "--logs", log] if command == "eval"
+                else [command, "--log", log])
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed header value" in err
+        assert "t_split=nan" in err and err.count("\n") == 1
+
     def test_malformed_log_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("# dataset=x\nevent_ordinal,batch\n")
@@ -918,3 +934,72 @@ class TestManifestAndEnv:
         assert run("stats", dataset, "--out", out) == 0
         assert (out / "partition.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestProcessEntry:
+    """``dlpeval`` and ``python -m dlpeval.cli`` run ``cli.run``, which
+    freezes the import-time objects before ``main``; ``main`` itself leaves
+    the collector alone."""
+
+    @staticmethod
+    def _env():
+        return os.environ | {"PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+    @pytest.mark.parametrize("code,argv", [
+        (0, ("--strategies", "OE,RND", "--seed", "3")),
+        (1, ("--strategies", "HS", "--on-empty", "abort")),  # no historical node
+        (2, ("--k", "two")),
+    ])
+    def test_fresh_process_writes_what_main_writes(self, scenario_csv, tmp_path, monkeypatch,
+                                                   capsysbinary, code, argv):
+        # each side in its own directory from the same relative paths, so
+        # that outputs, manifest and messages name the same files; COLUMNS
+        # fixes the width of argparse's usage text
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["eval", "stream.csv", "--t-split", "10", "--scorer", "edgebank", *argv,
+                "--out", "out"]
+        got = {}
+        for side in ("process", "main"):
+            d = tmp_path / side
+            d.mkdir()
+            shutil.copy(scenario_csv, d / "stream.csv")
+            if side == "process":
+                done = subprocess.run([sys.executable, "-m", "dlpeval.cli", *argv], cwd=d,
+                                      env=self._env(), capture_output=True, timeout=120)
+                ran = (done.returncode, done.stdout, done.stderr)
+            else:
+                monkeypatch.chdir(d)
+                capsysbinary.readouterr()
+                try:
+                    exit_code = main(argv)
+                except SystemExit as exc:  # argparse's exit on a bad option
+                    exit_code = exc.code
+                ran = (exit_code, *capsysbinary.readouterr())
+            got[side] = ran, {str(p.relative_to(d)): p.read_bytes()
+                              for p in sorted((d / "out").rglob("*"))}
+        assert got["process"] == got["main"]
+        assert got["main"][0][0] == code
+        assert ("out/manifest.json" in got["main"][1]) is (code == 0)
+
+    def test_run_freezes_before_main(self):
+        # main sees the import-time objects already frozen
+        code = ("import gc, sys\n"
+                "from dlpeval import cli\n"
+                "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+                "sys.exit(cli.run())\n")
+        done = subprocess.run([sys.executable, "-c", code], env=self._env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and int(done.stdout) > 1000
+
+    def test_main_leaves_the_collector_as_it_was(self, scenario_csv, tmp_path):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert run("eval", scenario_csv, "--t-split", "10", "--scorer", "edgebank",
+                   "--strategies", "OE,RND", "--out", tmp_path / "out") == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_script_runs_the_entry(self):
+        # the installed dlpeval script; a string check, as Python 3.10 has
+        # no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert '\n[project.scripts]\ndlpeval = "dlpeval.cli:run"\n' in text

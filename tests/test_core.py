@@ -269,6 +269,8 @@ class TestIngestMatchesRowOracle:
             for source in (path, io.StringIO(text, newline=""), Pipe(text, newline="")):
                 assert ingest_csv(source).labels == tuple(labels)
         assert loadtxt.call_count == 3
+        # numpy reads the file by its path, CRLF line ends and all
+        assert loadtxt.call_args_list[0].args[0] == str(path)
 
     @pytest.mark.parametrize("blocks, width", [
         (["s,d,t\n"], 8), (["a" * 7 + ",b\n"], 8), (["a" * 8 + ",b\n"], 16),
@@ -279,6 +281,17 @@ class TestIngestMatchesRowOracle:
         # the longest run of UTF-8 bytes, a run cut by a block end counted
         # whole, plus one, rounded up to 8, and None past the cap
         assert core._scan_text(blocks)[0] == width
+
+    @pytest.mark.parametrize("blocks, by_path", [
+        (["a,b\n"], True), (["a,b\r\n", "c,d\r\n"], True), (["a,b\r", "\nc,d\r\n"], True),
+        (['"a",b\n'], True), (['"a",b\r\n'], False), (["a,b\r", "c,d\n"], False),
+        (["a,b\rc,d\n"], False), (["a,b\r\r\n"], False), (["a,b\r\n", "c,d\r"], False),
+    ])
+    def test_scan_lets_numpy_read_the_file_unless_a_cr_is_misread(self, blocks, by_path):
+        # by path when every CR ends a CRLF, a CRLF cut by a block end
+        # among them, and the text holds no quote; a quote alone does not
+        # matter without a CR
+        assert core._scan_text(blocks)[1] is by_path
 
     def test_undecodable_text_fails_as_the_row_walk_reads_it(self, tmp_path):
         # the error names the bad byte's place in the block being decoded,
@@ -328,6 +341,10 @@ class TestIngestMatchesRowOracle:
         # a file numpy opens has universal newlines: a quoted CR reads as LF
         path.write_text('"a\rb",1\n"c\r\nd",2\n', encoding="utf-8", newline="")
         assert parse(path) == [["a\nb", "1"], ["c\nd", "2"]]
+        # so a quote-free file with CRLF line ends reads as with LF, each
+        # CRLF one physical line
+        path.write_text("h,x\r\n\r\nc,1\r\nd,2\r\n", encoding="utf-8", newline="")
+        assert parse(path, skiprows=2) == [["c", "1"], ["d", "2"]]
         # and a .gz name is decompressed
         gz = tmp_path / "rows.csv.gz"
         gz.write_bytes(gzip.compress(b"e,3\n"))

@@ -246,6 +246,12 @@ class TestReadValidation:
         with pytest.raises(ScoreLogError, match="non-finite"):
             read_score_log(io.StringIO(text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_t_split_rejected(self, value):
+        text = self._text(["0,0,positive,0,1,1.0,1.0"]).replace("t_split=5.0", f"t_split={value}")
+        with pytest.raises(ScoreLogError, match=f"malformed header value .*t_split={value}"):
+            read_score_log(io.StringIO(text))
+
     def test_wrong_arity_reports_line(self):
         text = self._text(["0,0,positive,0,1,1.0"])
         with pytest.raises(ScoreLogError, match="line 9.*fields"):
