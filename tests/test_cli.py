@@ -38,6 +38,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def src_env():
+    """The environment of a fresh interpreter that imports this ``dlpeval``."""
+    return os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
 class TestStats:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run("stats", tmp_path / "nope.csv") == 2
@@ -502,9 +508,7 @@ class TestSampleAndEval:
             "    while not path.exists() or not path.read_text():\n"
             "        time.sleep(0.01)\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n")
-        env = os.environ | {"PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(), timeout=60)
         assert done.returncode == -signal.SIGKILL
         stat = Path(f"/proc/{pid_file.read_text()}/stat")
         deadline = time.monotonic() + 10
@@ -941,11 +945,6 @@ class TestProcessEntry:
     freezes the import-time objects before ``main``; ``main`` itself leaves
     the collector alone."""
 
-    @staticmethod
-    def _env():
-        return os.environ | {"PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-
     @pytest.mark.parametrize("code,argv", [
         (0, ("--strategies", "OE,RND", "--seed", "3")),
         (1, ("--strategies", "HS", "--on-empty", "abort")),  # no historical node
@@ -966,7 +965,7 @@ class TestProcessEntry:
             shutil.copy(scenario_csv, d / "stream.csv")
             if side == "process":
                 done = subprocess.run([sys.executable, "-m", "dlpeval.cli", *argv], cwd=d,
-                                      env=self._env(), capture_output=True, timeout=120)
+                                      env=src_env(), capture_output=True, timeout=120)
                 ran = (done.returncode, done.stdout, done.stderr)
             else:
                 monkeypatch.chdir(d)
@@ -988,7 +987,7 @@ class TestProcessEntry:
                 "from dlpeval import cli\n"
                 "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
                 "sys.exit(cli.run())\n")
-        done = subprocess.run([sys.executable, "-c", code], env=self._env(),
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0 and int(done.stdout) > 1000
 
