@@ -266,18 +266,19 @@ def cmd_split(args):
 
 
 def cmd_bd(args):
-    h = _load_history(args)
-    t_split = _resolve_cutoff(args, h)
-    name = Path(args.dataset).stem
     keys = [k.strip() for k in args.keys.split(",") if k.strip()]
     if not keys and not args.facet_roles:
         raise ValueError("no key kinds given")
-    # (file stem, panels), every key kind checked before any diagram is drawn
-    diagrams = []
-    for key in keys:
+    for key in keys:  # every key kind checked before the dataset is read
         if key not in ("node", "edge"):
             raise ValueError(f"unknown key kind {key!r} (use node,edge)")
-        diagrams.append((f"bd_{key}", [(f"{name} {key}s", KeyKind(key))]))
+        if keys.count(key) > 1:
+            raise ValueError(f"repeated key kind {key!r}")
+    h = _load_history(args)
+    t_split = _resolve_cutoff(args, h)
+    name = Path(args.dataset).stem
+    # (file stem, panels)
+    diagrams = [(f"bd_{key}", [(f"{name} {key}s", KeyKind(key))]) for key in keys]
     if args.facet_roles:
         diagrams.append(("bd_node_roles", [("source", KeyKind.SOURCE_NODE),
                                            ("destination", KeyKind.DESTINATION_NODE)]))

@@ -513,8 +513,9 @@ class _Text:
     path, the handle seeks (not a FIFO) and the name has no suffix that
     numpy decompresses by: its C reader then reads the file in chunks, not
     one ``str`` per line. It opens the file with universal newlines, so a
-    reader whose fields may hold a CR passes ``by_path=False``; and by its
-    absolute path, which no URL scheme can start."""
+    reader passes ``by_path=False`` where a quoted field may hold a CR, as
+    ``ingest_csv`` does for text that holds both a CR and a quote; and by
+    its absolute path, which no URL scheme can start."""
 
     def __init__(self, fh: TextIO, source, skipped: int = 0):
         self._fh, self._skipped = fh, skipped
@@ -583,13 +584,12 @@ def ingest_csv(
     bytes and each timestamp by numpy, and the labels are numbered by one
     sort of those bytes as integers; only the distinct labels become
     Python strings. The text is read through ``_Text``: by numpy from the
-    file itself unless it holds a CR that does not end a CRLF, or a CR and
-    a quote, since numpy would read a CR inside a quoted label as a LF.
-    Text that gives no width (a field past
-    ``_MAX_WIDTH`` bytes, a NUL, or text that does not decode), a label
-    that still fills the width (its quoted commas hid its length from the
-    scan), a row numpy refuses or a row that breaks a rule sends the
-    stream to the row walk: its rows are read one by one as ``csv`` reads
+    file itself unless it holds both a CR and a quote, since numpy would
+    read a CR inside a quoted label as a LF. Text that gives no width (a
+    field past ``_MAX_WIDTH`` bytes, a NUL, or text that does not decode),
+    a label that still fills the width (its quoted commas hid its length
+    from the scan), a row numpy refuses or a row that breaks a rule sends
+    the stream to the row walk: its rows are read one by one as ``csv`` reads
     them, each label a Python string numbered by a dict. The walk raises
     the first bad row's error with its line, or, where numpy refused a row
     that ``csv`` and ``float`` accept (a timestamp such as ``1_0`` or one
@@ -624,35 +624,30 @@ _MAX_WIDTH = 64  # bytes of the widest label field of the columnar parse
 
 def _scan_text(blocks: Iterable[str]) -> tuple[int | None, bool]:
     """The label width of the columnar parse, and whether numpy may read
-    the text from its file: when it holds no CR, or when every CR ends a
-    CRLF and it holds no quote, so that numpy's universal newlines read no
-    CR otherwise than ``csv`` does. A lone CR is one that no LF follows,
-    in its block or at the start of the next. The width is the longest run
-    of UTF-8 bytes between commas and line ends, plus one, rounded up to
-    whole uint64 words: a label fits with a NUL after it, unless quoting
-    hid its length from the scan. It is None past ``_MAX_WIDTH``, where
-    fixed-width columns would cost more than Python strings, and for text
-    that holds a NUL, which loadtxt drops from the end of a label, or does
-    not decode. Text that does not decode gives neither; its error is left
-    to the row walk, which raises it as it reads the line."""
+    the text from its file: unless it holds both a CR and a quote. Without
+    a quote no field holds a CR, so numpy's universal newlines end lines at
+    the same CRs as ``csv``; with one, numpy would read a quoted CR as a
+    LF. The width is the longest run of UTF-8 bytes between commas and line
+    ends, plus one, rounded up to whole uint64 words: a label fits with a
+    NUL after it, unless quoting hid its length from the scan. It is None
+    past ``_MAX_WIDTH``, where fixed-width columns would cost more than
+    Python strings, and for text that holds a NUL, which loadtxt drops from
+    the end of a label, or does not decode. Text that does not decode gives
+    neither; its error is left to the row walk, which raises it as it reads
+    the line."""
     longest = run = 0  # the longest run, and the one still open where a block ends
-    nul = quote = cr = lone_cr = open_cr = False  # open_cr: the last block read ended in a CR
+    nul = quote = cr = False
     try:
         for text in blocks:
             nul, quote, cr = nul or "\0" in text, quote or '"' in text, cr or "\r" in text
             data = np.frombuffer(text.encode(), np.uint8)
-            lf, crs = data == ord("\n"), data == ord("\r")
-            if cr:  # a CR is lone where the byte after it is no LF
-                lone_cr = lone_cr or bool(np.any(np.r_[open_cr, crs[:-1]] > lf))
-                open_cr = text.endswith("\r")
-            ends = np.flatnonzero((data == ord(",")) | lf | crs)
+            ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")) | (data == ord("\r")))
             runs = np.diff(ends, prepend=-1 - run, append=len(data)) - 1
             longest, run = max(longest, int(runs.max())), int(runs[-1])
     except UnicodeError:  # a handle's text may also hold a lone surrogate
         return None, False
     width = (longest + 8) // 8 * 8
-    by_path = not cr or not (lone_cr or open_cr or quote)
-    return (None if nul or width > _MAX_WIDTH else width), by_path
+    return (None if nul or width > _MAX_WIDTH else width), not (cr and quote)
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:

@@ -161,6 +161,23 @@ class TestBdAndSweep:
         assert capsys.readouterr().err == "error: no key kinds given\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys, message", [
+        pytest.param("edge,edge", "repeated key kind 'edge'", id="repeated-edge"),
+        pytest.param("node,,node", "repeated key kind 'node'", id="repeated-node"),
+        pytest.param("node,foo", "unknown key kind 'foo' (use node,edge)", id="unknown"),
+        pytest.param(",", "no key kinds given", id="none"),
+    ])
+    def test_bd_bad_keys_exit_2_before_the_dataset_is_read(self, dataset, tmp_path, capsys,
+                                                            keys, message):
+        # a repeated key kind would draw its diagram twice, as sample
+        # refuses a repeated strategy; a bad --keys is named even where the
+        # dataset cannot be read
+        for source in (dataset, tmp_path / "nope.csv"):
+            out = tmp_path / "out"
+            assert run("bd", source, f"--keys={keys}", "--out", out) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("ratios", ["0.1", ",,", "0.2,"])
     def test_sweep_with_fewer_than_two_ratios_exits_2_before_any_work(
             self, dataset, tmp_path, capsys, ratios):
@@ -610,9 +627,21 @@ class TestSampleAndEval:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_unknown_strategy_exits_2(self, dataset, tmp_path):
+    def test_unknown_strategy_exits_2(self, dataset, tmp_path, capsys):
         assert run("eval", dataset, "--strategies", "XX",
                    "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: unknown strategy 'XX'")
+        # and no strategy at all
+        assert run("eval", dataset, "--strategies", ",", "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: no strategies given\n"
+
+    def test_source_replacement_on_a_bipartite_stream_warns_once(self, tmp_path, caplog):
+        path = tmp_path / "bipartite.csv"
+        random_history(np.random.default_rng(12), n_events=300, n_nodes=20,
+                       kind=GraphKind(bipartite=True)).export_csv(path)
+        with caplog.at_level("WARNING"):
+            run("eval", path, "--bipartite", "--strategies", "HS", "--out", tmp_path / "out")
+        assert sum("source-replacement" in r.getMessage() for r in caplog.records) == 1
 
 
 class TestPinnedOutputs:

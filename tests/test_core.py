@@ -73,6 +73,9 @@ class TestIngest:
     def test_minimal_schema_rejects_extra_columns(self):
         with pytest.raises(IngestError, match="line 2.*columns"):
             _ingest("source,destination,timestamp\nA,B,1,0\n")
+        # and a schema that is neither is refused before the text is read
+        with pytest.raises(ValueError, match="unknown schema 'tgb'"):
+            _ingest("source,destination,timestamp\nA,B,1\n", schema="tgb")
 
     def test_jodie_schema_ignores_extra_columns(self):
         text = ("user_id,item_id,timestamp,state_label,f0,f1\n"
@@ -254,7 +257,7 @@ class TestIngestMatchesRowOracle:
         assert _outcome(ingest_csv, io.StringIO(text)) == \
             _outcome(brute_force_ingest, io.StringIO(text))
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_labels_under_the_cap_take_the_columnar_parse(self, tmp_path, newline):
         # text outside Latin-1, bytes 0x85 and 0xA0, and a label one byte
         # under the cap, from a path, a handle and a pipe: one parse each,
@@ -269,8 +272,9 @@ class TestIngestMatchesRowOracle:
             for source in (path, io.StringIO(text, newline=""), Pipe(text, newline="")):
                 assert ingest_csv(source).labels == tuple(labels)
         assert loadtxt.call_count == 3
-        # numpy reads the file by its path, CRLF line ends and all
+        # numpy reads the file by its path, CRLF or bare-CR line ends and all
         assert loadtxt.call_args_list[0].args[0] == str(path)
+        assert _outcome(ingest_csv, path) == _outcome(brute_force_ingest, path)
 
     @pytest.mark.parametrize("blocks, width", [
         (["s,d,t\n"], 8), (["a" * 7 + ",b\n"], 8), (["a" * 8 + ",b\n"], 16),
@@ -284,13 +288,15 @@ class TestIngestMatchesRowOracle:
 
     @pytest.mark.parametrize("blocks, by_path", [
         (["a,b\n"], True), (["a,b\r\n", "c,d\r\n"], True), (["a,b\r", "\nc,d\r\n"], True),
-        (['"a",b\n'], True), (['"a",b\r\n'], False), (["a,b\r", "c,d\n"], False),
-        (["a,b\rc,d\n"], False), (["a,b\r\r\n"], False), (["a,b\r\n", "c,d\r"], False),
+        (['"a",b\n'], True), (['"a",b\r\n'], False), (["a,b\r", "c,d\n"], True),
+        (["a,b\rc,d\n"], True), (["a,b\r\r\n"], True), (["a,b\r\n", "c,d\r"], True),
+        (['"a",b\r', "c,d\n"], False),
     ])
     def test_scan_lets_numpy_read_the_file_unless_a_cr_is_misread(self, blocks, by_path):
-        # by path when every CR ends a CRLF, a CRLF cut by a block end
-        # among them, and the text holds no quote; a quote alone does not
-        # matter without a CR
+        # by path unless the text holds both a CR and a quote, wherever
+        # the two stand: without a quote numpy's universal newlines end
+        # lines at the same CRs as csv, bare or in a CRLF; a quote alone
+        # does not matter without a CR
         assert core._scan_text(blocks)[1] is by_path
 
     def test_undecodable_text_fails_as_the_row_walk_reads_it(self, tmp_path):
@@ -345,6 +351,10 @@ class TestIngestMatchesRowOracle:
         # CRLF one physical line
         path.write_text("h,x\r\n\r\nc,1\r\nd,2\r\n", encoding="utf-8", newline="")
         assert parse(path, skiprows=2) == [["c", "1"], ["d", "2"]]
+        # and a quote-free file splits at every bare CR too, each CR one
+        # physical line, as csv splits it
+        path.write_text("h,x\r\rc,1\rd,2\r\ne,3\r", encoding="utf-8", newline="")
+        assert parse(path, skiprows=2) == [["c", "1"], ["d", "2"], ["e", "3"]]
         # and a .gz name is decompressed
         gz = tmp_path / "rows.csv.gz"
         gz.write_bytes(gzip.compress(b"e,3\n"))
@@ -460,6 +470,10 @@ class TestFromArrays:
             History.from_arrays([2], [2], [1.0])
         with pytest.raises(ValueError, match="range"):
             History.from_arrays([0], [5], [1.0], num_nodes=3)
+        with pytest.raises(ValueError, match="source, destination and timestamp columns differ"):
+            History.from_arrays([0, 1], [1], [1.0])
+        with pytest.raises(ValueError, match="node ids must be non-negative"):
+            History.from_arrays([-1], [1], [1.0])
 
     def test_bipartite_bounds_checked(self):
         kind = GraphKind(bipartite=True)

@@ -191,6 +191,11 @@ class TestBdDiagram:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(DlpEvalError):
             bd_diagram({}, 1.0, tmp_path / "bd.svg", tmp_path / "bd.csv")
+        # and one empty panel beside a full one
+        panels = [("full", LifetimeTable([0], [1.0], [2.0])), ("empty", LifetimeTable([], [], []))]
+        with pytest.raises(DlpEvalError, match="panel 'empty' has no lifetimes"):
+            bd_diagram(panels, 1.0, tmp_path / "bd.svg", tmp_path / "bd.csv")
+        assert not list(tmp_path.iterdir())
 
 
 @st.composite

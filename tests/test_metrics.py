@@ -114,6 +114,8 @@ class TestMeanAucOverBatches:
         log = make_log([(1.0, {"NS": [0.0]})], ("NS",))
         with pytest.raises(ValueError):
             mean_auc_over_batches(log, "NS", "test", None)
+        with pytest.raises(ValueError, match="unknown period 'val'"):
+            mean_auc_over_batches(log, "NS", "val", 1.0)
 
     def test_batches_missing_one_class_are_skipped_and_counted(self):
         records = [

@@ -47,6 +47,8 @@ class TestComputeCutoff:
         h = build_history([(0, 1, 5.0)] * 10)
         with pytest.raises(DegenerateSplitError):
             compute_cutoff(h, 0.15)
+        with pytest.raises(DegenerateSplitError, match="cannot split an empty history"):
+            compute_cutoff(History.from_arrays([], [], []), 0.15)
 
     def test_ties_at_cutoff_go_to_test(self):
         h = build_history([(0, 1, t) for t in (1.0, 2.0, 3.0, 9.0, 9.0, 9.0)])

@@ -19,6 +19,7 @@ from conftest import (
 from dlpeval import (
     EmptyCandidateSetError,
     GraphKind,
+    History,
     KeyKind,
     NegativeStrategy,
     TemporalCategory,
@@ -100,6 +101,10 @@ class TestCandidateIndex:
             destination_pool = idx.pools[NegativeStrategy[f"{cat}D"]]
             assert all(u < h.num_sources for u in source_pool)
             assert all(v >= h.num_sources for v in destination_pool)
+        # the pools need the boundary between the two id ranges
+        bare = History(h.src, h.dst, h.t, h.kind, h.num_nodes)
+        with pytest.raises(ValueError, match="bipartite history lacks its source/destination id"):
+            build_candidate_index(bare, 50.0)
 
 
 class TestSampleNegatives:

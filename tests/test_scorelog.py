@@ -311,6 +311,13 @@ class TestReadValidation:
         ])
         with pytest.raises(ScoreLogError, match="batch"):
             read_score_log(io.StringIO(text))
+        # nor may the records of one event lie in different batches
+        text = self._text([
+            "0,0,positive,0,1,1.0,1.0",
+            "0,1,OE,2,3,1.0,0.0",
+        ])
+        with pytest.raises(ScoreLogError, match="records of one event disagree on batch ordinal"):
+            read_score_log(io.StringIO(text))
 
     def test_missing_header_key_rejected(self):
         text = (
@@ -324,6 +331,12 @@ class TestReadValidation:
         text = "# dataset=x\nordinal,role,score\n"
         with pytest.raises(ScoreLogError, match="column row"):
             read_score_log(io.StringIO(text))
+        # header lines with no column row after them, and a header line
+        # that holds no key=value
+        with pytest.raises(ScoreLogError, match="^missing column row$"):
+            read_score_log(io.StringIO("# dataset=x\n# k=1\n"))
+        with pytest.raises(ScoreLogError, match="^line 2: malformed header line '# k 1'$"):
+            read_score_log(io.StringIO("# dataset=x\n# k 1\n# seed=0\n"))
 
     def test_long_undeclared_role_with_declared_prefix_rejected(self):
         # a role wider than every declared one must not be cut into a match
