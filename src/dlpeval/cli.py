@@ -317,9 +317,9 @@ def cmd_sweep(args):
 
 
 def cmd_sample(args):
+    strategies = _parse_strategies(args.strategies, _graph_kind(args))
     h = _load_history(args)
     t_split = _resolve_cutoff(args, h)
-    strategies = _parse_strategies(args.strategies, h.kind)
     sampled, run = _sample(args, h, t_split, strategies)
     out = _out_dir(args)
     write_negatives_csv(sampled, out / "negatives.csv")
@@ -332,33 +332,29 @@ def cmd_sample(args):
 def _metrics(log: ScoredEventLog, t_split: float, period: str, bins: int | None,
              name: str | None = None) -> tuple:
     """The AUC report of each of the log's strategies and, with ``bins``,
-    its MAR series. A metric's ValueError takes the place of its value,
-    prefixed by the log's file ``name`` when it has one, and is kept
-    without its traceback, whose frames hold the log."""
-    def kept(exc: ValueError) -> ValueError:
-        return ValueError(f"{name}: {exc}") if name else exc.with_traceback(None)
-
+    its MAR series; or, when either raises a ValueError, that error and
+    None. The error is prefixed by the log's file ``name`` when it has one,
+    and kept without its traceback, whose frames hold the log."""
     try:
         reports = [mean_auc_over_batches(log, s, period, t_split) for s in log.strategies]
+        return reports, None if bins is None else mar_time_series(log, bins=bins)
     except ValueError as exc:
-        reports = kept(exc)
-    series = None
-    if bins is not None:
-        try:
-            series = mar_time_series(log, bins=bins)
-        except ValueError as exc:
-            series = kept(exc)
-    return reports, series
+        return (ValueError(f"{name}: {exc}") if name else exc.with_traceback(None)), None
+
+
+def _read_log(path: str) -> tuple[ScoredEventLog, ScoreLogMeta]:
+    """The score log at ``path`` and its header; a read error names the file."""
+    try:
+        return read_score_log(path)
+    except ScoreLogError as exc:
+        raise ScoreLogError(f"{path}: {exc}") from None
 
 
 def _reduce_log(path: str, h: History, period: str, bins: int | None = None) -> tuple:
     """One external score log reduced: its header, then the error that
     checking its positives against ``h`` raised, or else its ``_metrics``.
     A read error is raised. Errors name the file."""
-    try:
-        log, meta = read_score_log(path)
-    except ScoreLogError as exc:
-        raise ScoreLogError(f"{path}: {exc}") from None
+    log, meta = _read_log(path)
     try:
         check_positives(log, h)
     except ScoreLogError as exc:
@@ -374,8 +370,8 @@ def _external_logs(paths: list[str], h: History, period: str, bins: int) -> tupl
     and their precedence are those of reading one log at a time: for each
     log, its read error, then a ``t_split`` or ``strategies`` that differs
     from the first log's, then a positive that is not an event of ``h``,
-    each raised at once. A metric's ValueError is kept in place of the
-    value it did not give."""
+    each raised at once. A failed reduction's ValueError is kept in place
+    of its AUC reports."""
     metas, reduced = [], []
     later = partial(_reduce_log, h=h, period=period)
     with forked_in_order(later, paths[1:]) as results:
@@ -401,6 +397,8 @@ def cmd_eval(args):
         raise ValueError("--scorer external requires --logs")
     if args.logs and args.scorer != "external":
         raise ValueError(f"--logs needs --scorer external, got {args.scorer}")
+    if args.scorer != "external":  # checked before the dataset is read
+        strategies = _parse_strategies(args.strategies, _graph_kind(args))
     h = _load_history(args)
     # external logs carry their own cutoff: none is computed for them
     t_split = None if args.scorer == "external" else _resolve_cutoff(args, h)
@@ -416,7 +414,6 @@ def cmd_eval(args):
             delattr(args, option)
         metas, per_log_reports, series = _external_logs(args.logs, h, args.period, args.bins)
     else:
-        strategies = _parse_strategies(args.strategies, h.kind)
         sampled, run = _sample(args, h, t_split, strategies)
         log = run_streaming_eval(h, ScorerKind(args.scorer), sampled, args.batch_size)
         meta = ScoreLogMeta(
@@ -435,7 +432,7 @@ def cmd_eval(args):
         del log
     t_split, strategy_names = metas[0].t_split, list(metas[0].strategies)
 
-    # a metric's ValueError is raised once every log is read, so that a
+    # a reduction's ValueError is raised once every log is read, so that a
     # later log's read or check error wins
     for j, reports in enumerate(per_log_reports):
         if isinstance(reports, ValueError):
@@ -456,8 +453,6 @@ def cmd_eval(args):
         _write_rows(fh, "{},{!r},{!r},{}\n", _table_columns(summary_rows, 4))
     outputs.append("auc_summary.csv")
 
-    if isinstance(series, ValueError):
-        raise series
     write_mar_csv(series, out / "mar.csv")
     svg = mar_plot(series, t_split, out / "mar.svg")
     outputs += ["mar.csv", "mar.svg"]
@@ -471,13 +466,13 @@ def cmd_eval(args):
 
 
 def cmd_metrics(args):
-    log, meta = read_score_log(args.log)
+    log, meta = _read_log(args.log)
     t_split = meta.t_split if args.t_split is None else args.t_split
     out = _out_dir(args)
-    reports = [mean_auc_over_batches(log, s, args.period, t_split)
-               for s in log.strategies]
+    reports, series = _metrics(log, t_split, args.period, args.bins, name=args.log)
+    if isinstance(reports, ValueError):
+        raise reports
     write_auc_csv(reports, out / "auc.csv")
-    series = mar_time_series(log, bins=args.bins)
     write_mar_csv(series, out / "mar.csv")
     print(f"{'strategy':10s} {'mean_auc':>9s} {'batches':>8s} {'skipped':>8s}")
     for r in reports:
@@ -487,7 +482,7 @@ def cmd_metrics(args):
 
 
 def cmd_plot(args):
-    log, meta = read_score_log(args.log)
+    log, meta = _read_log(args.log)
     t_split = meta.t_split if args.t_split is None else args.t_split
     out = _out_dir(args)
     series = mar_time_series(log, bins=args.bins)

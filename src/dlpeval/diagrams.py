@@ -103,7 +103,7 @@ def _stratified_sample(codes: np.ndarray, max_points: int, seed: int) -> np.ndar
     n = len(codes)
     if n <= max_points:
         return np.arange(n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % 2**64)
     keep: list[np.ndarray] = []
     for code in np.argsort(_CATEGORY_NAMES):
         members = np.flatnonzero(codes == code)

@@ -98,7 +98,6 @@ class BatchAUCReport:
     ``batch`` ordinals ascending, their first and last timestamps and AUC."""
 
     strategy: str
-    period: str
     batch: np.ndarray
     t_start: np.ndarray
     t_end: np.ndarray
@@ -158,7 +157,7 @@ def mean_auc_over_batches(
             f"{strategy} negatives"
         )
     auc = _rank_sum_auc(n_pos[usable], n_neg[usable], pos_rank_sum[usable])
-    return BatchAUCReport(strategy, period, batches[usable], t_start[usable],
+    return BatchAUCReport(strategy, batches[usable], t_start[usable],
                           t_end[usable], auc, float(np.mean(auc)), int(n - usable.sum()))
 
 

@@ -149,7 +149,6 @@ class CategoryCounts:
 
 @dataclass(frozen=True)
 class PartitionReport:
-    t_split: float
     counts: dict[KeyKind, CategoryCounts]
 
 
@@ -164,8 +163,8 @@ def partition_report(
     kinds: Iterable[KeyKind] = (KeyKind.NODE, KeyKind.EDGE),
 ) -> PartitionReport:
     """Per-kind category counts and surprise indices at a cutoff."""
-    return PartitionReport(t_split, {kind: _count_categories(lifetimes(h, kind), t_split)
-                                     for kind in kinds})
+    return PartitionReport({kind: _count_categories(lifetimes(h, kind), t_split)
+                            for kind in kinds})
 
 
 def surprise_sweep(h: History, ratios: Iterable[float]) -> list[SweepPoint]:

@@ -91,7 +91,6 @@ class CandidateIndex:
     """
 
     history: History
-    t_split: float
     pools: dict[NegativeStrategy, np.ndarray]
 
 
@@ -114,7 +113,7 @@ def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
         if h.kind.bipartite:
             keep &= (ids < h.num_sources) == (s.replaces == "source")
         pools[s] = ids[keep]
-    return CandidateIndex(h, t_split, pools)
+    return CandidateIndex(h, pools)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:

@@ -634,6 +634,15 @@ class TestSampleAndEval:
         # and no strategy at all
         assert run("eval", dataset, "--strategies", ",", "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err == "error: no strategies given\n"
+        # both are rejected before the dataset is read, by sample too
+        out = tmp_path / "missing-out"
+        for command in ("sample", "eval"):
+            for value, message in (("XX", "error: unknown strategy 'XX'"),
+                                   (",", "error: no strategies given\n")):
+                assert run(command, tmp_path / "missing.csv", "--strategies", value,
+                           "--out", out) == 2, command
+                assert capsys.readouterr().err.startswith(message), command
+        assert not out.exists()
 
     def test_source_replacement_on_a_bipartite_stream_warns_once(self, tmp_path, caplog):
         path = tmp_path / "bipartite.csv"
@@ -824,10 +833,29 @@ class TestMetricsAndPlot:
         assert err.startswith("error: ") and "malformed header value" in err
         assert "t_split=nan" in err and err.count("\n") == 1
 
-    def test_malformed_log_exits_2(self, tmp_path):
+    def test_malformed_log_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# dataset=x\nevent_ordinal,batch\n")
         assert run("metrics", "--log", bad, "--out", tmp_path / "out") == 2
+        # the error names the file, for plot too
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert run("plot", "--log", bad, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_empty_log_without_strategies_exits_2_before_writing(self, tmp_path, capsys):
+        # its AUC reports are an empty list, and its MAR series fails
+        log = tmp_path / "empty.csv"
+        log.write_text("# dataset=x\n# t_split=1.0\n# batch_size=1\n# strategies=\n"
+                       "# k=1\n# seed=0\n# scorer=model\n"
+                       "event_ordinal,batch,role,source,destination,timestamp,score\n")
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("source,destination,timestamp\n0,1,1\n")
+        for argv in (["eval", dataset, "--scorer", "external", "--logs", log],
+                     ["metrics", "--log", log]):
+            out = tmp_path / argv[0]
+            assert run(*argv, "--out", out) == 2
+            assert capsys.readouterr().err == f"error: {log}: cannot bin an empty log\n"
+            assert not list(out.glob("auc*.csv")), argv[0]
 
     @pytest.mark.parametrize("strategies,message", [
         ("HD,HD", "strategies: 'HD' is repeated"),

@@ -443,6 +443,10 @@ class TestRoundTrip:
         buf = io.StringIO()
         h.export_label_map(buf)
         assert buf.getvalue() == "id,label\n0,X\n1,Y\n2,Z\n"
+        # a stream without labels maps each id to itself
+        buf = io.StringIO()
+        build_history([(0, 2, 1.0), (1, 0, 2.0)]).export_label_map(buf)
+        assert buf.getvalue() == "id,label\n0,0\n1,1\n2,2\n"
 
 
 class TestRealDataIngest:
@@ -574,6 +578,15 @@ class TestWriteRows:
         buf = io.StringIO()
         core._write_rows(buf, "{}\n", [column])
         assert buf.getvalue() == "".join(f"{v}\n" for v in column.tolist())
+
+    @pytest.mark.parametrize("row_format,columns,message", [
+        ("{0},{}\n", 2, "row format fields are unnumbered"),
+        ("{},{}\n", 1, "1 columns for 2 fields"),
+        ("{}\n", 2, "2 columns for 1 fields"),
+    ])
+    def test_bad_row_format_rejected(self, row_format, columns, message):
+        with pytest.raises(ValueError, match=message):
+            core._write_rows(io.StringIO(), row_format, [np.arange(3)] * columns)
 
     def test_zero_rows_write_nothing(self):
         buf = io.StringIO()

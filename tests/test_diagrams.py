@@ -188,6 +188,18 @@ class TestBdDiagram:
             "aaab88ec04d0c1748e64903c68e9f229e58e4a06970e962a86ab450af692f2a1",
         )
 
+    def test_negative_seed_draws_as_its_residue_mod_2_64(self, tmp_path):
+        # numpy rejects a negative seed; the draw takes any integer, as
+        # sample_negatives does
+        h = random_history(np.random.default_rng(3), n_events=2000, n_nodes=300)
+        renders = []
+        for seed in (-1, 2**64 - 1):
+            svg, csv_ = bd_diagram([("", lifetimes(h, KeyKind.EDGE))], 50.0,
+                                   tmp_path / f"{seed}.svg", tmp_path / f"{seed}.csv",
+                                   max_points=10, seed=seed)
+            renders.append(svg.read_bytes() + csv_.read_bytes())
+        assert renders[0] == renders[1]
+
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(DlpEvalError):
             bd_diagram({}, 1.0, tmp_path / "bd.svg", tmp_path / "bd.csv")

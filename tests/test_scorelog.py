@@ -182,7 +182,8 @@ class TestWriteValidation:
             written_log(log, _meta(strategies=("OE",)))
 
     @pytest.mark.parametrize("case", ["invalid", "undeclared role", "repeated strategy",
-                                      "positive strategy", "code past names", "role names"])
+                                      "positive strategy", "code past names", "role names",
+                                      "non-finite score"])
     def test_rejected_log_leaves_dest_untouched(self, tmp_path, case):
         meta = _meta(strategies=("OE",))
         if case == "invalid":
@@ -194,6 +195,9 @@ class TestWriteValidation:
                 [POSITIVE_ROLE, "OE"])
         elif case == "undeclared role":
             log = _eval_log()
+        elif case == "non-finite score":
+            log, meta = _eval_log(), _meta()
+            log.score[1] = np.nan
         else:
             log = _eval_log()
             meta = _meta(strategies=("OE", "OD", "OE" if case == "repeated strategy"
