@@ -2,10 +2,12 @@
 
 Emits plain shape elements with fixed attribute order and fixed number
 formatting, no generated ids and no timestamps, so identical inputs render
-byte-identical documents.
+byte-identical documents. One serializer, ``_tag``, writes every element.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,16 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _tag(tag: str, attrs: dict, content: str | None = None) -> str:
+    """One ``tag`` element with ``attrs`` in the order given: a string as
+    written, a number through ``fmt``, a None value left out. Without
+    ``content`` the element closes itself; else it holds ``content``
+    escaped."""
+    text = "".join(f' {name}="{value if isinstance(value, str) else fmt(value)}"'
+                   for name, value in attrs.items() if value is not None)
+    return f"<{tag}{text}/>" if content is None else f"<{tag}{text}>{escape(content)}</{tag}>"
+
+
 _SEPARATOR = "\n  "  # what write puts between two parts
 
 
@@ -29,11 +41,8 @@ class SvgDocument:
         self._parts: list[str] = []
 
     def line(self, x1, y1, x2, y2, stroke="#000000", width=1.0, dash: str | None = None):
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self._parts.append(
-            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{fmt(width)}"{dash_attr}/>'
-        )
+        self._parts.append(_tag("line", {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "stroke": stroke,
+                                         "stroke-width": width, "stroke-dasharray": dash or None}))
 
     def circles(self, cx, cy, r, fill="#000000", opacity: float | None = None):
         """One circle per point of the ``cx`` and ``cy`` columns, a part per
@@ -46,50 +55,40 @@ class SvgDocument:
         else:
             columns.append(fill)
             fill = "{}"
-        opacity_attr = f' fill-opacity="{fmt(opacity)}"' if opacity is not None else ""
-        row = (f'<circle cx="{{:compact}}" cy="{{:compact}}" r="{fmt(r)}" '
-               f'fill="{fill}"{opacity_attr}/>{_SEPARATOR}')
+        row = _tag("circle", {"cx": "{:compact}", "cy": "{:compact}", "r": r, "fill": fill,
+                              "fill-opacity": opacity}) + _SEPARATOR
         self._parts.extend(text[:-len(_SEPARATOR)] for text in _format_rows(row, columns))
 
     def rect(self, x, y, w, h, fill="none", stroke: str | None = None, stroke_width=1.0):
-        stroke_attr = (
-            f' stroke="{stroke}" stroke-width="{fmt(stroke_width)}"' if stroke else ""
-        )
-        self._parts.append(
-            f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(w)}" height="{fmt(h)}" '
-            f'fill="{fill}"{stroke_attr}/>'
-        )
+        self._parts.append(_tag("rect", {"x": x, "y": y, "width": w, "height": h, "fill": fill,
+                                         "stroke": stroke or None,
+                                         "stroke-width": stroke_width if stroke else None}))
 
     def polyline(self, points, stroke="#000000", width=1.5):
-        if len(points) < 2:
-            return
-        pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
-        self._parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{fmt(width)}"/>'
-        )
+        if len(points) >= 2:
+            self._parts.append(_tag("polyline", {
+                "points": " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points), "fill": "none",
+                "stroke": stroke, "stroke-width": width}))
 
     def text(self, x, y, content, size=12.0, anchor="start", fill="#000000",
              rotate: float | None = None):
-        transform = (
-            f' transform="rotate({fmt(rotate)} {fmt(x)} {fmt(y)})"'
-            if rotate is not None else ""
-        )
-        self._parts.append(
-            f'<text x="{fmt(x)}" y="{fmt(y)}" font-family="sans-serif" '
-            f'font-size="{fmt(size)}" text-anchor="{anchor}" '
-            f'fill="{fill}"{transform}>{escape(content)}</text>'
-        )
+        transform = None if rotate is None else f"rotate({fmt(rotate)} {fmt(x)} {fmt(y)})"
+        self._parts.append(_tag("text", {"x": x, "y": y, "font-family": "sans-serif",
+                                         "font-size": size, "text-anchor": anchor, "fill": fill,
+                                         "transform": transform}, content))
 
-    def write(self, path) -> None:
+    def write(self, path) -> Path:
         """Write the document to ``path`` part by part, each after an indent
-        on a line of its own."""
+        on a line of its own, and return ``path`` as a ``Path``."""
+        path = Path(path)
+        root = _tag("svg", {"xmlns": "http://www.w3.org/2000/svg", "width": self.width,
+                            "height": self.height,
+                            "viewBox": f"0 0 {fmt(self.width)} {fmt(self.height)}"})
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'
-                     f'<svg xmlns="http://www.w3.org/2000/svg" '
-                     f'width="{fmt(self.width)}" height="{fmt(self.height)}" '
-                     f'viewBox="0 0 {fmt(self.width)} {fmt(self.height)}">\n')
+            # the root element, its tag left open for the parts
+            fh.write(f'<?xml version="1.0" encoding="UTF-8"?>\n{root[:-2]}>\n')
             for i, part in enumerate(self._parts):
                 fh.write(_SEPARATOR if i else _SEPARATOR[1:])
                 fh.write(part)
             fh.write("\n</svg>\n")
+        return path

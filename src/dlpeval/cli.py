@@ -485,7 +485,10 @@ def cmd_plot(args):
     log, meta = _read_log(args.log)
     t_split = meta.t_split if args.t_split is None else args.t_split
     out = _out_dir(args)
-    series = mar_time_series(log, bins=args.bins)
+    try:
+        series = mar_time_series(log, bins=args.bins)
+    except ValueError as exc:
+        raise ValueError(f"{args.log}: {exc}") from None
     svg = mar_plot(series, t_split, out / "mar.svg")
     print(f"wrote {svg}")
     return {"t_split": t_split}, ["mar.svg"]

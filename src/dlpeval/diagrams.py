@@ -140,7 +140,6 @@ def bd_diagram(
 
     doc = SvgDocument(_PANEL_W * len(panels), _PANEL_H)
     colors = tuple(PALETTE[cat] for cat in TemporalCategory)
-    svg_path, csv_path = Path(svg_path), Path(csv_path)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("key,birth,death,category\n")
         for p, (panel_title, table) in enumerate(panels):
@@ -182,8 +181,7 @@ def bd_diagram(
                 keys, key_format = History.edge_endpoints(table.ids, table.num_nodes), "{}|{}"
             _write_rows(fh, prefix + key_format + ",{!r},{!r},{}\n",
                         [*keys, births, deaths, (codes, _CATEGORY_NAMES)])
-    doc.write(svg_path)
-    return svg_path, csv_path
+    return doc.write(svg_path), Path(csv_path)
 
 
 def surprise_curve(
@@ -225,9 +223,7 @@ def surprise_curve(
         if name:
             doc.rect(frame.x0 + 8, frame.y0 + 6 + 16 * i, 10, 10, fill=color)
             doc.text(frame.x0 + 22, frame.y0 + 15 + 16 * i, name, size=11)
-    svg_path = Path(svg_path)
-    doc.write(svg_path)
-    return svg_path
+    return doc.write(svg_path)
 
 
 def mar_plot(series: MARSeries, t_split: float | None, svg_path: str | Path) -> Path:
@@ -262,6 +258,4 @@ def mar_plot(series: MARSeries, t_split: float | None, svg_path: str | Path) -> 
         doc.rect(legend_x, frame.y0 + 6 + 16 * r, 10, 10, fill=color)
         doc.text(legend_x + 14, frame.y0 + 15 + 16 * r, role, size=11)
 
-    svg_path = Path(svg_path)
-    doc.write(svg_path)
-    return svg_path
+    return doc.write(svg_path)

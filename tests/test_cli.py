@@ -851,7 +851,7 @@ class TestMetricsAndPlot:
         dataset = tmp_path / "data.csv"
         dataset.write_text("source,destination,timestamp\n0,1,1\n")
         for argv in (["eval", dataset, "--scorer", "external", "--logs", log],
-                     ["metrics", "--log", log]):
+                     ["metrics", "--log", log], ["plot", "--log", log]):
             out = tmp_path / argv[0]
             assert run(*argv, "--out", out) == 2
             assert capsys.readouterr().err == f"error: {log}: cannot bin an empty log\n"

@@ -73,6 +73,59 @@ class TestCircles:
         assert doc._parts == []
 
 
+class TestElements:
+    """The exact text of each element, including the attribute combinations
+    that no diagram draws."""
+
+    @staticmethod
+    def _parts(draw):
+        doc = SvgDocument(10, 10)
+        draw(doc)
+        return doc._parts
+
+    @pytest.mark.parametrize("dash,extra", [
+        (None, ""), ("", ""), ("5,3", ' stroke-dasharray="5,3"'),
+    ])
+    def test_line(self, dash, extra):
+        assert self._parts(lambda d: d.line(0.5, -1, 2.005, 1e3, dash=dash)) == [
+            f'<line x1="0.5" y1="-1" x2="2" y2="1000" stroke="#000000" '
+            f'stroke-width="1"{extra}/>']
+
+    @pytest.mark.parametrize("stroke,extra", [
+        (None, ""), ("", ""), ("#123456", ' stroke="#123456" stroke-width="0.25"'),
+    ])
+    def test_rect(self, stroke, extra):
+        assert self._parts(lambda d: d.rect(1, 2, 3.5, 4.125, fill="#abcdef",
+                                            stroke=stroke, stroke_width=0.25)) == [
+            f'<rect x="1" y="2" width="3.5" height="4.12" fill="#abcdef"{extra}/>']
+
+    def test_text_with_rotate(self):
+        assert self._parts(lambda d: d.text(10, 20.5, "mean rank", anchor="middle",
+                                            rotate=-90.0)) == [
+            '<text x="10" y="20.5" font-family="sans-serif" font-size="12" '
+            'text-anchor="middle" fill="#000000" transform="rotate(-90 10 20.5)">'
+            'mean rank</text>']
+
+    def test_text_escapes_its_content(self):
+        assert self._parts(lambda d: d.text(0, 0, "a & <b>", size=9, fill="#111111")) == [
+            '<text x="0" y="0" font-family="sans-serif" font-size="9" '
+            'text-anchor="start" fill="#111111">a &amp; &lt;b&gt;</text>']
+
+    def test_polyline_of_one_point_adds_no_part(self):
+        assert self._parts(lambda d: d.polyline([(1.0, 2.0)])) == []
+
+    def test_polyline(self):
+        assert self._parts(lambda d: d.polyline([(1, 2.5), (-0.001, 3.333)],
+                                                stroke="#ff0000")) == [
+            '<polyline points="1,2.5 0,3.33" fill="none" stroke="#ff0000" '
+            'stroke-width="1.5"/>']
+
+    def test_circles_with_zero_opacity(self):
+        assert self._parts(lambda d: d.circles([1.5], [2], 2.2, fill="#00ff00",
+                                               opacity=0.0)) == [
+            '<circle cx="1.5" cy="2" r="2.2" fill="#00ff00" fill-opacity="0"/>']
+
+
 class TestBdDiagram:
     def test_scenario_counts_and_colors(self, tmp_path):
         h = scenario_history(1)

@@ -1,12 +1,16 @@
 """The import contract of the ``dlpeval`` package, each check in a fresh
-interpreter so that no earlier import in the test session hides a load."""
+interpreter so that no earlier import in the test session hides a load;
+and README's library example, run as written."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,3 +89,20 @@ def test_numpy_parses_text_in_one_place():
              for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
              if ast.unparse(call.func) in ("np.loadtxt", "numpy.loadtxt")]
     assert set(where) == {("core", "_Text.loadtxt")}
+
+
+def test_readme_library_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, 200, 3000)
+    dst = (src + rng.integers(1, 200, 3000)) % 200  # no self-loops
+    rows = (f"n{u},n{v},{t}" for u, v, t in zip(src, dst, np.arange(3000) // 3))
+    (tmp_path / "interactions.csv").write_text(
+        "source,destination,timestamp\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    aucs = {name: float(auc) for name, auc in (line.split() for line in printed[-3:])}
+    assert list(aucs) == ["HE", "OE", "IE"]
+    assert all(0.0 <= auc <= 1.0 for auc in aucs.values())
