@@ -408,9 +408,9 @@ def cmd_eval(args):
     run = None
 
     if args.scorer == "external":
-        # the logs, not the command line, say how they were sampled and
-        # scored: their headers replace the sampling options in the config
-        for option in ("k", "seed", "batch_size", "on_empty"):
+        # the logs, not the command line, say how they were sampled, split
+        # and scored: their headers replace those options in the config
+        for option in ("k", "seed", "batch_size", "on_empty", "test_ratio"):
             delattr(args, option)
         metas, per_log_reports, series = _external_logs(args.logs, h, args.period, args.bins)
     else:

@@ -503,62 +503,62 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 class _Text:
     """The text of an open handle from where it stands, read as often as
-    asked: a seekable handle again from that place, a pipe from the list of
-    lines it is read into once. ``source`` is what the handle was opened
-    from and ``skipped`` the physical lines before that place.
+    asked; a pipe is read once into memory, so that numpy never opens it.
+    ``source`` is what the handle was opened from.
 
     ``loadtxt`` hands numpy the text's UTF-8 bytes, each read as one
     Latin-1 character, so that a bytes field holds a field's UTF-8 bytes
-    whatever its text. numpy may open the file itself when ``source`` is a
-    path, the handle seeks (not a FIFO) and the name has no suffix that
-    numpy decompresses by: its C reader then reads the file in chunks, not
-    one ``str`` per line. It opens the file with universal newlines, so a
-    reader passes ``by_path=False`` where a quoted field may hold a CR, as
-    ``ingest_csv`` does for text that holds both a CR and a quote; and by
-    its absolute path, which no URL scheme can start."""
+    whatever its text. numpy opens the file itself when ``source`` is a
+    path whose name has no suffix that numpy decompresses by: its C reader
+    then reads the file in chunks, not one ``str`` per line. It opens the
+    file with universal newlines, so a quoted CR would read as a LF: text
+    that holds both a CR and the parse's ``quotechar`` is read line by line
+    instead. It opens it by its absolute path, which no URL scheme can
+    start."""
 
-    def __init__(self, fh: TextIO, source, skipped: int = 0):
-        self._fh, self._skipped = fh, skipped
-        self._start = fh.tell() if fh.seekable() else None
-        self._lines = fh if self._start is not None else list(fh)
-        self._path = None
-        if (self._start is not None and isinstance(source, (str, Path))
-                and os.path.splitext(source)[1] not in _COMPRESSED):
-            self._path = os.path.abspath(source)
-        self._decodes = False  # whether the text has been read through once
+    def __init__(self, fh: TextIO, source):
+        if not fh.seekable():
+            fh, source = io.StringIO(fh.read(), newline=""), None
+        self._fh, self._start = fh, fh.tell()
+        self._path = (os.path.abspath(source) if isinstance(source, (str, Path))
+                      and os.path.splitext(source)[1] not in _COMPRESSED else None)
+        self._decodes = self._holds = None  # recorded by a pass of blocks()
 
     def lines(self) -> Iterable[str]:
         """The lines, read again from their start."""
-        if self._start is not None:
-            self._fh.seek(self._start)
-        return self._lines
+        self._fh.seek(self._start)
+        return self._fh
 
     def blocks(self) -> Iterator[str]:
-        """The text in blocks of about 1 MB, read again from its start;
-        once they are all read, the text is known to decode."""
-        lines = self.lines()
-        if self._start is not None:
-            yield from iter(functools.partial(lines.read, 1 << 20), "")
-        else:  # a pipe's lines, a chunk of them at a time
-            for at in range(0, len(lines), _CHUNK):
-                yield "".join(lines[at:at + _CHUNK])
-        self._decodes = True
+        """The text in blocks of about 1 MB, read again from its start, up
+        to a block that does not decode; a pass that reads them all records
+        whether the text decodes and which of NUL, CR and '"' it holds."""
+        decodes, holds = True, set()
+        try:
+            for block in iter(functools.partial(self.lines().read, 1 << 20), ""):
+                holds.update(c for c in '\0\r"' if c in block)
+                yield block
+        except UnicodeDecodeError:
+            decodes = False
+        self._decodes, self._holds = decodes, holds
 
-    def loadtxt(self, skip: int = 0, by_path: bool = True, **kwargs) -> np.ndarray | None:
+    def loadtxt(self, skip: int, **kwargs) -> np.ndarray | None:
         """``np.loadtxt`` of the UTF-8 bytes of the lines after the first
-        ``skip``, by the path when numpy may open it, or None where numpy
-        refuses them. A Latin-1 read never fails to decode, so the text is
-        decoded once before numpy reads it by the path: text that is not
-        UTF-8 is refused, as it is from a handle."""
+        ``skip``, by the path where numpy may open it; None where the text
+        holds a NUL, which numpy drops from the end of a bytes field, even
+        one that it cut, or does not decode (a Latin-1 read never fails),
+        or numpy refuses it. One pass of ``blocks`` tells, unless one has
+        already."""
+        if self._decodes is None:
+            for _ in self.blocks():
+                pass
+        if not self._decodes or "\0" in self._holds:
+            return None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # text of no rows
-                if by_path and self._path is not None:
-                    if not self._decodes:
-                        for _ in self.blocks():
-                            pass
-                    return np.loadtxt(self._path, skiprows=self._skipped + skip,
-                                      encoding="latin-1", **kwargs)
+                if self._path is not None and not {kwargs.get("quotechar"), "\r"} <= self._holds:
+                    return np.loadtxt(self._path, skiprows=skip, encoding="latin-1", **kwargs)
                 return np.loadtxt(map(str.encode, itertools.islice(self.lines(), skip, None)),
                                   encoding="latin-1", **kwargs)
         except ValueError:
@@ -583,10 +583,11 @@ def ingest_csv(
     are then parsed as columns in one pass, each label as that many UTF-8
     bytes and each timestamp by numpy, and the labels are numbered by one
     sort of those bytes as integers; only the distinct labels become
-    Python strings. The text is read through ``_Text``: by numpy from the
-    file itself unless it holds both a CR and a quote, since numpy would
-    read a CR inside a quoted label as a LF. Text that gives no width (a
-    field past ``_MAX_WIDTH`` bytes, a NUL, or text that does not decode),
+    Python strings. ``_Text`` decides how numpy reads the text, from the
+    same scan: from the file itself unless the text holds both a CR and a
+    quote, since numpy would read a CR inside a quoted label as a LF, and
+    not at all where it holds a NUL or does not decode. Text that gives no
+    width (a field past ``_MAX_WIDTH`` bytes) or that numpy may not read,
     a label that still fills the width (its quoted commas hid its length
     from the scan), a row numpy refuses or a row that breaks a rule sends
     the stream to the row walk: its rows are read one by one as ``csv`` reads
@@ -600,14 +601,14 @@ def ingest_csv(
         raise ValueError(f"unknown schema {schema!r}")
     with _open_for_read(source) as fh:
         text = _Text(fh, source)
-        width, by_path = _scan_text(text.blocks())
+        width = _scan_text(text.blocks())
         header = csv.reader(text.lines())
         if next(header, None) is None:
             raise IngestError("empty stream: no header")
         rows = None
         if width is not None:
             rows = text.loadtxt(
-                skip=header.line_num, by_path=by_path, delimiter=",", quotechar='"', comments=None,
+                header.line_num, delimiter=",", quotechar='"', comments=None,
                 dtype=[("u", f"S{width}"), ("v", f"S{width}"), ("t", np.float64)], ndmin=1,
                 usecols=(0, 1, 2) if schema == "jodie" else None)
         h = None if rows is None else _remap(rows, kind)
@@ -622,32 +623,22 @@ _ROW = np.dtype([("u", object), ("v", object), ("t", np.float64)])
 _MAX_WIDTH = 64  # bytes of the widest label field of the columnar parse
 
 
-def _scan_text(blocks: Iterable[str]) -> tuple[int | None, bool]:
-    """The label width of the columnar parse, and whether numpy may read
-    the text from its file: unless it holds both a CR and a quote. Without
-    a quote no field holds a CR, so numpy's universal newlines end lines at
-    the same CRs as ``csv``; with one, numpy would read a quoted CR as a
-    LF. The width is the longest run of UTF-8 bytes between commas and line
-    ends, plus one, rounded up to whole uint64 words: a label fits with a
-    NUL after it, unless quoting hid its length from the scan. It is None
-    past ``_MAX_WIDTH``, where fixed-width columns would cost more than
-    Python strings, and for text that holds a NUL, which loadtxt drops from
-    the end of a label, or does not decode. Text that does not decode gives
-    neither; its error is left to the row walk, which raises it as it reads
-    the line."""
+def _scan_text(blocks: Iterable[str]) -> int | None:
+    """The label width of the columnar parse: the longest run of UTF-8
+    bytes between commas and line ends, plus one, rounded up to whole
+    uint64 words, so that a label fits with a NUL after it, unless quoting
+    hid its length from the scan. It is None past ``_MAX_WIDTH``, where
+    fixed-width columns would cost more than Python strings. A handle's
+    lone surrogate counts as three bytes; ``_Text.loadtxt`` cannot encode
+    its line, and so leaves the text to the row walk."""
     longest = run = 0  # the longest run, and the one still open where a block ends
-    nul = quote = cr = False
-    try:
-        for text in blocks:
-            nul, quote, cr = nul or "\0" in text, quote or '"' in text, cr or "\r" in text
-            data = np.frombuffer(text.encode(), np.uint8)
-            ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")) | (data == ord("\r")))
-            runs = np.diff(ends, prepend=-1 - run, append=len(data)) - 1
-            longest, run = max(longest, int(runs.max())), int(runs[-1])
-    except UnicodeError:  # a handle's text may also hold a lone surrogate
-        return None, False
+    for text in blocks:
+        data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")) | (data == ord("\r")))
+        runs = np.diff(ends, prepend=-1 - run, append=len(data)) - 1
+        longest, run = max(longest, int(runs.max())), int(runs[-1])
     width = (longest + 8) // 8 * 8
-    return (None if nul or width > _MAX_WIDTH else width), not (cr and quote)
+    return None if width > _MAX_WIDTH else width
 
 
 def _walk_rows(lines: Iterable[str], schema: str, kind: GraphKind) -> np.ndarray:

@@ -12,17 +12,19 @@ Both directions work on columns: the writer streams chunks of rows through
 the text kernel, and the reader parses the body once into typed columns,
 each role as its UTF-8 bytes. A body that numpy refuses, or whose columns
 break a rule, is read by one walk of its lines instead, which gives the
-same columns or names the line of the first bad record. The body after the
-header is read through ``core._Text``: a log file named by its path is
-parsed by numpy's C reader straight from the file, in chunks, once the text
-is known to decode; a handle, bytes or a pipe is parsed line by line, a
-pipe read once into memory so that the walk can read it again. In memory a
+same columns or names the line of the first bad record. The whole log,
+header first, is read through ``core._Text``, which decides how numpy
+reads the body: a log file named by its path is parsed by numpy's C reader
+straight from the file, in chunks, once the text is known to decode and to
+hold no NUL; a handle, bytes or a pipe is parsed line by line, a pipe read
+once into memory; text that holds a NUL is left to the walk. In memory a
 record's role is an ``int8`` code into the log's ``names``: the positive
 role, then the declared strategies.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -196,16 +198,14 @@ def write_score_log(log: ScoredEventLog, meta: ScoreLogMeta, dest: str | Path | 
 def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog, ScoreLogMeta]:
     """Parse and validate a score-log file: its header, then its body by
     ``_parse_records``, or by ``_walk_records`` where that parse refuses
-    it. A bad header or body line raises a ScoreLogError with its line."""
+    it. A bad header or body line raises a ScoreLogError with its line. A
+    pipe is read whole before its header, so that text of a pipe that does
+    not decode fails before a bad header line does, as bytes do."""
     header: dict[str, str] = {}
     try:
         with _open_for_read(source) as fh:
-            lineno = 0
-            while True:
-                raw = fh.readline()
-                if not raw:
-                    raise ScoreLogError("missing column row")
-                lineno += 1
+            text = _Text(fh, source)
+            for lineno, raw in enumerate(text.lines(), start=1):
                 line = raw.rstrip("\r\n")
                 if not line:
                     continue
@@ -216,14 +216,15 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
                     raise ScoreLogError(f"malformed header line {line!r}", line=lineno)
                 key, value = entry.split("=", 1)
                 header[key.strip()] = value.strip()
+            else:
+                raise ScoreLogError("missing column row")
             if line != _COLUMNS:
                 raise ScoreLogError(
                     f"expected column row {_COLUMNS!r}, got {line!r}", line=lineno
                 )
             meta = _meta_from_header(header)
-            body = _Text(fh, source, skipped=lineno)
             names = (POSITIVE_ROLE,) + meta.strategies
-            columns = _parse_records(body, names) or _walk_records(body, lineno, names)
+            columns = _parse_records(text, lineno, names) or _walk_records(text, lineno, names)
     except UnicodeDecodeError as exc:  # not where: that depends on how much was decoded at once
         bad = exc.object[exc.start:exc.end]
         raise ScoreLogError(f"not UTF-8 text ({exc.reason}: {bad!r})") from None
@@ -233,21 +234,23 @@ def read_score_log(source: str | Path | TextIO | bytes) -> tuple[ScoredEventLog,
     return log, meta
 
 
-def _parse_records(body: _Text, names: tuple[str, ...]) -> dict | None:
-    """The records of the log's ``body`` as ``ScoredEventLog`` columns,
-    parsed by numpy in one pass, blank lines skipped, each role coded by its
-    index in ``names``; None when numpy refuses a record (a number padded
-    with non-ASCII whitespace among them), a score is not finite or a role
-    is not in ``names``: the line walk then reads the body.
+def _parse_records(text: _Text, column_row: int, names: tuple[str, ...]) -> dict | None:
+    """The records of the log's ``text`` after the column row (line
+    ``column_row``) as ``ScoredEventLog`` columns, parsed by numpy in one
+    pass, blank lines skipped, each role coded by its index in ``names``;
+    None when ``_Text.loadtxt`` gives none (text that holds a NUL among
+    them), a score is not finite or a role is not in ``names``: the line
+    walk then reads the body.
 
     Roles are parsed as fixed-width UTF-8 bytes one wider than the longest
     name, so that a longer role is cut to a width no name has, and matched
-    by their UTF-8 bytes. A log has no quoting, so a CR only ends a line,
-    and numpy may read a log file itself."""
+    by their UTF-8 bytes; numpy would drop NULs from the end of a cut role,
+    but no text that holds one reaches it. A log has no quoting, so a CR
+    only ends a line, and numpy may read a log file itself."""
     encoded = tuple(name.encode() for name in names)
     role = f"S{max(map(len, encoded)) + 1}"
     dtype = [(name, role if name == "role" else _RECORD[name]) for name in _RECORD.names]
-    records = body.loadtxt(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    records = text.loadtxt(column_row, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     if records is None:
         return None
     code = np.full(len(records), -1, dtype=np.int8)
@@ -259,8 +262,8 @@ def _parse_records(body: _Text, names: tuple[str, ...]) -> dict | None:
             for name in _RECORD.names}
 
 
-def _walk_records(body: _Text, column_row: int, names: tuple[str, ...]) -> dict:
-    """The records of the log's ``body``, read line by line after the column
+def _walk_records(text: _Text, column_row: int, names: tuple[str, ...]) -> dict:
+    """The records of the log's ``text``, read line by line after the column
     row (line ``column_row``): the reference reader for every body that
     ``_parse_records`` refused. A line's numbers are read by
     ``_fast_record`` where it can, else each by ``_number``, and each role,
@@ -270,7 +273,8 @@ def _walk_records(body: _Text, column_row: int, names: tuple[str, ...]) -> dict:
     names them all."""
     codes = {name.rstrip("\0"): c for c, name in enumerate(names)}
     records, unknown = [], set()
-    for lineno, raw in enumerate(body.lines(), start=column_row + 1):
+    lines = itertools.islice(text.lines(), column_row, None)
+    for lineno, raw in enumerate(lines, start=column_row + 1):
         line = raw.rstrip("\r\n")
         if not line:
             continue
@@ -338,23 +342,24 @@ def _number(text: str, parse: type) -> int | float:
 
 
 def _meta_from_header(header: dict[str, str]) -> ScoreLogMeta:
+    """The provenance that ``header`` names. Its numbers follow the syntax
+    rule of a record's (ASCII text with no ``_``), but an integer may be
+    any size: ``eval`` takes a seed past int64."""
     missing = [f.name for f in fields(ScoreLogMeta) if f.name not in header]
     if missing:
         raise ScoreLogError(f"missing header keys: {missing}")
     strategies = tuple(s for s in header["strategies"].split(",") if s)
     _check_strategies(strategies)
+    numbers = {}
     try:
-        t_split = float(header["t_split"])
-        if not math.isfinite(t_split):
-            raise ValueError(f"t_split={header['t_split']} is not finite")
-        return ScoreLogMeta(
-            dataset=header["dataset"],
-            t_split=t_split,
-            batch_size=int(header["batch_size"]),
-            strategies=strategies,
-            k=int(header["k"]),
-            seed=int(header["seed"]),
-            scorer=header["scorer"],
-        )
+        for key, parse in (("t_split", float), ("batch_size", int), ("k", int), ("seed", int)):
+            text = header[key]
+            if not text.isascii() or "_" in text:
+                raise ValueError(f"{key}={text} is not ASCII text with no '_'")
+            numbers[key] = parse(text)
+            if parse is float and not math.isfinite(numbers[key]):
+                raise ValueError(f"{key}={text} is not finite")
     except ValueError as exc:
         raise ScoreLogError(f"malformed header value ({exc})") from None
+    return ScoreLogMeta(dataset=header["dataset"], strategies=strategies,
+                        scorer=header["scorer"], **numbers)

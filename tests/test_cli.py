@@ -833,6 +833,28 @@ class TestMetricsAndPlot:
         assert err.startswith("error: ") and "malformed header value" in err
         assert "t_split=nan" in err and err.count("\n") == 1
 
+    def test_header_seed_past_int64_reads_back(self, dataset, tmp_path):
+        # the int64 bound is a record field's, not a header number's
+        seed = "1180591620717411303424"
+        assert run("eval", dataset, "--strategies", "HE", "--seed", seed,
+                   "--out", tmp_path / "e") == 0
+        log = tmp_path / "e" / "scores.csv"
+        assert f"# seed={seed}\n" in log.read_text()
+        assert run("metrics", "--log", log, "--out", tmp_path / "m") == 0
+
+    def test_nul_padded_undeclared_role_exits_2(self, tmp_path, capsys):
+        # a role field one byte wider than "positive" would cut the role to
+        # HD and seven NULs
+        role = "HD" + "\0" * 7 + "X"
+        log = tmp_path / "cut.csv"
+        log.write_text("# dataset=x\n# t_split=0.5\n# batch_size=1\n# strategies=HD\n"
+                       "# k=1\n# seed=0\n# scorer=model\n"
+                       "event_ordinal,batch,role,source,destination,timestamp,score\n"
+                       f"0,0,positive,0,1,1.0,1.0\n0,0,{role},2,3,1.0,0.0\n")
+        assert run("metrics", "--log", log, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == \
+            f"error: {log}: undeclared roles present: [{np.str_(role)!r}]\n"
+
     def test_malformed_log_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("# dataset=x\nevent_ordinal,batch\n")
@@ -963,7 +985,7 @@ class TestManifestAndEnv:
                              "bins": 50, "period": "test", "logs": []},
                          "outputs": eval_outputs, "run": sampled({"OE": 36, "RND": 25})},
             "external": {"command": "eval",
-                         "config": undirected | cutoff | {
+                         "config": undirected | {"t_split": 84.4} | {
                              "scorer": "external", "strategies": ["OE", "RND"],
                              "bins": 9, "period": "all",
                              "logs": ["TMP/pa/scores.csv", "TMP/edgebank/scores.csv"],

@@ -180,8 +180,8 @@ def _outcome(read, source, **kw):
 class TestIngestMatchesRowOracle:
     """The columnar ingest against the row-by-row oracle on generated CSV
     text, read from a path (numpy opens the file itself unless its name ends
-    in a compressed suffix, it is a FIFO or its text holds a CR), bytes, a
-    text handle and a pipe."""
+    in a compressed suffix, it is a FIFO, or its text holds a NUL or both a
+    CR and a quote), bytes, a text handle and a pipe."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=_csv_text(),
@@ -279,12 +279,13 @@ class TestIngestMatchesRowOracle:
     @pytest.mark.parametrize("blocks, width", [
         (["s,d,t\n"], 8), (["a" * 7 + ",b\n"], 8), (["a" * 8 + ",b\n"], 16),
         (["é" * 4 + "\r\n"], 16), (["aaaa", "aaaa,b"], 16), (["a" * 40, "a" * 23 + "\n"], 64),
-        (["a" * 40, "a" * 24], None), (["a\0,b\n"], None),
+        (["a" * 40, "a" * 24], None), (["a\0,b\n"], 8),
     ])
     def test_scan_picks_the_width_across_blocks(self, blocks, width):
         # the longest run of UTF-8 bytes, a run cut by a block end counted
-        # whole, plus one, rounded up to 8, and None past the cap
-        assert core._scan_text(blocks)[0] == width
+        # whole, plus one, rounded up to 8, and None past the cap; a NUL
+        # counts as any byte, since _Text keeps such text from numpy
+        assert core._scan_text(blocks) == width
 
     @pytest.mark.parametrize("blocks, by_path", [
         (["a,b\n"], True), (["a,b\r\n", "c,d\r\n"], True), (["a,b\r", "\nc,d\r\n"], True),
@@ -292,12 +293,29 @@ class TestIngestMatchesRowOracle:
         (["a,b\rc,d\n"], True), (["a,b\r\r\n"], True), (["a,b\r\n", "c,d\r"], True),
         (['"a",b\r', "c,d\n"], False),
     ])
-    def test_scan_lets_numpy_read_the_file_unless_a_cr_is_misread(self, blocks, by_path):
-        # by path unless the text holds both a CR and a quote, wherever
-        # the two stand: without a quote numpy's universal newlines end
-        # lines at the same CRs as csv, bare or in a CRLF; a quote alone
-        # does not matter without a CR
-        assert core._scan_text(blocks)[1] is by_path
+    def test_scan_lets_numpy_read_the_file_unless_a_cr_is_misread(self, tmp_path, blocks,
+                                                                  by_path):
+        # by path unless the text holds both a CR and the parse's quote,
+        # wherever the two stand: without a quote numpy's universal
+        # newlines end lines at the same CRs as csv, bare or in a CRLF; a
+        # quote alone does not matter without a CR
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(blocks), encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh, \
+                mock.patch.object(np, "loadtxt", return_value="rows") as loadtxt:
+            assert core._Text(fh, path).loadtxt(0, quotechar='"') == "rows"
+        assert (loadtxt.call_args.args[0] == str(path)) is by_path
+
+    @pytest.mark.parametrize("data", [b"s,d,t\na\0,b,1\n", b"s,d,t\n\xff,b,1\n"])
+    def test_text_that_holds_a_nul_or_does_not_decode_is_kept_from_numpy(self, tmp_path,
+                                                                         data):
+        # numpy drops a NUL from the end of a bytes field, and reads any
+        # byte as Latin-1
+        path = tmp_path / "rows.csv"
+        path.write_bytes(data)
+        with core._open_for_read(path) as fh, mock.patch.object(np, "loadtxt") as loadtxt:
+            assert core._Text(fh, path).loadtxt(1) is None
+        assert not loadtxt.called
 
     def test_undecodable_text_fails_as_the_row_walk_reads_it(self, tmp_path):
         # the error names the bad byte's place in the block being decoded,

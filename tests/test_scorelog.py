@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     LOG_COLUMNS,
@@ -256,6 +256,19 @@ class TestReadValidation:
         with pytest.raises(ScoreLogError, match=f"malformed header value .*t_split={value}"):
             read_score_log(io.StringIO(text))
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", "1_0"), ("seed", "\u0663"), ("t_split", "1_0.5"), ("batch_size", "\uff14"),
+    ])
+    def test_header_numbers_follow_the_number_rule(self, key, value):
+        # as a record's numbers: ASCII text with no '_', though Python's
+        # int and float read each of these
+        text = self._text(["0,0,positive,0,1,1.0,1.0"])
+        text = text.replace(f"# {key}=", f"# {key}={value}\n# was=", 1)
+        with pytest.raises(ScoreLogError) as info:
+            read_score_log(io.StringIO(text))
+        assert str(info.value) == \
+            f"malformed header value ({key}={value} is not ASCII text with no '_')"
+
     def test_wrong_arity_reports_line(self):
         text = self._text(["0,0,positive,0,1,1.0"])
         with pytest.raises(ScoreLogError, match="line 9.*fields"):
@@ -363,6 +376,41 @@ class TestReadValidation:
             read_score_log(io.StringIO(text))
         assert str(info.value) == f"undeclared roles present: [{np.str_(named)!r}]"
 
+    def test_nul_padded_role_cut_to_a_declared_name_is_undeclared_from_every_source(
+            self, tmp_path):
+        # a role field of width 9 would cut it to HD and seven NULs, and
+        # drop the NULs
+        role = "HD" + "\0" * 7 + "X"
+        text = self._text(["0,0,positive,0,1,1.0,1.0", f"0,0,{role},2,3,1.0,0.0"], "HD")
+        path, gz = tmp_path / "scores.csv", tmp_path / "scores.csv.gz"
+        for name in (path, gz):
+            name.write_text(text, encoding="utf-8", newline="")
+        want = ("ScoreLogError", f"undeclared roles present: [{np.str_(role)!r}]", None)
+        for source in (path, str(path), gz, text.encode(), io.StringIO(text), Pipe(text)):
+            assert _read_outcome(source) == want
+        if hasattr(os, "mkfifo"):
+            assert read_through_fifo(_read_outcome, tmp_path / "scores.fifo",
+                                     text.encode()) == want
+
+    @pytest.mark.parametrize("strategy, role, by_path", [
+        ('O"E', 'O"E', True), ("OE", "OE\0", False),
+    ])
+    def test_numpy_reads_a_log_file_by_its_path_unless_it_holds_a_nul(
+            self, tmp_path, strategy, role, by_path):
+        # a log honours no quote, so a '"' with CRLF line ends keeps numpy
+        # reading the file itself; a NUL leaves the log to the walk
+        rows = ["0,0,positive,0,1,1.0,1.0", f"0,0,{role},2,3,1.0,0.0"]
+        path = tmp_path / "scores.csv"
+        path.write_text(self._text(rows, strategy).replace("\n", "\r\n"), encoding="utf-8",
+                        newline="")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(scorelog, "_walk_records",
+                                  wraps=scorelog._walk_records) as walk:
+            log, _ = read_score_log(path)
+        assert [log.names[c] for c in log.role] == [POSITIVE_ROLE, strategy]
+        assert [call.args[0] for call in loadtxt.call_args_list] == [str(path)] * by_path
+        assert walk.called is not by_path
+
     def test_role_with_trailing_nul_reads_as_declared_name(self):
         text = self._text(["0,0,positive,0,1,1.0,1.0", "0,0,OE\x00,2,3,1.0,0.0"])
         log, _ = read_score_log(io.StringIO(text))
@@ -453,15 +501,18 @@ class TestReadValidation:
 
 
 # Generated score-log files. Most are valid logs; some records carry a role
-# with a NUL, an undeclared role, a bad number, a non-finite score or the
-# wrong arity, and some files hold a byte that does not decode. Numbers may
-# be padded with non-ASCII whitespace, which only the line walk reads, or
-# with U+001C, which numpy strips and Python's int and float do not, or be
-# text that Python reads but the format refuses: a ``_``, a non-ASCII digit
-# or an integer past int64. Lines end in LF, CRLF or a bare CR, and blank
-# lines fall among the header and the body.
+# with a NUL, an undeclared role (one of them NUL-padded, so that a role
+# field one byte wider than ``positive`` would cut it to ``OE``), a bad
+# number, a non-finite score or the wrong arity, and some files hold a byte
+# that does not decode. Numbers may be padded with non-ASCII whitespace,
+# which only the line walk reads, or with U+001C, which numpy strips and
+# Python's int and float do not, or be text that Python reads but the
+# format refuses: a ``_``, a non-ASCII digit or an integer past int64. Lines
+# end in LF, CRLF or a bare CR, and blank lines fall among the header and
+# the body.
 _NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
-_ROLES = st.sampled_from(["OE"] * 4 + ["OD"] * 4 + ["OE\0", "O\0D", "\0", "HD", "é"])
+_ROLES = st.sampled_from(["OE"] * 4 + ["OD"] * 4 + ["OE\0", "O\0D", "\0", "HD", "é",
+                          "OE" + "\0" * 7 + "X"])
 _ODD_NUMBERS = ["1\xa0", "\u30001", "\x1c1", "1_0", "\u0663"]
 _SCORES = st.sampled_from(["0.5", "1", "-0", "0", "5e-324", "0.33333333333333331",
                            "1e308"] * 3 + ["nan", "inf", "oops", ""] + _ODD_NUMBERS)
@@ -469,12 +520,18 @@ _ENDPOINTS = st.sampled_from([str(i) for i in range(10)] * 6
                              + _ODD_NUMBERS + [str(2 ** 63), str(-2 ** 63)])
 
 
+_LOG_HEAD = ["# dataset=x", "# t_split=1.5", "# batch_size=2", "# strategies=OE,OD",
+             "# k=1", "# seed=0", "# scorer=edgebank",
+             "event_ordinal,batch,role,source,destination,timestamp,score"]
+# a valid log but for its NUL-padded role, which few generated files reach
+_CUT_LOG = "".join(line + "\n" for line in _LOG_HEAD + [
+    "0,0,positive,1,2,0.0,0.5", "0,0,OE" + "\0" * 7 + "X,1,2,0.0,0.5"]).encode()
+
+
 @st.composite
 def _log_file(draw):
     """The bytes of a score-log file."""
-    lines = ["# dataset=x", "# t_split=1.5", "# batch_size=2", "# strategies=OE,OD",
-             "# k=1", "# seed=0", "# scorer=edgebank",
-             "event_ordinal,batch,role,source,destination,timestamp,score"]
+    lines = list(_LOG_HEAD)
     for o in range(draw(st.integers(0, 5))):
         for role in ["positive"] + draw(st.lists(_ROLES, max_size=3)):
             fields = [str(o), str(o // 2), role, draw(_ENDPOINTS), draw(_ENDPOINTS),
@@ -509,11 +566,13 @@ def _read_outcome(source):
 
 
 class TestReadMatchesAcrossSources:
-    """numpy reads a log file by its path itself; every other source is read
-    line by line. Both give the same log or the same error."""
+    """numpy reads a log file by its path itself, unless its text holds a
+    NUL; every other source is read line by line. Both give the same log or
+    the same error."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=_log_file())
+    @example(data=_CUT_LOG)
     def test_same_log_or_same_error(self, tmp_path_factory, data):
         want = _read_outcome(data)
         base = tmp_path_factory.getbasetemp()
@@ -539,6 +598,7 @@ class TestWalkMatchesParse:
 
     @settings(max_examples=300, deadline=None)
     @given(data=_log_file())
+    @example(data=_CUT_LOG)
     def test_walk_alone_reads_alike(self, data):
         want = _read_outcome(data)
         with mock.patch.object(scorelog, "_parse_records", return_value=None):
