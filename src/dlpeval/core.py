@@ -83,7 +83,7 @@ class History:
         self.num_sources = num_sources
         self.labels = labels
         self._edges: tuple[np.ndarray, np.ndarray] | None = None
-        self._occurrences: np.ndarray | None = None
+        self._occurrences: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_arrays(
@@ -167,38 +167,47 @@ class History:
             self._edges = np.unique(self.edge_keys(self.src, self.dst), return_inverse=True)
         return self._edges
 
-    def find_edges(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The order that sorts the queries (u[r], v[r]) by canonical edge,
-        and in that order each query's index into ``edges()``, or -1 where no
-        event holds it. Ids outside [0, num_nodes) are never found. Sorted
-        queries search many times faster than random ones."""
+    def find_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Each query (u[r], v[r])'s index into ``edges()``, or -1 where no
+        event holds it. Ids outside [0, num_nodes) are never found. The
+        queries are searched in sorted order, many times faster than in
+        random order."""
         in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.num_nodes)
         key = np.where(in_range, self.edge_keys(u, v), -1)
         order = np.argsort(key)
-        key, edges = key[order], self.edges()[0]
+        key, edges, found = key[order], self.edges()[0], np.empty(len(key), dtype=np.int64)
         at = np.searchsorted(edges, key)
-        return order, np.where(np.searchsorted(edges, key, side="right") > at, at, -1)
+        found[order] = np.where(np.searchsorted(edges, key, side="right") > at, at, -1)
+        return found
+
+    def collides(self, edge: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Whether each edge index edge[r] (-1 for none) is the edge of an
+        event at the timestamp of the event at position at[r]."""
+        n = len(self)
+        if self._occurrences is None:  # one pass over the timestamps
+            new = np.diff(self.t, prepend=np.nan) != 0  # the first event at its timestamp
+            first = np.maximum.accumulate(np.where(new, np.arange(n), 0))
+            # a timestamp is coded by its first event's position; edge index
+            # * n + position is below n ** 2, so it cannot overflow
+            self._occurrences = (np.sort(self.edges()[1] * n + first), first,
+                                 new & (np.diff(self.t, append=np.nan) != 0))
+        codes, first, alone = self._occurrences
+        hit = edge == self.edges()[1][at]  # the one edge at a timestamp with one event
+        tied = np.flatnonzero(~alone[at])
+        code = edge[tied] * n + first[at[tied]]  # negative for edge -1
+        order = np.argsort(code)  # sorted, the codes search many times faster
+        tied, code = tied[order], code[order]
+        hit[tied] = codes[np.minimum(np.searchsorted(codes, code), n - 1)] == code
+        return hit
 
     def occurs(self, u: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Whether each (u[r], v[r]) is a true event at exactly time t[r]: the
         same canonical edge at that timestamp. Ids outside the stream never
         are."""
-        n = len(self)
-        if self._occurrences is None:  # a timestamp is coded by its first event's position
-            self._occurrences = np.sort(self.edges()[1] * n + np.searchsorted(self.t, self.t))
-        if n == 0:
+        if len(self) == 0:
             return np.zeros(len(t), dtype=bool)
-        # callers query in time order, so times are searched as given; the
-        # codes are searched in the edge order that find_edges sorts by
-        t_at = np.minimum(np.searchsorted(self.t, t), n - 1)
-        on_time = self.t[t_at] == t
-        order, edge = self.find_edges(u, v)
-        # edge index * n + event position is below n ** 2, so it cannot overflow
-        code, codes = edge * n + t_at[order], self._occurrences
-        at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        found = np.empty(len(order), dtype=bool)
-        found[order] = (edge >= 0) & (codes[at] == code)
-        return on_time & found
+        at = np.minimum(np.searchsorted(self.t, t), len(self) - 1)
+        return (self.t[at] == t) & self.collides(self.find_edges(u, v), at)
 
     # -- export ----------------------------------------------------------
 
@@ -503,8 +512,9 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 class _Text:
     """The text of an open handle from where it stands, read as often as
-    asked; a pipe is read once into memory, so that numpy never opens it.
-    ``source`` is what the handle was opened from.
+    asked; a pipe is read once into memory, as its UTF-8 bytes (a lone
+    surrogate passed through), so that numpy never opens it. ``source`` is
+    what the handle was opened from.
 
     ``loadtxt`` hands numpy the text's UTF-8 bytes, each read as one
     Latin-1 character, so that a bytes field holds a field's UTF-8 bytes
@@ -517,8 +527,9 @@ class _Text:
     start."""
 
     def __init__(self, fh: TextIO, source):
-        if not fh.seekable():
-            fh, source = io.StringIO(fh.read(), newline=""), None
+        if not fh.seekable():  # as bytes: an io.StringIO keeps 4 bytes a character
+            data = io.BytesIO(fh.read().encode("utf-8", "surrogatepass"))
+            fh, source = io.TextIOWrapper(data, "utf-8", "surrogatepass", newline=""), None
         self._fh, self._start = fh, fh.tell()
         self._path = (os.path.abspath(source) if isinstance(source, (str, Path))
                       and os.path.splitext(source)[1] not in _COMPRESSED else None)

@@ -66,14 +66,16 @@ class NegativeStrategy(enum.Enum):
 class SampledStream:
     """Negatives drawn for the events of one stream, in columns: the history
     positions of the events kept (their ordinals are 0..n_kept-1), their
-    timestamps, (n_kept, len(strategies), k) endpoint arrays, the count of
-    events skipped for lack of a legal negative, and per strategy the count
-    of events for which it had none."""
+    timestamps, (n_kept, len(strategies), k) endpoint arrays and each
+    negative's index into ``history.edges()`` (-1 for a pair that no event
+    holds), the count of events skipped for lack of a legal negative, and
+    per strategy the count of events for which it had none."""
 
     events: np.ndarray
     timestamp: np.ndarray
     source: np.ndarray
     destination: np.ndarray
+    edge: np.ndarray
     strategies: tuple[NegativeStrategy, ...]
     skipped: int
     no_legal: tuple[int, ...]
@@ -85,9 +87,10 @@ class CandidateIndex:
 
     ``pools[s]`` holds, sorted, the observed nodes of strategy ``s``'s
     category (every observed node for RND), restricted on a bipartite stream
-    to the side it replaces, or for edge strategies the (n, 2) endpoints of
-    the observed canonical edges of its category. The index is immutable
-    after build and safe to share across concurrent sampling calls.
+    to the side it replaces, or for edge strategies the indices into
+    ``history.edges()`` of the observed canonical edges of its category. The
+    index is immutable after build and safe to share across concurrent
+    sampling calls.
     """
 
     history: History
@@ -107,12 +110,9 @@ def build_candidate_index(h: History, t_split: float) -> CandidateIndex:
         ids, codes = (edges.ids, edge_codes) if edge else (nodes.ids, node_codes)
         keep = (np.ones(len(ids), dtype=bool) if s.category is None
                 else codes == list(TemporalCategory).index(s.category))
-        if edge:
-            pools[s] = np.column_stack(History.edge_endpoints(ids[keep], h.num_nodes))
-            continue
-        if h.kind.bipartite:
+        if h.kind.bipartite and not edge:
             keep &= (ids < h.num_sources) == (s.replaces == "source")
-        pools[s] = ids[keep]
+        pools[s] = np.flatnonzero(keep) if edge else ids[keep]  # edges.ids is h.edges()[0]
     return CandidateIndex(h, pools)
 
 
@@ -135,16 +135,19 @@ def sample_negatives(
     events: np.ndarray,
     k: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw k negatives under one strategy for each event at the history
     positions ``events``.
 
-    Returns (n, k) source and destination arrays and an (n,) mask of the
-    events whose every draw found a legal negative. A candidate is rejected
-    when it reproduces a true event at the positive's timestamp or forms a
-    disallowed self-loop, and only rejected draws are redrawn; a draw still
-    rejected after ``MAX_ATTEMPTS`` candidates clears its event's mask (the
-    event's row then holds rejected candidates).
+    Returns (n, k) source, destination and edge-index arrays (the index into
+    ``h.edges()``, -1 for a pair that no event holds) and an (n,) mask of
+    the events whose every draw found a legal negative. A candidate is
+    rejected when it reproduces a true event at the positive's timestamp or
+    forms a disallowed self-loop, and only rejected draws are redrawn; a draw
+    still rejected after ``MAX_ATTEMPTS`` candidates clears its event's mask
+    (the event's row then holds rejected candidates). An edge strategy draws
+    edge indices, which need no search; a node strategy finds each round's
+    candidates with one ``History.find_edges`` call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -162,27 +165,27 @@ def sample_negatives(
     strategy_word = int.from_bytes(strategy.value.encode("ascii"), "little")
     key = _mix(np.full(len(row), seed % 2**64, dtype=np.uint64))
     key = _extend(_extend(_extend(key, at), strategy_word), np.tile(np.arange(k), len(events)))
-    source, destination, t = h.src[at], h.dst[at], h.t[at]
+    source, destination, edge = h.src[at], h.dst[at], np.empty(len(row), dtype=np.int64)
     todo, attempt = np.arange(len(row)), 0
     while len(todo) and attempt < MAX_ATTEMPTS:
         hashed = _extend(key[todo], attempt)
         # multiply-shift: the hash's top 32 bits scaled to the (< 2**32) pool
-        j = (((hashed >> np.uint64(32)) * np.uint64(len(pool))) >> np.uint64(32)).astype(np.int64)
-        u, v = source[todo], destination[todo]
-        if strategy.replaces == "edge":
-            u, v = pool[j, 0], pool[j, 1]
-        elif strategy.replaces == "source":
-            u = pool[j]
+        candidate = pool[(((hashed >> np.uint64(32)) * np.uint64(len(pool)))
+                          >> np.uint64(32)).astype(np.int64)]
+        if strategy.replaces == "edge":  # its endpoints are looked up once, below
+            edge[todo] = candidate
         else:
-            v = pool[j]
-        rejected = h.occurs(u, v, t[todo])
-        if not h.kind.allow_self_loops:
-            rejected |= u == v
-        source[todo], destination[todo] = u, v
+            (source if strategy.replaces == "source" else destination)[todo] = candidate
+            edge[todo] = h.find_edges(source[todo], destination[todo])
+        rejected = h.collides(edge[todo], at[todo])
+        if not h.kind.allow_self_loops:  # never true of an observed edge
+            rejected |= source[todo] == destination[todo]
         todo, attempt = todo[rejected], attempt + 1
+    if strategy.replaces == "edge":
+        source, destination = History.edge_endpoints(h.edges()[0][edge], h.num_nodes)
     ok = np.ones(len(events), dtype=bool)
     ok[row[todo]] = False
-    return source.reshape(-1, k), destination.reshape(-1, k), ok
+    return source.reshape(-1, k), destination.reshape(-1, k), edge.reshape(-1, k), ok
 
 
 def sample_stream(
@@ -220,11 +223,11 @@ def sample_stream(
     h = idx.history
     n = len(h)
     source = np.zeros((n, len(strategies), k), dtype=np.int64)
-    destination = np.zeros_like(source)
+    destination, edge = np.zeros_like(source), np.zeros_like(source)
     ok = np.zeros((n, len(strategies)), dtype=bool)
     for j, s in enumerate(strategies):
         if len(idx.pools[s]):
-            source[:, j], destination[:, j], ok[:, j] = sample_negatives(
+            source[:, j], destination[:, j], edge[:, j], ok[:, j] = sample_negatives(
                 idx, s, np.arange(n), k, seed)
     kept = np.flatnonzero(ok.all(axis=1))
     no_legal = n - ok.sum(axis=0)
@@ -241,7 +244,7 @@ def sample_stream(
     skipped = n - len(kept)
     if skipped and not barren:
         logger.warning("skipped %d of %d events with no legal negatives", skipped, n)
-    return SampledStream(kept, h.t[kept], source[kept], destination[kept],
+    return SampledStream(kept, h.t[kept], source[kept], destination[kept], edge[kept],
                          strategies, skipped, tuple(no_legal.tolist()))
 
 

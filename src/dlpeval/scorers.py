@@ -32,7 +32,8 @@ def heuristic_scores(
     v: np.ndarray,
     before: np.ndarray,
 ) -> np.ndarray:
-    """Score of each record (u[r], v[r]) against the events [0, before[r]).
+    """Score of each record (u[r], v[r]) against the events [0, before[r]),
+    ``before`` broadcast against the records.
 
     EdgeBank scores 1 iff the record's canonical edge is first seen among
     those events, preferential attachment iff both of its endpoints are;
@@ -40,13 +41,18 @@ def heuristic_scores(
     0."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
+    edge = h.find_edges(u, v) if scorer is ScorerKind.EDGEBANK else None
+    return _scores(h, scorer, u, v, edge, before)
+
+
+def _scores(h: History, scorer: ScorerKind, u, v, edge, before) -> np.ndarray:
+    """``heuristic_scores`` of records whose indices into ``h.edges()`` (-1
+    for none) EdgeBank reads from ``edge``."""
     if len(h) == 0:
         return np.zeros(len(u))
     if scorer is ScorerKind.EDGEBANK:
         first = first_last(h.edges()[1], len(h.edges()[0]))[0]
-        order, edge = h.find_edges(u, v)
-        seen = np.empty(len(u), dtype=bool)
-        seen[order] = (edge >= 0) & (first[edge] < before[order])
+        seen = (edge >= 0) & (first[edge] < before)
     else:
         first = first_last(np.column_stack([h.src, h.dst]).ravel(), h.num_nodes, 2)[0]
         in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < h.num_nodes)
@@ -65,7 +71,8 @@ def run_streaming_eval(
     ``h``) and its negatives.
 
     Emitted event ordinals are contiguous over the events actually scored;
-    batches are fixed windows of ``batch_size`` history positions.
+    batches are fixed windows of ``batch_size`` history positions. Each
+    record's edge index comes from the draw, so EdgeBank searches nothing.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -75,6 +82,8 @@ def run_streaming_eval(
     negatives = np.stack([sampled.source, sampled.destination], axis=-1)
     pairs = np.concatenate([positives, negatives.reshape(n_kept, n_strategies * k, 2)], 1)
     source, destination = pairs.reshape(-1, 2).T
+    edge = np.concatenate([h.edges()[1][sampled.events, None],
+                           sampled.edge.reshape(n_kept, n_strategies * k)], 1).ravel()
     # each event's role codes: the positive's (0), then k of each strategy's
     roles = np.repeat(np.arange(1 + n_strategies, dtype=np.int8), [1] + [k] * n_strategies)
     batch = np.repeat(sampled.events // batch_size, len(roles))
@@ -85,6 +94,6 @@ def run_streaming_eval(
         source=source,
         destination=destination,
         timestamp=np.repeat(sampled.timestamp, len(roles)),
-        score=heuristic_scores(h, scorer, source, destination, batch * batch_size),
+        score=_scores(h, scorer, source, destination, edge, batch * batch_size),
         strategies=tuple(s.value for s in sampled.strategies),
     )

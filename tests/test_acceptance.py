@@ -275,7 +275,7 @@ def test_criterion_6_sampler_category_correctness():
             for strategy in checked:
                 if len(idx.pools[strategy]) == 0:
                     continue
-                u, v, ok = sample_negatives(idx, strategy, events, k, round_no)
+                u, v, _, ok = sample_negatives(idx, strategy, events, k, round_no)
                 u, v = u[ok], v[ok]
                 # negatives keep the endpoint they do not replace (and are
                 # drawn at their positive's timestamp by construction)

@@ -4,6 +4,7 @@ import gzip
 import io
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -253,9 +254,10 @@ class TestIngestMatchesRowOracle:
         # past the cap, one whose quoted commas hide its length from the
         # scan, so that it fills the width, one past csv's field limit,
         # which fails as the oracle fails it, and a handle's lone surrogate,
-        # which has no UTF-8 bytes
-        assert _outcome(ingest_csv, io.StringIO(text)) == \
-            _outcome(brute_force_ingest, io.StringIO(text))
+        # which has no UTF-8 bytes, read from a pipe as from a handle
+        for handle in (io.StringIO, Pipe):
+            assert _outcome(ingest_csv, handle(text)) == \
+                _outcome(brute_force_ingest, io.StringIO(text))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_labels_under_the_cap_take_the_columnar_parse(self, tmp_path, newline):
@@ -316,6 +318,21 @@ class TestIngestMatchesRowOracle:
         with core._open_for_read(path) as fh, mock.patch.object(np, "loadtxt") as loadtxt:
             assert core._Text(fh, path).loadtxt(1) is None
         assert not loadtxt.called
+
+    def test_a_pipe_is_held_as_its_utf8_bytes(self):
+        # construction plus one pass of blocks() peaks near the text's bytes
+        # twice over (the pipe's str and its encoding), not at the 4 bytes a
+        # character of an io.StringIO
+        pipe = Pipe("s,d,t\n" + "".join(f"n{i},m{i},{i}\n" for i in range(200_000)))
+        size = len(pipe.getvalue())
+        tracemalloc.start()
+        try:
+            for _ in core._Text(pipe, None).blocks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size
 
     def test_undecodable_text_fails_as_the_row_walk_reads_it(self, tmp_path):
         # the error names the bad byte's place in the block being decoded,

@@ -1,5 +1,6 @@
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dlpeval import (
     sample_negatives,
     sample_stream,
 )
+from dlpeval import sampling
 from dlpeval.sampling import write_negatives_csv
 
 # chi-square 99th percentile, 9 degrees of freedom
@@ -37,8 +39,15 @@ CHI2_99_DF9 = 21.666
 def draws(idx, strategy, i, k, seed):
     """The k negatives of the event at history position i, or None when it
     has no legal one."""
-    u, v, ok = sample_negatives(idx, strategy, [i], k, seed)
+    u, v, _, ok = sample_negatives(idx, strategy, [i], k, seed)
     return list(zip(u[0].tolist(), v[0].tolist())) if ok[0] else None
+
+
+def edge_pool(idx, strategy):
+    """The (a, b) endpoints of an edge strategy's pool of edge indices."""
+    h = idx.history
+    return zip(*(c.tolist() for c in History.edge_endpoints(
+        h.edges()[0][idx.pools[strategy]], h.num_nodes)))
 
 
 @pytest.mark.parametrize("name, category, replaces", [
@@ -65,9 +74,8 @@ class TestCandidateIndex:
         assert set(idx.pools[NegativeStrategy.OD]) == {0, 1, 2, 3}
         assert set(idx.pools[NegativeStrategy.ID]) == {4}
         assert len(idx.pools[NegativeStrategy.HD]) == 0
-        overlap_edges = {tuple(e) for e in idx.pools[NegativeStrategy.OE]}
-        assert overlap_edges == set(SCENARIO_PAIRS)
-        assert {tuple(e) for e in idx.pools[NegativeStrategy.IE]} == {(4, 0)}
+        assert set(edge_pool(idx, NegativeStrategy.OE)) == set(SCENARIO_PAIRS)
+        assert set(edge_pool(idx, NegativeStrategy.IE)) == {(4, 0)}
 
     def test_empty_test_side_means_all_historical(self):
         h = scenario_history(1)
@@ -88,8 +96,8 @@ class TestCandidateIndex:
                 assert category_of(node_life[int(u)], t_split) is s.category
         edge_life = lifetime_rows(lifetimes(h, KeyKind.EDGE))
         for s in (NegativeStrategy.HE, NegativeStrategy.OE, NegativeStrategy.IE):
-            for a, b in idx.pools[s]:
-                assert category_of(edge_life[(int(a), int(b))], t_split) is s.category
+            for pair in edge_pool(idx, s):
+                assert category_of(edge_life[pair], t_split) is s.category
 
     def test_bipartite_role_pools_are_disjoint_universes(self):
         rng = np.random.default_rng(4)
@@ -130,7 +138,7 @@ class TestSampleNegatives:
         h = build_history(events)
         idx = build_candidate_index(h, 50.0)
         draws_ = 100_000
-        u, _, ok = sample_negatives(idx, NegativeStrategy.HE, [10], draws_, 987)
+        u, _, _, ok = sample_negatives(idx, NegativeStrategy.HE, [10], draws_, 987)
         assert ok[0]
         counts = np.bincount(u[0], minlength=10)
         expected = draws_ / 10
@@ -162,7 +170,7 @@ class TestSampleNegatives:
             for strategy in NegativeStrategy:
                 if strategy is NegativeStrategy.RND or len(idx.pools[strategy]) == 0:
                     continue
-                u, v, ok = sample_negatives(idx, strategy, events, 2, trial)
+                u, v, _, ok = sample_negatives(idx, strategy, events, 2, trial)
                 for a, b in zip(u[ok].ravel().tolist(), v[ok].ravel().tolist()):
                     if strategy.replaces == "edge":
                         life = edge_life[(a, b)]
@@ -221,7 +229,7 @@ class TestSampleNegatives:
                          NegativeStrategy.RND):
             if len(idx.pools[strategy]) == 0:
                 continue
-            _, v, ok = sample_negatives(idx, strategy, [len(h) - 1], 5, 77)
+            _, v, _, ok = sample_negatives(idx, strategy, [len(h) - 1], 5, 77)
             assert (v[ok] >= h.num_sources).all()
 
     def test_bipartite_rnd_never_draws_a_source_as_destination(self):
@@ -318,6 +326,41 @@ def small_streams(draw):
     return h, draw(st.integers(0, 9)) - 0.5
 
 
+class TestEdgeIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(stream=small_streams(), tied=st.booleans(), k=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1))
+    def test_each_draw_carries_the_edge_find_edges_gives(self, stream, tied, k, seed):
+        # node, edge and RND strategies alike, rejected candidates included;
+        # tied puts most of the events at one timestamp, where many events
+        # have no legal negative, so a draw gives up after 8 candidates
+        h, t_split = stream
+        if tied:
+            events = [(u, v, t if i % 4 == 0 else 4.0) for i, (u, v, t) in enumerate(events_of(h))]
+            h = build_history(events, kind=h.kind, num_nodes=h.num_nodes,
+                              num_sources=h.num_sources)
+        idx = build_candidate_index(h, t_split)
+        for strategy in NegativeStrategy:
+            if len(idx.pools[strategy]):
+                with mock.patch.object(sampling, "MAX_ATTEMPTS", 8):
+                    u, v, edge, _ = sample_negatives(idx, strategy, np.arange(len(h)), k, seed)
+                assert edge.ravel().tolist() == h.find_edges(u.ravel(), v.ravel()).tolist()
+
+    def test_a_node_strategy_searches_once_a_round(self):
+        # a dense stream, so that candidates collide and rounds repeat
+        h = random_history(np.random.default_rng(5), n_events=400, n_nodes=12)
+        idx = build_candidate_index(h, 50.0)
+        for strategy in NegativeStrategy:
+            if strategy.replaces == "edge" or len(idx.pools[strategy]) == 0:
+                continue
+            with mock.patch.object(History, "find_edges", autospec=True,
+                                   side_effect=History.find_edges) as find, \
+                    mock.patch.object(History, "collides", autospec=True,
+                                      side_effect=History.collides) as rounds:
+                sample_negatives(idx, strategy, np.arange(len(h)), 3, 1)
+            assert rounds.call_count > 1 and find.call_count == rounds.call_count
+
+
 class TestSampleStream:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -362,9 +405,10 @@ class TestSampleStream:
         assert np.array_equal(sampled.timestamp, h.t[sampled.events])
         masks = []
         for j, strategy in enumerate(strategies):
-            u, v, ok = sample_negatives(idx, strategy, np.arange(len(h)), 2, 4)
+            u, v, edge, ok = sample_negatives(idx, strategy, np.arange(len(h)), 2, 4)
             assert np.array_equal(sampled.source[:, j], u[sampled.events])
             assert np.array_equal(sampled.destination[:, j], v[sampled.events])
+            assert np.array_equal(sampled.edge[:, j], edge[sampled.events])
             assert sampled.no_legal[j] == np.count_nonzero(~ok)
             masks.append(ok)
         assert np.array_equal(sampled.events, np.flatnonzero(masks[0] & masks[1]))
@@ -451,7 +495,7 @@ class TestDeterminism:
         idx = build_candidate_index(h, 50.0)
 
         def row(seed, i, events):
-            u, v, _ = sample_negatives(idx, NegativeStrategy.RND, events, 8, seed)
+            u, v, _, _ = sample_negatives(idx, NegativeStrategy.RND, events, 8, seed)
             return u[list(events).index(i)].tolist() + v[list(events).index(i)].tolist()
 
         assert row(42, 7, [7]) == row(42, 7, [3, 7, 9]) == row(42, 7, range(50))

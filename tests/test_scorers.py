@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from conftest import (
 from dlpeval import (
     EmptyCandidateSetError,
     GraphKind,
+    History,
     NegativeStrategy,
     ScorerKind,
     build_candidate_index,
@@ -83,6 +86,17 @@ class TestScores:
             assert (heuristic_scores(h, ScorerKind(scorer), u, v, before).tolist()
                     == brute_force_scores(h, scorer, u.tolist(), v.tolist(), before.tolist()))
 
+    @pytest.mark.parametrize("scorer", ["pa", "edgebank"])
+    def test_before_as_scalar_list_or_array(self, scorer):
+        # before broadcasts against the records, as numpy broadcasts it
+        h = random_history(np.random.default_rng(6), n_events=60, n_nodes=16)
+        u, v = h.dst[::4].tolist(), h.src[::4].tolist()
+        steps = list(range(0, 4 * len(u), 4))
+        for before, each in ((20, [20] * len(u)), (steps, steps), (np.array(steps), steps)):
+            want = brute_force_scores(h, scorer, u, v, each)
+            assert 0 < sum(want) < len(u)
+            assert heuristic_scores(h, ScorerKind(scorer), u, v, before).tolist() == want
+
 
 class TestHarness:
     def test_first_batch_scores_zero_for_pa(self):
@@ -130,6 +144,17 @@ class TestHarness:
             k_per_strategy=2, batch_size=batch_size, seed=3,
         )
         assert log.score.tolist() == prefix_replay_scores(h, log, scorer, batch_size).tolist()
+
+    def test_edge_strategies_and_edgebank_never_search(self):
+        # edge pools hold edge indices and each record carries its own, so
+        # neither drawing nor scoring looks an edge up
+        h = random_history(np.random.default_rng(4), n_events=300, n_nodes=20)
+        strategies = [NegativeStrategy.HE, NegativeStrategy.OE, NegativeStrategy.IE]
+        with mock.patch.object(History, "find_edges", side_effect=AssertionError("searched")):
+            log = sample_and_score(h, 50.0, EDGEBANK, strategies, batch_size=16, seed=2)
+        assert len(np.unique(log.event_ordinal)) > len(h) // 2
+        assert 0 < log.score.sum() < len(log)
+        assert log.score.tolist() == prefix_replay_scores(h, log, "edgebank", 16).tolist()
 
     def test_all_tie_batches_when_test_repeats_train(self):
         # test positives repeat train edges and HE negatives are train-only
@@ -226,7 +251,7 @@ class TestHarness:
         idx = build_candidate_index(h, t_split)
         assert len(np.unique(log.event_ordinal)) == len(h)
         for strategy in strategies:
-            u, v, ok = sample_negatives(idx, strategy, np.arange(len(h)), 2, seed)
+            u, v, _, ok = sample_negatives(idx, strategy, np.arange(len(h)), 2, seed)
             assert ok.all()
             sel = log.role == log.names.index(strategy.value)
             assert np.array_equal(log.source[sel], u.ravel())
